@@ -8,6 +8,13 @@ levelized over a variable order and reduced per level by residual
 subfunction (truth-table key); constant residuals short-circuit to two
 shared terminal nodes, and the rejecting terminal stays in the node
 count even though no accepting path passes through it.
+
+The minimum size over all variable orders counts each level's nodes
+without building any OBDD: the Friedman–Supowit compaction derives the
+residual-function ids of every prefix set from those of a set one
+variable larger, level by level from the truth table down.  Program
+traversals (evaluation, path enumeration, validation) use explicit
+stacks, so program depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .errors import (
     FormatError,
     InputError,
     InvariantViolationError,
+    int_token,
 )
 from .instances import Cnf, Literal
 
@@ -149,22 +157,19 @@ def evaluate(z: BranchingProgram, assignment: Mapping[int, bool] | Sequence[bool
     # Containment in a full assignment forces consistency, so this reduces
     # to reachability through agreeing edges.
     out = z.out_edges()
-    memo: dict[int, bool] = {z.leaf: True}
-
-    def hits_leaf(node: int) -> bool:
-        if node in memo:
-            return memo[node]
-        ok = False
+    seen = {z.root}
+    stack = [z.root]
+    while stack:
+        node = stack.pop()
+        if node == z.leaf:
+            return True
         for e in out[node]:
             if e.label is not None and assignment[e.label.var] != e.label.positive:
                 continue
-            if hits_leaf(e.head):
-                ok = True
-                break
-        memo[node] = ok
-        return ok
-
-    return hits_leaf(z.root)
+            if e.head not in seen:
+                seen.add(e.head)
+                stack.append(e.head)
+    return False
 
 
 @dataclass(frozen=True)
@@ -273,18 +278,82 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     return z
 
 
-def _subfunction_count(tbl_nd: np.ndarray, subset: tuple[int, ...], m: int) -> int:
-    """Distinct non-constant residual functions after assigning the subset."""
-    rest = [v for v in range(m) if v not in subset]
-    rows = np.ascontiguousarray(tbl_nd.transpose(list(subset) + rest)).reshape(
-        1 << len(subset), -1
-    )
-    width = rows.shape[1]
-    packed = np.packbits(rows, axis=1)
-    keys = {r.tobytes() for r in packed}
-    keys.discard(np.packbits(np.zeros(width, dtype=bool)).tobytes())
-    keys.discard(np.packbits(np.ones(width, dtype=bool)).tobytes())
-    return len(keys)
+# Entries of one level derived per vectorised step.  This bounds the int64
+# keys, gather indices and np.unique's sort to a few hundred KiB whatever
+# the level's size, so peak memory is the two adjacent levels' id tables.
+_COMPACTION_CHUNK = 1 << 13
+
+
+def subfunction_counts(f: Cnf) -> list[int]:
+    """For every variable set S (bit v of the index set iff v is in S), the
+    number of distinct non-constant residual functions of f over the
+    assignments of S: the nodes at the OBDD level right after prefix set S.
+
+    This is the compaction of Friedman & Supowit (IEEE Trans. Computers
+    39(5), 1990).  The table of S holds, for each assignment of S (bit i
+    of the index is the i-th smallest variable of S), an id of the
+    residual function: 0 is constant false, 1 constant true, and two
+    entries of one table have equal ids exactly when their residuals are
+    equal.  The table of the full set is the truth table.  The table of S
+    comes from that of its parent S | {v}, v the lowest variable outside
+    S: the residual under an assignment of S is the pair of residuals with
+    v=0 and v=1, so deduplicating the id pairs gives S's ids.
+
+    Levels |S| = m-1, ..., 0 are derived in turn.  A level is one flat
+    int32 array of C(m,k) tables of 2^k entries, and only two adjacent
+    levels are alive at once: at m=16 the largest pair (k=11 and k=10)
+    holds 17.1M ids, 65 MiB.  All levels together hold 3^m entries, each
+    deduplicated by a sort over a chunk of about _COMPACTION_CHUNK entries
+    (one table, when a table is larger), so the time is O(m·3^m).
+    """
+    m = f.num_vars
+    sets = np.arange(1 << m, dtype=np.int64)
+    size = np.zeros(1 << m, dtype=np.int64)
+    for v in range(m):
+        size += (sets >> v) & 1
+    by_level = np.argsort(size, kind="stable")  # ascending sets within a level
+    starts = np.zeros(m + 2, dtype=np.int64)
+    np.cumsum(np.bincount(size, minlength=m + 1), out=starts[1:])
+    row = np.empty(1 << m, dtype=np.int64)  # a set's table index within its level
+    row[by_level] = sets - starts[size[by_level]]
+    counts = np.zeros(1 << m, dtype=np.int64)
+
+    parent = _truth_table(f, tuple(reversed(range(m)))).astype(np.int32)
+    base = 2  # every parent id is below base
+    for k in range(m - 1, -1, -1):
+        level_sets = by_level[starts[k]:starts[k + 1]]
+        width = 1 << k
+        level = np.empty(len(level_sets) * width, dtype=np.int32)
+        a = np.arange(width, dtype=np.int64)
+        rows_per_chunk = max(1, _COMPACTION_CHUNK >> k)
+        next_base = 2
+        for r0 in range(0, len(level_sets), rows_per_chunk):
+            s = level_sets[r0:r0 + rows_per_chunk]
+            bit = (~s & (s + 1))[:, None]  # the lowest variable outside s
+            # Parent index of assignment a with v=0: the bits of a at and
+            # above v's rank move up one place to make room for v.
+            at = a & -bit
+            at += a
+            at += (row[s | bit[:, 0]] << (k + 1))[:, None]
+            pair = parent[at].astype(np.int64)
+            pair *= base
+            at += bit
+            pair += parent[at]
+            false, true = pair == 0, pair == base + 1
+            # Tagging each pair with its row lets one sort dedupe every row.
+            span = base * base
+            pair += (np.arange(len(s), dtype=np.int64) * span)[:, None]
+            uniq, inv = np.unique(pair.ravel(), return_inverse=True)
+            ids = level[r0 * width:(r0 + len(s)) * width].reshape(len(s), width)
+            np.add(inv.reshape(len(s), width), 2, out=ids, casting="unsafe")
+            ids[false] = 0
+            ids[true] = 1
+            residue = uniq % span
+            varying = uniq[(residue != 0) & (residue != base + 1)]
+            counts[s] = np.bincount(varying // span, minlength=len(s))
+            next_base = max(next_base, len(uniq) + 2)
+        parent, base = level, next_base
+    return counts.tolist()
 
 
 @dataclass(frozen=True)
@@ -303,7 +372,11 @@ def min_obdd_size_over_orders(
     With an explicit order list the minimum is over exactly those orders.
     Otherwise all m! orders are covered at once by a subset DP: the number
     of nodes at a level depends only on the *set* of variables placed
-    before it, so the per-order size telescopes over prefix sets.
+    before it, so the per-order size telescopes over prefix sets.  Those
+    per-set node counts all come first, from one Friedman–Supowit
+    compaction (`subfunction_counts`, O(m·3^m) time, two adjacent levels
+    of id tables in memory); the DP over the 2^m sets then takes the
+    lexicographically smallest best order.
     """
     m = f.num_vars
     if orders is not None:
@@ -321,30 +394,19 @@ def min_obdd_size_over_orders(
         raise CapacityError(f"order minimization: {m} variables exceeds cap {cap}")
     if m == 0:
         return MinObddResult(2, ())
-    tbl_nd = _truth_table(f, tuple(range(m))).reshape((2,) * m)
-
+    count = subfunction_counts(f)
     full = (1 << m) - 1
-    counts: dict[int, int] = {}
-
-    def count(mask: int) -> int:
-        c = counts.get(mask)
-        if c is None:
-            subset = tuple(v for v in range(m) if (mask >> v) & 1)
-            c = _subfunction_count(tbl_nd, subset, m)
-            counts[mask] = c
-        return c
-
     g = [0] * (1 << m)
     g[full] = 2
     for s in sorted(range(1 << m), key=lambda x: x.bit_count(), reverse=True):
         if s == full:
             continue
-        g[s] = count(s) + min(g[s | (1 << v)] for v in range(m) if not (s >> v) & 1)
+        g[s] = count[s] + min(g[s | (1 << v)] for v in range(m) if not (s >> v) & 1)
     order: list[int] = []
     s = 0
     while s != full:
         for v in range(m):
-            if not (s >> v) & 1 and g[s | (1 << v)] == g[s] - count(s):
+            if not (s >> v) & 1 and g[s | (1 << v)] == g[s] - count[s]:
                 order.append(v)
                 s |= 1 << v
                 break
@@ -357,25 +419,34 @@ def min_obdd_size_over_orders(
 def enumerate_computational_paths(
     z: BranchingProgram, cap: int = DEFAULT_PATH_CAP
 ) -> Iterator[ComputationalPath]:
-    """All consistent root-leaf paths, in lexicographic edge-sequence order."""
+    """All consistent root-leaf paths, in lexicographic edge-sequence order.
+
+    Depth-first with an explicit stack of out-edge iterators, one per node
+    on the current path, so path length is not bounded by recursion depth.
+    """
     out = z.out_edges()
     count = 0
     path: list[Edge] = []
     signs: dict[int, bool] = {}
     claims: dict[int, int] = {}  # var -> number of edges on the path labelling it
 
-    def walk(node: int) -> Iterator[ComputationalPath]:
+    def arrive() -> ComputationalPath:
         nonlocal count
-        if node == z.leaf:
-            count += 1
-            if count > cap:
-                raise CapacityError(f"more than {cap} computational paths")
-            yield ComputationalPath(
-                tuple(path),
-                frozenset(Literal(v, s) for v, s in signs.items()),
-            )
-            return
-        for e in out[node]:
+        count += 1
+        if count > cap:
+            raise CapacityError(f"more than {cap} computational paths")
+        return ComputationalPath(
+            tuple(path),
+            frozenset(Literal(v, s) for v, s in signs.items()),
+        )
+
+    if z.root == z.leaf:
+        yield arrive()
+        return
+    # stack[i] iterates the out-edges of the node that path[:i] reaches.
+    stack = [iter(out[z.root])]
+    while stack:
+        for e in stack[-1]:
             if e.label is not None:
                 v = e.label.var
                 if v in signs and signs[v] != e.label.positive:
@@ -383,16 +454,22 @@ def enumerate_computational_paths(
                 signs.setdefault(v, e.label.positive)
                 claims[v] = claims.get(v, 0) + 1
             path.append(e)
-            yield from walk(e.head)
-            path.pop()
-            if e.label is not None:
-                v = e.label.var
-                claims[v] -= 1
-                if claims[v] == 0:
-                    del claims[v]
-                    del signs[v]
-
-    yield from walk(z.root)
+            if e.head == z.leaf:
+                yield arrive()
+                stack.append(iter(()))  # the walk stops at the leaf
+            else:
+                stack.append(iter(out[e.head]))
+            break
+        else:
+            stack.pop()
+            if path:
+                e = path.pop()
+                if e.label is not None:
+                    v = e.label.var
+                    claims[v] -= 1
+                    if claims[v] == 0:
+                        del claims[v]
+                        del signs[v]
 
 
 def min_segments(positions: Sequence[int]) -> int:
@@ -475,17 +552,20 @@ def parse_bp(text: str) -> BranchingProgram:
                 raise FormatError(f"line {lineno}: duplicate header")
             if len(parts) != 4:
                 raise FormatError(f"line {lineno}: expected 'bp <nodes> <root> <leaf>'")
-            header = tuple(int(p) for p in parts[1:])
+            header = tuple(int_token(p, f"line {lineno}") for p in parts[1:])
         else:
             if header is None:
                 raise FormatError(f"line {lineno}: edge before header")
             if len(parts) not in (2, 3):
                 raise FormatError(f"line {lineno}: expected 'tail head [literal]'")
-            try:
-                tail, head = int(parts[0]) - 1, int(parts[1]) - 1
-                label = Literal.from_signed(int(parts[2])) if len(parts) == 3 else None
-            except (ValueError, InputError) as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
+            tail, head = (int_token(p, f"line {lineno}") - 1 for p in parts[:2])
+            label = None
+            if len(parts) == 3:
+                signed = int_token(parts[2], f"line {lineno}")
+                try:
+                    label = Literal.from_signed(signed)
+                except InputError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from exc
             edges.append(Edge(tail, head, label))
     if header is None:
         raise FormatError("missing 'bp' header line")

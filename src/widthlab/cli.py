@@ -20,6 +20,7 @@ from .errors import (
     ProgramIncorrectError,
     WidthlabError,
     WitnessNotFoundError,
+    int_token,
 )
 
 EXIT_OK = 0
@@ -44,14 +45,14 @@ def _load_graph(path: str) -> graph.Graph:
 
 def _parse_order(spec: str, n: int) -> graph.Ordering:
     parts = spec.replace(",", " ").split()
-    seq = [int(p) for p in parts]
+    seq = [int_token(p, "--order", InputError) for p in parts]
     if len(seq) != n:
         raise InputError(f"order has {len(seq)} entries, expected {n}")
     return graph.Ordering.make(seq)
 
 
 def _parse_var_order(spec: str, m: int) -> tuple[int, ...]:
-    o = tuple(int(p) for p in spec.replace(",", " ").split())
+    o = tuple(int_token(p, "--order", InputError) for p in spec.replace(",", " ").split())
     if sorted(o) != list(range(m)):
         raise InputError(f"not a permutation of 0..{m - 1}: {o}")
     return o
@@ -251,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mw", help="matching width (exact or of an ordering)")
     p.add_argument("--graph", required=True)
     p.add_argument("--order", help="explicit vertex ordering; omit for exact")
-    p.add_argument("--exact", action="store_true",
-                   help="exact over all orderings (default when --order absent)")
     p.add_argument("--cap", type=int, default=width.DEFAULT_SUBSET_DP_CAP)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")

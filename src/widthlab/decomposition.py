@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, int_token
 from .graph import Graph, Ordering
 from .instances import ct_graph, cnf_of_graph, primal_graph
 from .width import (
@@ -244,18 +244,21 @@ def parse_pace(text: str) -> tuple[TreeDecomposition, int]:
                 raise FormatError(f"line {lineno}: duplicate solution line")
             if len(parts) != 5 or parts[1] != "td":
                 raise FormatError(f"line {lineno}: expected 's td <bags> <width+1> <n>'")
-            header = tuple(int(p) for p in parts[2:])
+            header = tuple(int_token(p, f"line {lineno}") for p in parts[2:])
         elif parts[0] == "b":
             if header is None:
                 raise FormatError(f"line {lineno}: bag before solution line")
-            bid = int(parts[1]) - 1
+            if len(parts) < 2:
+                raise FormatError(f"line {lineno}: expected 'b <bag id> <vertices>'")
+            bid = int_token(parts[1], f"line {lineno}") - 1
             if bid in bags:
                 raise FormatError(f"line {lineno}: duplicate bag {bid + 1}")
-            bags[bid] = frozenset(int(p) - 1 for p in parts[2:])
+            bags[bid] = frozenset(int_token(p, f"line {lineno}") - 1 for p in parts[2:])
         else:
             if header is None or len(parts) != 2:
                 raise FormatError(f"line {lineno}: unrecognized line {line!r}")
-            edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+            edges.append((int_token(parts[0], f"line {lineno}") - 1,
+                          int_token(parts[1], f"line {lineno}") - 1))
     if header is None:
         raise FormatError("missing 's td' solution line")
     num_bags, _, n = header

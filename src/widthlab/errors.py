@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types, and the checked integer-token parser that turns
+malformed numbers in files and flags into them."""
 
 
 class WidthlabError(Exception):
@@ -27,3 +28,12 @@ class WitnessNotFoundError(WidthlabError, LookupError):
 
 class ProgramIncorrectError(WidthlabError, RuntimeError):
     """A branching program rejects an assignment it is required to accept."""
+
+
+def int_token(token: str, where: str, error: type[InputError] = FormatError) -> int:
+    """Parse one integer token.  A malformed token raises `error` (FormatError
+    for file content, InputError for flags) with a message led by `where`."""
+    try:
+        return int(token)
+    except ValueError:
+        raise error(f"{where}: expected an integer, got {token!r}") from None

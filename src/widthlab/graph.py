@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import FormatError, InputError, InvariantViolationError
+from .errors import FormatError, InputError, InvariantViolationError, int_token
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -227,20 +227,14 @@ def parse_dimacs_graph(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise FormatError(f"line {lineno}: expected 'p edge n m'")
-            try:
-                n = int(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad vertex count") from exc
+            n = int_token(parts[2], f"line {lineno}")
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: expected 'e u v'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad endpoint") from exc
-            edges.append((u - 1, v - 1))
+            edges.append((int_token(parts[1], f"line {lineno}") - 1,
+                          int_token(parts[2], f"line {lineno}") - 1))
         else:
             raise FormatError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:

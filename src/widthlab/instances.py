@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, int_token
 from .graph import Graph
 
 # --- literals and CNFs ---
@@ -239,14 +239,11 @@ def parse_dimacs_cnf(text: str) -> Cnf:
                 raise FormatError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError(f"line {lineno}: expected 'p cnf vars clauses'")
-            num_vars = int(parts[2])
+            num_vars = int_token(parts[2], f"line {lineno}")
         else:
             if num_vars is None:
                 raise FormatError(f"line {lineno}: clause before problem line")
-            try:
-                ints = [int(p) for p in parts]
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad literal") from exc
+            ints = [int_token(p, f"line {lineno}") for p in parts]
             if not ints or ints[-1] != 0:
                 raise FormatError(f"line {lineno}: clause must end with 0")
             clauses.append(tuple(Literal.from_signed(s) for s in ints[:-1]))

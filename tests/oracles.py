@@ -2,12 +2,12 @@
 
 Everything here is deliberately naive: enumeration over edge subsets,
 vertex subsets or whole permutations.  None of it shares code with the
-library beyond the Graph container.
+library beyond the Graph container and Cnf.evaluate.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from widthlab.graph import Graph
 
@@ -137,3 +137,23 @@ def clause_scan_satisfies(f, assignment) -> bool:
         if not hit:
             return False
     return True
+
+
+def brute_subfunction_count(f, subset) -> int:
+    """Distinct non-constant residuals of f over the assignments of subset,
+    each residual tabulated by evaluating f on every completion."""
+    subset = list(subset)
+    rest = [v for v in range(f.num_vars) if v not in subset]
+    residuals = set()
+    for fixed in product((False, True), repeat=len(subset)):
+        table = []
+        for free in product((False, True), repeat=len(rest)):
+            assignment = [False] * f.num_vars
+            for v, value in zip(subset, fixed):
+                assignment[v] = value
+            for v, value in zip(rest, free):
+                assignment[v] = value
+            table.append(f.evaluate(assignment))
+        if any(table) and not all(table):
+            residuals.add(tuple(table))
+    return len(residuals)

@@ -17,9 +17,10 @@ from widthlab.bprog import (
     min_obdd_size_over_orders,
     min_segments,
     parse_bp,
+    subfunction_counts,
 )
 
-from oracles import brute_min_segments
+from oracles import brute_min_segments, brute_subfunction_count
 
 
 @st.composite
@@ -41,6 +42,13 @@ def single_clause(*signed):
     lits = [Literal.from_signed(s) for s in signed]
     m = max(l.var for l in lits) + 1
     return Cnf.make(m, [lits])
+
+
+def chain_program(n):
+    """A path of n nodes whose i-th edge tests variable i positively."""
+    return BranchingProgram(
+        n, tuple(Edge(i, i + 1, Literal(i)) for i in range(n - 1)), 0, n - 1
+    )
 
 
 class TestValidate:
@@ -183,6 +191,36 @@ class TestMinObddSize:
             min_obdd_size_over_orders(single_clause(1), orders=[])
 
 
+class TestSubfunctionCounts:
+    @staticmethod
+    def oracle_counts(f):
+        m = f.num_vars
+        return [
+            brute_subfunction_count(f, [v for v in range(m) if (s >> v) & 1])
+            for s in range(1 << m)
+        ]
+
+    @settings(deadline=None, max_examples=30)
+    @given(cnfs(max_vars=8, max_clauses=6))
+    def test_every_prefix_set_matches_the_oracle(self, f):
+        assert subfunction_counts(f) == self.oracle_counts(f)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Cnf.make(0, []),
+            Cnf.make(0, [[]]),
+            Cnf.make(1, [[Literal(0, False)]]),
+            Cnf.make(3, []),
+            Cnf.make(3, [[Literal(1)], [Literal(1, False)]]),
+            Cnf.make(4, [[Literal(0), Literal(3, False)], [Literal(1)]]),
+        ],
+        ids=["m0-true", "m0-false", "m1", "tautology", "unsatisfiable", "unused-var"],
+    )
+    def test_corner_cases(self, f):
+        assert subfunction_counts(f) == self.oracle_counts(f)
+
+
 class TestPathEnumeration:
     def test_lexicographic_order_and_literals(self):
         z = BranchingProgram(
@@ -224,6 +262,22 @@ class TestPathEnumeration:
         z = build_obdd(f, tuple(range(5)))
         with pytest.raises(CapacityError):
             list(enumerate_computational_paths(z, cap=2))
+
+
+class TestLongChains:
+    """Traversals follow a 3000-node path, deeper than the recursion limit."""
+
+    def test_evaluate(self):
+        z = chain_program(3000)
+        assert evaluate(z, [True] * 2999)
+        assert not evaluate(z, [True] * 2998 + [False])
+
+    def test_enumerate_computational_paths(self):
+        z = chain_program(3000)
+        (path,) = enumerate_computational_paths(z)
+        assert path.edges == z.edges
+        assert path.literals == frozenset(Literal(i) for i in range(2999))
+        assert check_c_nsobdd(z, range(2999), 1).ok
 
 
 class TestMinSegments:

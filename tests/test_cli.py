@@ -143,6 +143,41 @@ class TestExitCodes:
         assert run(capsys, "--help")[0] == 0
 
 
+class TestMalformedIntegers:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["mw", "--graph", "{p10}", "--order", "0,1,x"], None),
+            (["obdd-build", "--cnf", "{k2}", "--order", "0,x"], None),
+            (["obdd-min", "--cnf", "{in}"], "p cnf x 1\n1 0\n"),
+            (["check-cnsobdd", "--bp", "{in}", "--c", "1"], "bp 2 1 x\n1 2\n"),
+            (["order-from-pd", "--graph", "{p10}", "--pd", "{in}"], "s td 1 x 3\nb 1 1 2\n"),
+            (["order-from-pd", "--graph", "{p10}", "--pd", "{in}"], "s td 1 2 3\nb\n"),
+        ],
+        ids=["mw-order", "obdd-build-order", "cnf-header", "bp-header", "pace-header",
+             "pace-bare-bag"],
+    )
+    def test_usage_error_with_one_line(self, capsys, tmp_path, p10_file, k2_cnf_file,
+                                       argv, text):
+        in_file = tmp_path / "input"
+        if text is not None:
+            in_file.write_text(text)
+        paths = {"p10": p10_file, "k2": k2_cnf_file, "in": str(in_file)}
+        code = main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestLongChain:
+    def test_check_cnsobdd_on_a_3000_node_chain(self, capsys, tmp_path):
+        bp_file = tmp_path / "chain.bp"
+        edges = [f"{i} {i + 1} {i}" for i in range(1, 3000)]
+        bp_file.write_text("\n".join(["bp 3000 1 3000"] + edges) + "\n")
+        code, out = run(capsys, "check-cnsobdd", "--bp", str(bp_file), "--c", "1", "--json")
+        assert code == 0 and json.loads(out)["pass"] is True
+
+
 class TestDeterminism:
     def test_json_outputs_are_byte_identical(self, capsys, tmp_path, p10_file):
         p4_file = str(tmp_path / "p4.gr")
