@@ -12,13 +12,16 @@ count even though no accepting path passes through it.
 The minimum size over all variable orders counts each level's nodes
 without building any OBDD: the Friedman–Supowit compaction derives the
 residual-function ids of every prefix set from those of a set one
-variable larger, level by level from the truth table down.  Program
-traversals (evaluation, path enumeration, validation) use explicit
-stacks, so program depth is not bounded by the recursion limit.
+variable larger, level by level from the truth table down, and
+`graph.prefix_set_dp` sums them along the best order.  Program traversals
+(evaluation, path enumeration, validation) use explicit stacks, so program
+depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -31,6 +34,7 @@ from .errors import (
     InvariantViolationError,
     int_token,
 )
+from .graph import prefix_set_dp
 from .instances import Cnf, Literal
 
 DEFAULT_BUILD_CAP = 24
@@ -63,16 +67,18 @@ class BranchingProgram:
     def size(self) -> int:
         return self.num_nodes
 
-    def out_edges(self) -> list[list[Edge]]:
+    @functools.cached_property
+    def out_edges(self) -> tuple[tuple[Edge, ...], ...]:
+        """Each node's out-edges, sorted by Edge.sort_key; built once."""
         out: list[list[Edge]] = [[] for _ in range(self.num_nodes)]
         for e in self.edges:
             out[e.tail].append(e)
-        for lst in out:
-            lst.sort(key=Edge.sort_key)
-        return out
+        return tuple(tuple(sorted(lst, key=Edge.sort_key)) for lst in out)
 
-    def variables(self) -> set[int]:
-        return {e.label.var for e in self.edges if e.label is not None}
+    @functools.cached_property
+    def variables(self) -> frozenset[int]:
+        """The variables some edge tests; built once."""
+        return frozenset(e.label.var for e in self.edges if e.label is not None)
 
     def validate(self, strict: bool = True) -> None:
         """Check DAG shape, root/leaf degrees and (strictly) that every node
@@ -150,13 +156,13 @@ def evaluate(z: BranchingProgram, assignment: Mapping[int, bool] | Sequence[bool
     """True iff some consistent root-leaf path's literal set is contained in
     the assignment."""
     getter = assignment.get if isinstance(assignment, Mapping) else None
-    for v in z.variables():
+    for v in z.variables:
         val = getter(v) if getter else (assignment[v] if v < len(assignment) else None)
         if val is None:
             raise InputError(f"assignment does not cover variable {v}")
     # Containment in a full assignment forces consistency, so this reduces
     # to reachability through agreeing edges.
-    out = z.out_edges()
+    out = z.out_edges
     seen = {z.root}
     stack = [z.root]
     while stack:
@@ -185,7 +191,7 @@ def equivalence_vs_cnf(
     m = f.num_vars
     if m > cap:
         raise CapacityError(f"equivalence check: {m} variables exceeds cap {cap}")
-    if not z.variables() <= set(range(m)):
+    if not z.variables <= set(range(m)):
         raise InputError("program tests variables outside the CNF")
     for bits in range(1 << m):
         s = tuple(bool((bits >> (m - 1 - i)) & 1) for i in range(m))
@@ -362,55 +368,23 @@ class MinObddResult:
     order: tuple[int, ...]
 
 
-def min_obdd_size_over_orders(
-    f: Cnf,
-    cap: int = DEFAULT_MIN_SIZE_CAP,
-    orders: Sequence[Sequence[int]] | None = None,
-) -> MinObddResult:
-    """Minimum OBDD node count over variable orders, with a best order.
-
-    With an explicit order list the minimum is over exactly those orders.
-    Otherwise all m! orders are covered at once by a subset DP: the number
-    of nodes at a level depends only on the *set* of variables placed
-    before it, so the per-order size telescopes over prefix sets.  Those
-    per-set node counts all come first, from one Friedman–Supowit
-    compaction (`subfunction_counts`, O(m·3^m) time, two adjacent levels
-    of id tables in memory); the DP over the 2^m sets then takes the
+def min_obdd_size_over_orders(f: Cnf, cap: int = DEFAULT_MIN_SIZE_CAP) -> MinObddResult:
+    """Minimum OBDD node count over all m! variable orders, with the
     lexicographically smallest best order.
+
+    The number of nodes at a level depends only on the *set* of variables
+    placed before it, so an order's size is the two terminals plus the sum
+    of its prefix sets' node counts.  Those counts all come first, from one
+    Friedman–Supowit compaction (`subfunction_counts`, O(m·3^m) time, two
+    adjacent levels of id tables in memory); `prefix_set_dp` with addition
+    then minimises the sum over the 2^m sets.
     """
     m = f.num_vars
-    if orders is not None:
-        best: MinObddResult | None = None
-        for o in orders:
-            z = build_obdd(f, o)
-            if best is None or z.size < best.size or (
-                z.size == best.size and tuple(o) < best.order
-            ):
-                best = MinObddResult(z.size, tuple(o))
-        if best is None:
-            raise InputError("empty order list")
-        return best
     if m > cap:
         raise CapacityError(f"order minimization: {m} variables exceeds cap {cap}")
-    if m == 0:
-        return MinObddResult(2, ())
     count = subfunction_counts(f)
-    full = (1 << m) - 1
-    g = [0] * (1 << m)
-    g[full] = 2
-    for s in sorted(range(1 << m), key=lambda x: x.bit_count(), reverse=True):
-        if s == full:
-            continue
-        g[s] = count[s] + min(g[s | (1 << v)] for v in range(m) if not (s >> v) & 1)
-    order: list[int] = []
-    s = 0
-    while s != full:
-        for v in range(m):
-            if not (s >> v) & 1 and g[s | (1 << v)] == g[s] - count[s]:
-                order.append(v)
-                s |= 1 << v
-                break
-    return MinObddResult(g[0], tuple(order))
+    value, order = prefix_set_dp(count, operator.add)
+    return MinObddResult(2 + count[0] + value, order)
 
 
 # --- path enumeration and the segmentation checker ---
@@ -424,7 +398,7 @@ def enumerate_computational_paths(
     Depth-first with an explicit stack of out-edge iterators, one per node
     on the current path, so path length is not bounded by recursion depth.
     """
-    out = z.out_edges()
+    out = z.out_edges
     count = 0
     path: list[Edge] = []
     signs: dict[int, bool] = {}
@@ -513,7 +487,7 @@ def check_c_nsobdd(
     pos = {v: i for i, v in enumerate(sv)}
     if len(pos) != len(sv):
         raise InputError("variable order contains duplicates")
-    missing = z.variables() - set(pos)
+    missing = z.variables - set(pos)
     if missing:
         raise InputError(f"variable order misses program variables {sorted(missing)}")
     for p in enumerate_computational_paths(z, cap=path_cap):

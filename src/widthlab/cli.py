@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success / checks passed, 1 a checked inequality or property
-was falsified, 2 usage or input error.  JSON output (--json) is
-byte-identical across runs for identical inputs and seeds.
+was falsified, 2 usage or input error, 3 an internal self-check failed (an
+implementation bug).  JSON output (--json) is byte-identical across runs
+for identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .errors import (
     CapacityError,
     InputError,
     InvariantViolationError,
-    ProgramIncorrectError,
     WidthlabError,
     WitnessNotFoundError,
     int_token,
@@ -26,6 +26,7 @@ from .errors import (
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
+EXIT_INVARIANT = 3
 
 
 def _dump_json(obj) -> str:
@@ -195,7 +196,7 @@ def cmd_obdd_min(args) -> int:
 
 def cmd_check_cnsobdd(args) -> int:
     z = bprog.parse_bp(Path(args.bp).read_text())
-    m = (max(z.variables()) + 1) if z.variables() else 0
+    m = (max(z.variables) + 1) if z.variables else 0
     order = (
         _parse_var_order(args.order, m)
         if args.order is not None
@@ -328,10 +329,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except InvariantViolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (InputError, CapacityError, WitnessNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvariantViolationError, ProgramIncorrectError, WidthlabError) as exc:
+    except WidthlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
 

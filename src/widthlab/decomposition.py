@@ -8,10 +8,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import FormatError, InputError, int_token
-from .graph import Graph, Ordering
+from .graph import Graph, Ordering, adjacency_masks, iter_bits
 from .instances import ct_graph, cnf_of_graph, primal_graph
 from .width import (
     DEFAULT_SUBSET_DP_CAP,
+    _separation_boundary,
     pathwidth_exact,
     settled_vertex_covers,
 )
@@ -200,17 +201,12 @@ def optimal_path_decomposition(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> Pa
     separation layout: bag i holds the i-th vertex plus the earlier
     vertices that still have a neighbor outside the first i-1."""
     report = pathwidth_exact(g, cap=cap)
-    seq = report.witness_ordering.seq
-    n = g.n
-    if n == 0:
-        return PathDecomposition(())
+    adj = adjacency_masks(g)
     bags = []
-    for i in range(n):
-        prefix = set(seq[:i])
-        boundary = {
-            u for u in prefix if any(w not in prefix for w in g.neighbors(u))
-        }
-        bags.append(frozenset(boundary | {seq[i]}))
+    prefix = 0
+    for v in report.witness_ordering.seq:
+        bags.append(frozenset(iter_bits(_separation_boundary(adj, prefix) | 1 << v)))
+        prefix |= 1 << v
     return PathDecomposition(tuple(bags))
 
 

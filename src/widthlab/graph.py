@@ -1,4 +1,4 @@
-"""Undirected graphs, vertex orderings, prefix cuts, bipartite matching and covers.
+"""Undirected graphs, orderings, prefix cuts, matching, covers and the prefix-set DP.
 
 Vertices are dense integer ids 0..n-1.  Cut graphs are bipartite by
 construction (prefix side vs. suffix side of an ordering), so maximum
@@ -10,8 +10,9 @@ ascending vertex id so results are reproducible.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import FormatError, InputError, InvariantViolationError, int_token
 
@@ -251,3 +252,42 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def prefix_set_dp(
+    cost: Sequence[int], combine: Callable[[int, int], int]
+) -> tuple[int, tuple[int, ...]]:
+    """Min over orderings of n items of their prefix sets' costs folded by
+    combine (max or +), and the lexicographically smallest optimal ordering.
+
+    cost[s] is the cost of prefix set s (bit v set iff item v is in it), with
+    len(cost) == 2^n and cost[2^n - 1] == 0.  h[s] = min over v outside s of
+    combine(cost[s|v], h[s|v]) (Bodlaender, Fomin, Koster, Kratsch & Thilikos,
+    ToCS 2012); every s|v exceeds s, so one descending pass fills h.  The
+    witness adds, from the empty set, the smallest v that still completes,
+    with the cost acc spent so far, to the optimum h[0].
+    """
+    full = len(cost) - 1
+    h = [0] * len(cost)
+    for s in range(full - 1, -1, -1):
+        rest = full ^ s
+        best = math.inf
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = combine(cost[s | low], h[s | low])
+            if c < best:
+                best = c
+        h[s] = best
+    value = h[0]
+    order: list[int] = []
+    s = acc = 0
+    while s != full:
+        for v in iter_bits(full ^ s):
+            t = s | (1 << v)
+            if combine(acc, combine(cost[t], h[t])) <= value:
+                order.append(v)
+                acc = combine(acc, cost[t])
+                s = t
+                break
+    return value, tuple(order)

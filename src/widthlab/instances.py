@@ -240,17 +240,25 @@ def parse_dimacs_cnf(text: str) -> Cnf:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError(f"line {lineno}: expected 'p cnf vars clauses'")
             num_vars = int_token(parts[2], f"line {lineno}")
+            if num_vars < 0:
+                raise FormatError(f"line {lineno}: negative variable count {num_vars}")
         else:
             if num_vars is None:
                 raise FormatError(f"line {lineno}: clause before problem line")
             ints = [int_token(p, f"line {lineno}") for p in parts]
-            if not ints or ints[-1] != 0:
+            if ints[-1] != 0:
                 raise FormatError(f"line {lineno}: clause must end with 0")
-            clauses.append(tuple(Literal.from_signed(s) for s in ints[:-1]))
+            signed = ints[:-1]
+            present = set(signed)
+            for s in signed:
+                if s == 0:
+                    raise FormatError(f"line {lineno}: 0 before the end of the clause")
+                if abs(s) > num_vars:
+                    raise FormatError(f"line {lineno}: variable {abs(s)} outside 1..{num_vars}")
+                if -s in present:
+                    raise FormatError(f"line {lineno}: clause holds both {s} and {-s}")
+            clauses.append(tuple(Literal.from_signed(s) for s in signed))
     if num_vars is None:
         raise FormatError("missing 'p cnf' problem line")
     var_names = tuple(names.get(i, f"x{i}") for i in range(num_vars))
-    try:
-        return Cnf.make(num_vars, clauses, var_names)
-    except InputError as exc:
-        raise FormatError(str(exc)) from exc
+    return Cnf.make(num_vars, clauses, var_names)

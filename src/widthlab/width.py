@@ -3,10 +3,10 @@
 Matching width of an ordering is the maximum, over proper nonempty
 prefixes, of the maximum matching size of the prefix cut.  The
 graph-level value minimizes over all orderings; because the cut value
-depends only on the prefix *set*, the minimization is a subset DP
-rather than a factorial enumeration.  Pathwidth is computed the same
-way via vertex separation (the cost of a prefix set is the number of
-its vertices with a neighbor outside).
+depends only on the prefix *set*, the minimization is the prefix-set DP
+`graph.prefix_set_dp` (max of costs) rather than a factorial enumeration.
+Pathwidth is computed the same way via vertex separation (the cost of a
+prefix set is the number of its vertices with a neighbor outside).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .graph import (
     iter_bits,
     max_bipartite_matching,
     min_vertex_cover_bipartite,
+    prefix_set_dp,
 )
 
 DEFAULT_SUBSET_DP_CAP = 20
@@ -87,83 +88,46 @@ def mw_of_ordering(g: Graph, sv: Ordering) -> WidthReport:
     return WidthReport(value=best, witness_ordering=sv, witness_prefix=best_i)
 
 
-def _masks_by_popcount_desc(n: int) -> list[int]:
-    return sorted(range(1 << n), key=lambda m: m.bit_count(), reverse=True)
+def _separation_boundary(adj: tuple[int, ...], mask: int) -> int:
+    """Vertices of mask with a neighbor outside it, as a bitmask."""
+    out = 0
+    for v in iter_bits(mask):
+        if adj[v] & ~mask:
+            out |= 1 << v
+    return out
 
 
-def _subset_dp(g: Graph, cost_of_mask, cap: int, what: str) -> WidthReport:
-    """Minimize, over orderings, the max of cost over proper nonempty prefixes.
-
-    h(S) is the best achievable max cost over prefixes strictly extending S;
-    cost depends only on the prefix set, never on its internal order.
-    """
+def _exact_width(g: Graph, cost_of_mask, cap: int, what: str) -> WidthReport:
+    """Minimize, over orderings, the max of cost over proper nonempty prefixes,
+    with the lexicographically smallest optimal ordering as witness."""
     n = g.n
     if n > cap:
         raise CapacityError(f"{what}: n={n} exceeds subset DP cap {cap}")
-    if n == 0:
-        return WidthReport(value=0, witness_ordering=Ordering(()), witness_prefix=None)
-    full = (1 << n) - 1
-    h = [0] * (1 << n)
-    cost_memo: dict[int, int] = {}
-
-    def cost(mask: int) -> int:
-        if mask == full:
-            return 0
-        c = cost_memo.get(mask)
-        if c is None:
-            c = cost_of_mask(mask)
-            cost_memo[mask] = c
-        return c
-
-    for s in _masks_by_popcount_desc(n):
-        if s == full:
-            continue
-        best = None
-        rest = full & ~s
-        for v in iter_bits(rest):
-            t = s | (1 << v)
-            cand = max(cost(t), h[t])
-            if best is None or cand < best:
-                best = cand
-        h[s] = best
-    value = h[0]
-    # Lexicographically smallest ordering achieving the optimum.
-    seq = []
-    s = 0
-    while s != full:
-        for v in iter_bits(full & ~s):
-            t = s | (1 << v)
-            if max(cost(t), h[t]) <= value:
-                seq.append(v)
-                s = t
-                break
-    witness = Ordering(tuple(seq))
+    cost = [cost_of_mask(mask) for mask in range(1 << n)]
+    value, seq = prefix_set_dp(cost, max)
     prefix = None
-    if n > 1:
-        mask = 0
-        for i in range(1, n):
-            mask |= 1 << seq[i - 1]
-            if cost(mask) == value:
-                prefix = i
-                break
-    return WidthReport(value=value, witness_ordering=witness, witness_prefix=prefix)
+    mask = 0
+    for i in range(1, n):
+        mask |= 1 << seq[i - 1]
+        if cost[mask] == value:
+            prefix = i
+            break
+    return WidthReport(value=value, witness_ordering=Ordering(seq), witness_prefix=prefix)
 
 
 def matching_width_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:
-    """Exact matching width with a witness ordering (subset DP)."""
+    """Exact matching width with a witness ordering (prefix-set DP)."""
     adj = adjacency_masks(g)
-    return _subset_dp(g, lambda m: _cut_matching_size(adj, m), cap, "matching width")
+    return _exact_width(g, lambda m: _cut_matching_size(adj, m), cap, "matching width")
 
 
 def pathwidth_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:
     """Exact pathwidth via vertex separation: the cost of a prefix set is the
     number of its vertices with a neighbor outside it."""
     adj = adjacency_masks(g)
-
-    def boundary(mask: int) -> int:
-        return sum(1 for v in iter_bits(mask) if adj[v] & ~mask)
-
-    return _subset_dp(g, boundary, cap, "pathwidth")
+    return _exact_width(
+        g, lambda m: _separation_boundary(adj, m).bit_count(), cap, "pathwidth"
+    )
 
 
 def _drop_vertices(c: CutGraph, x: frozenset[int]) -> CutGraph:

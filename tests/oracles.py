@@ -44,11 +44,10 @@ def crossing_edges(g: Graph, left: set[int]) -> list[tuple[int, int]]:
     return [e for e in g.sorted_edges() if (e[0] in left) != (e[1] in left)]
 
 
-def brute_matching_width(g: Graph) -> int:
-    """min over all n! orderings of max over prefixes of the cut matching."""
+def brute_matching_width(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """min over all n! orderings of max over prefixes of the cut matching,
+    with the lexicographically smallest optimal ordering."""
     n = g.n
-    if n <= 1:
-        return 0
     nu: dict[frozenset, int] = {}
 
     def cut_nu(left: frozenset) -> int:
@@ -61,30 +60,28 @@ def brute_matching_width(g: Graph) -> int:
         worst = 0
         for i in range(1, n):
             worst = max(worst, cut_nu(frozenset(perm[:i])))
-            if best is not None and worst >= best:
+            if best is not None and worst >= best[0]:
                 break
-        if best is None or worst < best:
-            best = worst
+        if best is None or worst < best[0]:
+            best = (worst, perm)
     return best
 
 
-def brute_pathwidth(g: Graph) -> int:
-    """min over all n! layouts of the max vertex-separation boundary."""
-    n = g.n
-    if n == 0:
-        return 0
+def brute_pathwidth(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """min over all n! layouts of the max vertex-separation boundary, with
+    the lexicographically smallest optimal layout."""
     best = None
-    for perm in permutations(range(n)):
+    for perm in permutations(range(g.n)):
         worst = 0
         placed: set[int] = set()
-        for i in range(n):
-            placed.add(perm[i])
+        for v in perm:
+            placed.add(v)
             boundary = sum(
                 1 for u in placed if any(w not in placed for w in g.neighbors(u))
             )
             worst = max(worst, boundary)
-        if best is None or worst < best:
-            best = worst
+        if best is None or worst < best[0]:
+            best = (worst, perm)
     # Boundary of the full set is 0 but every bag also holds the new vertex,
     # so pathwidth is the max boundary taken just before each placement.
     return best
@@ -157,3 +154,23 @@ def brute_subfunction_count(f, subset) -> int:
         if any(table) and not all(table):
             residuals.add(tuple(table))
     return len(residuals)
+
+
+def brute_min_obdd(f) -> tuple[int, tuple[int, ...]]:
+    """Minimum OBDD size over all m! variable orders, with the
+    lexicographically smallest optimal order.  An order's size is the two
+    terminals plus, per level, the residual count of the variables before it."""
+    counts: dict[frozenset, int] = {}
+
+    def count(prefix) -> int:
+        key = frozenset(prefix)
+        if key not in counts:
+            counts[key] = brute_subfunction_count(f, sorted(key))
+        return counts[key]
+
+    best = None
+    for perm in permutations(range(f.num_vars)):
+        size = 2 + sum(count(perm[:i]) for i in range(f.num_vars))
+        if best is None or size < best[0]:
+            best = (size, perm)
+    return best

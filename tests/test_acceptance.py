@@ -124,7 +124,8 @@ def test_criterion_03_subset_dp_equals_permutation_enumeration(corpus):
     for seed, g in corpus:
         if g.n > 7:
             continue
-        if matching_width_exact(g).value != brute_matching_width(g):
+        report = matching_width_exact(g)
+        if (report.value, report.witness_ordering.seq) != brute_matching_width(g):
             mismatches.append(seed)
         checked += 1
     verdict(3, not mismatches,

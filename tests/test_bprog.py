@@ -1,5 +1,3 @@
-from itertools import permutations
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +18,7 @@ from widthlab.bprog import (
     subfunction_counts,
 )
 
-from oracles import brute_min_segments, brute_subfunction_count
+from oracles import brute_min_obdd, brute_min_segments, brute_subfunction_count
 
 
 @st.composite
@@ -154,12 +152,10 @@ class TestBuildObdd:
 
 class TestMinObddSize:
     @settings(deadline=None, max_examples=25)
-    @given(cnfs(max_vars=4))
+    @given(cnfs(max_vars=5))
     def test_subset_dp_matches_full_enumeration(self, f):
-        all_orders = list(permutations(range(f.num_vars)))
-        by_enum = min_obdd_size_over_orders(f, orders=all_orders)
-        by_dp = min_obdd_size_over_orders(f)
-        assert by_dp.size == by_enum.size
+        result = min_obdd_size_over_orders(f)
+        assert (result.size, result.order) == brute_min_obdd(f)
 
     def test_best_order_achieves_the_size(self):
         f = cnf_of_graph(path_graph(4))
@@ -185,10 +181,6 @@ class TestMinObddSize:
         f = cnf_of_graph(path_graph(10))
         with pytest.raises(CapacityError):
             min_obdd_size_over_orders(f, cap=10)
-
-    def test_empty_order_list_rejected(self):
-        with pytest.raises(InputError):
-            min_obdd_size_over_orders(single_clause(1), orders=[])
 
 
 class TestSubfunctionCounts:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from widthlab import decomposition
 from widthlab.cli import main
 from widthlab.graph import format_dimacs_graph
 from widthlab.instances import format_dimacs_cnf, cnf_of_graph, path_graph
@@ -141,6 +142,16 @@ class TestExitCodes:
 
     def test_help_exits_cleanly(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_invariant_violation_has_its_own_code(self, capsys, monkeypatch, p10_file):
+        monkeypatch.setattr(
+            decomposition, "validate_decomposition",
+            lambda g, d: decomposition.ValidationResult(False, "union", (0,)),
+        )
+        code = main(["pd-from-order", "--graph", p10_file, "--order", "0 1 2 3 4 5 6 7 8 9"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: constructed decomposition invalid: union\n"
 
 
 class TestMalformedIntegers:

@@ -227,3 +227,17 @@ class TestDimacsCnf:
     def test_parse_errors(self, text):
         with pytest.raises(FormatError):
             parse_dimacs_cnf(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 2 2\n1 0 2 0\n", "line 2: 0 before the end of the clause"),
+            ("p cnf -1 0\n", "line 1: negative variable count -1"),
+            ("p cnf 2 1\n1 5 0\n", "line 2: variable 5 outside 1..2"),
+            ("p cnf 2 1\n\n2 -2 0\n", "line 3: clause holds both 2 and -2"),
+        ],
+    )
+    def test_parse_error_names_the_line(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            parse_dimacs_cnf(text)
+        assert str(exc.value) == message
