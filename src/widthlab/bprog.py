@@ -21,7 +21,6 @@ depth is not bounded by the recursion limit.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -383,7 +382,7 @@ def min_obdd_size_over_orders(f: Cnf, cap: int = DEFAULT_MIN_SIZE_CAP) -> MinObd
     if m > cap:
         raise CapacityError(f"order minimization: {m} variables exceeds cap {cap}")
     count = subfunction_counts(f)
-    value, order = prefix_set_dp(count, operator.add)
+    value, order = prefix_set_dp(count, np.add)
     return MinObddResult(2 + count[0] + value, order)
 
 

@@ -4,15 +4,22 @@ Vertices are dense integer ids 0..n-1.  Cut graphs are bipartite by
 construction (prefix side vs. suffix side of an ordering), so maximum
 matching and minimum vertex cover are computed with augmenting paths and
 the alternating-reachability construction.  All tie-breaking is by
-ascending vertex id so results are reproducible.
+ascending vertex id so results are reproducible.  (The width DPs size their
+cuts with `width`'s bitmask matching, repaired one moved vertex at a time.)
+
+`prefix_set_dp` minimises a fold (max or +, given as a numpy ufunc) of
+prefix-set costs over all orderings.  Its table is filled one popcount level
+at a time, from the largest sets down, each level by one vectorised pass per
+item; only the witness walk is a Python loop, and it returns Python ints.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import FormatError, InputError, InvariantViolationError, int_token
 
@@ -229,6 +236,9 @@ def parse_dimacs_graph(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise FormatError(f"line {lineno}: expected 'p edge n m'")
             n = int_token(parts[2], f"line {lineno}")
+            declared, p_line = int_token(parts[3], f"line {lineno}"), lineno
+            if declared < 0:
+                raise FormatError(f"line {lineno}: negative edge count {declared}")
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
@@ -241,9 +251,12 @@ def parse_dimacs_graph(text: str) -> Graph:
     if n is None:
         raise FormatError("missing 'p edge' problem line")
     try:
-        return Graph.make(n, edges)
+        g = Graph.make(n, edges)
     except InputError as exc:
         raise FormatError(str(exc)) from exc
+    if len(edges) != declared:
+        raise FormatError(f"line {p_line}: declares {declared} edges, found {len(edges)}")
+    return g
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -254,32 +267,37 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def prefix_set_dp(
-    cost: Sequence[int], combine: Callable[[int, int], int]
-) -> tuple[int, tuple[int, ...]]:
-    """Min over orderings of n items of their prefix sets' costs folded by
-    combine (max or +), and the lexicographically smallest optimal ordering.
+def prefix_set_dp(cost: Sequence[int], combine: np.ufunc) -> tuple[int, tuple[int, ...]]:
+    """Min over orderings of n items of their prefix sets' costs folded by the
+    ufunc combine (np.maximum or np.add), and the lexicographically smallest
+    optimal ordering.
 
     cost[s] is the cost of prefix set s (bit v set iff item v is in it), with
     len(cost) == 2^n and cost[2^n - 1] == 0.  h[s] = min over v outside s of
     combine(cost[s|v], h[s|v]) (Bodlaender, Fomin, Koster, Kratsch & Thilikos,
-    ToCS 2012); every s|v exceeds s, so one descending pass fills h.  The
-    witness adds, from the empty set, the smallest v that still completes,
-    with the cost acc spent so far, to the optimum h[0].
+    ToCS 2012).  Every s|v has one more item than s, so h is filled one
+    popcount level at a time, from n-1 down to 0, each level by n vectorised
+    passes (one per item v).  The witness adds, from the empty set, the
+    smallest v that still completes, with the cost acc spent so far, to the
+    optimum h[0].
     """
+    cost = np.asarray(cost, dtype=np.int64)
     full = len(cost) - 1
-    h = [0] * len(cost)
-    for s in range(full - 1, -1, -1):
-        rest = full ^ s
-        best = math.inf
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            c = combine(cost[s | low], h[s | low])
-            if c < best:
-                best = c
-        h[s] = best
-    value = h[0]
+    n = full.bit_length()
+    masks = np.arange(full + 1, dtype=np.int64)
+    popcount = np.zeros(full + 1, dtype=np.int64)
+    for v in range(n):
+        popcount += masks >> v & 1
+    h = np.zeros_like(cost)
+    for level in range(n - 1, -1, -1):
+        sets = masks[popcount == level]
+        best = np.full(len(sets), np.iinfo(np.int64).max)
+        for v in range(n):
+            outside = (sets >> v & 1) == 0
+            t = sets[outside] | 1 << v
+            best[outside] = np.minimum(best[outside], combine(cost[t], h[t]))
+        h[sets] = best
+    value = int(h[0])
     order: list[int] = []
     s = acc = 0
     while s != full:

@@ -9,6 +9,7 @@ lexicographic endpoint order) so serialized output is reproducible.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -112,12 +113,18 @@ def vertex_variable(g: Graph, u: int) -> int:
     return u
 
 
+@functools.lru_cache(maxsize=None)
+def _edge_index(g: Graph) -> dict[tuple[int, int], int]:
+    """Position of each edge in lexicographic endpoint order."""
+    return {e: i for i, e in enumerate(g.sorted_edges())}
+
+
 def edge_variable(g: Graph, u: int, v: int) -> int:
     e = (u, v) if u < v else (v, u)
     try:
-        return g.n + g.sorted_edges().index(e)
-    except ValueError as exc:
-        raise InputError(f"{e} is not an edge of the graph") from exc
+        return g.n + _edge_index(g)[e]
+    except KeyError:
+        raise InputError(f"{e} is not an edge of the graph") from None
 
 
 def cnf_of_graph(g: Graph) -> Cnf:
@@ -242,6 +249,9 @@ def parse_dimacs_cnf(text: str) -> Cnf:
             num_vars = int_token(parts[2], f"line {lineno}")
             if num_vars < 0:
                 raise FormatError(f"line {lineno}: negative variable count {num_vars}")
+            declared, p_line = int_token(parts[3], f"line {lineno}"), lineno
+            if declared < 0:
+                raise FormatError(f"line {lineno}: negative clause count {declared}")
         else:
             if num_vars is None:
                 raise FormatError(f"line {lineno}: clause before problem line")
@@ -260,5 +270,7 @@ def parse_dimacs_cnf(text: str) -> Cnf:
             clauses.append(tuple(Literal.from_signed(s) for s in signed))
     if num_vars is None:
         raise FormatError("missing 'p cnf' problem line")
+    if len(clauses) != declared:
+        raise FormatError(f"line {p_line}: declares {declared} clauses, found {len(clauses)}")
     var_names = tuple(names.get(i, f"x{i}") for i in range(num_vars))
     return Cnf.make(num_vars, clauses, var_names)

@@ -7,11 +7,22 @@ depends only on the prefix *set*, the minimization is the prefix-set DP
 `graph.prefix_set_dp` (max of costs) rather than a factorial enumeration.
 Pathwidth is computed the same way via vertex separation (the cost of a
 prefix set is the number of its vertices with a neighbor outside).
+
+Cut matchings are never rebuilt.  `_CutMatching` keeps one maximum matching
+on bitmasks while vertices cross the cut one at a time, and repairs it after
+each move with at most two iterative alternating searches, so its size moves
+by at most 1 per step.  `mw_of_ordering` moves the ordering's vertices in
+turn.  `matching_width_exact` fills all 2^n cut sizes with a Gray-code walk
+over the 2^(n-1) masks that leave vertex n-1 on the suffix side: a cut and
+its complement have the same matching, so each step fills both entries.  The
+vertex-separation costs of all masks come from one numpy pass per vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapacityError, InputError, InvariantViolationError
 from .graph import (
@@ -52,37 +63,77 @@ class MinVcResult:
     is_minimum: bool
 
 
-def _cut_matching_size(adj: tuple[int, ...], left_mask: int) -> int:
-    """Maximum matching size of the cut between left_mask and its complement."""
-    match_right: dict[int, int] = {}
+class _CutMatching:
+    """One maximum matching of the cut (mask, full ^ mask), kept maximum while
+    vertices change sides one at a time.
 
-    def augment(u: int, visited: set[int]) -> bool:
-        for v in iter_bits(adj[u] & ~left_mask):
-            if v in visited:
-                continue
-            visited.add(v)
-            if v not in match_right or augment(match_right[v], visited):
-                match_right[v] = u
-                return True
-        return False
+    Moving v drops v's matched pair, if any; v and its former mate w then sit
+    on the same side.  Every augmenting path of the rest of the old (maximum)
+    matching ends at v or at w, and a vertex without an augmenting path keeps
+    none after an augmentation (Berge; Kuhn's one-pass argument), so one
+    alternating search from w and one from v restore a maximum matching.  The
+    size therefore moves by at most 1 per step.
+    """
 
-    size = 0
-    for u in iter_bits(left_mask):
-        if adj[u] & ~left_mask and augment(u, set()):
-            size += 1
-    return size
+    __slots__ = ("adj", "full", "mask", "mate", "parent", "size")
+
+    def __init__(self, adj: tuple[int, ...]) -> None:
+        self.adj = adj
+        self.full = (1 << len(adj)) - 1
+        self.mask = 0
+        self.mate = [-1] * len(adj)
+        self.parent = [-1] * len(adj)
+        self.size = 0
+
+    def move(self, v: int) -> int:
+        """Move v to the other side of the cut; returns the repaired matching's size."""
+        self.mask ^= 1 << v
+        mate = self.mate
+        w = mate[v]
+        if w >= 0:
+            mate[v] = mate[w] = -1
+            self.size -= 1
+            self._augment(w)
+        self._augment(v)
+        return self.size
+
+    def _augment(self, x: int) -> None:
+        """Augment along one alternating path from the free vertex x, if any."""
+        adj, mate, parent = self.adj, self.mate, self.parent
+        other = self.full ^ self.mask if self.mask >> x & 1 else self.mask
+        visited = 0
+        stack = [x]
+        while stack:
+            u = stack.pop()
+            fresh = adj[u] & other & ~visited
+            visited |= fresh
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                y = low.bit_length() - 1
+                parent[y] = u
+                z = mate[y]
+                if z >= 0:
+                    stack.append(z)
+                    continue
+                while True:  # flip the path y, parent[y], mate[parent[y]], ...
+                    u = parent[y]
+                    nxt = mate[u]
+                    mate[u], mate[y] = y, u
+                    if u == x:
+                        self.size += 1
+                        return
+                    y = nxt
 
 
 def mw_of_ordering(g: Graph, sv: Ordering) -> WidthReport:
     """Max over prefixes 1..n-1 of the cut's maximum matching size."""
     if len(sv) != g.n:
         raise InputError("ordering length does not match graph")
-    adj = adjacency_masks(g)
+    cut = _CutMatching(adjacency_masks(g))
     best, best_i = 0, None
-    mask = 0
-    for i in range(1, g.n):
-        mask |= 1 << sv.seq[i - 1]
-        nu = _cut_matching_size(adj, mask)
+    for i, v in enumerate(sv.seq[: g.n - 1], 1):
+        nu = cut.move(v)
         if best_i is None or nu > best:
             best, best_i = nu, i
     return WidthReport(value=best, witness_ordering=sv, witness_prefix=best_i)
@@ -97,14 +148,46 @@ def _separation_boundary(adj: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def _exact_width(g: Graph, cost_of_mask, cap: int, what: str) -> WidthReport:
+def _matching_costs(adj: tuple[int, ...]) -> list[int]:
+    """Maximum matching size of every cut (s, full ^ s), s over all 2^n masks.
+
+    A Gray-code walk over the 2^(n-1) masks that keep vertex n-1 on the
+    suffix side moves one vertex per step, so the matching is repaired, not
+    rebuilt; a cut and its complement share their matching, so each step
+    fills cost[s] and cost[full ^ s].
+    """
+    n = len(adj)
+    cost = [0] * (1 << n)
+    if n < 2:
+        return cost
+    full = (1 << n) - 1
+    cut = _CutMatching(adj)
+    mask = 0
+    for i in range(1, 1 << (n - 1)):
+        v = (i & -i).bit_length() - 1
+        mask ^= 1 << v
+        cost[mask] = cost[full ^ mask] = cut.move(v)
+    return cost
+
+
+def _separation_costs(adj: tuple[int, ...]) -> np.ndarray:
+    """Vertex-separation boundary size of every mask s over all 2^n masks:
+    the sum over v of [v in s] * [adj[v] & ~s != 0], one numpy pass per v."""
+    s = np.arange(1 << len(adj), dtype=np.int64)
+    cost = np.zeros_like(s)
+    for v, nbrs in enumerate(adj):
+        cost += (s >> v & 1) & ((nbrs & ~s) != 0)
+    return cost
+
+
+def _exact_width(g: Graph, cost_table, cap: int, what: str) -> WidthReport:
     """Minimize, over orderings, the max of cost over proper nonempty prefixes,
     with the lexicographically smallest optimal ordering as witness."""
     n = g.n
     if n > cap:
         raise CapacityError(f"{what}: n={n} exceeds subset DP cap {cap}")
-    cost = [cost_of_mask(mask) for mask in range(1 << n)]
-    value, seq = prefix_set_dp(cost, max)
+    cost = cost_table(adjacency_masks(g))
+    value, seq = prefix_set_dp(cost, np.maximum)
     prefix = None
     mask = 0
     for i in range(1, n):
@@ -116,18 +199,15 @@ def _exact_width(g: Graph, cost_of_mask, cap: int, what: str) -> WidthReport:
 
 
 def matching_width_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:
-    """Exact matching width with a witness ordering (prefix-set DP)."""
-    adj = adjacency_masks(g)
-    return _exact_width(g, lambda m: _cut_matching_size(adj, m), cap, "matching width")
+    """Exact matching width with a witness ordering (prefix-set DP over the
+    Gray-walk cut matching sizes)."""
+    return _exact_width(g, _matching_costs, cap, "matching width")
 
 
 def pathwidth_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:
     """Exact pathwidth via vertex separation: the cost of a prefix set is the
     number of its vertices with a neighbor outside it."""
-    adj = adjacency_masks(g)
-    return _exact_width(
-        g, lambda m: _separation_boundary(adj, m).bit_count(), cap, "pathwidth"
-    )
+    return _exact_width(g, _separation_costs, cap, "pathwidth")
 
 
 def _drop_vertices(c: CutGraph, x: frozenset[int]) -> CutGraph:

@@ -106,6 +106,22 @@ def brute_pathwidth_bags(g: Graph) -> int:
     return best
 
 
+def brute_prefix_set_dp(cost, combine) -> tuple[int, tuple[int, ...]]:
+    """min over all n! orderings of cost folded by combine (max or +) over
+    the ordering's prefix sets 1..n, starting from 0, with the
+    lexicographically smallest optimal ordering; len(cost) == 2^n."""
+    n = (len(cost) - 1).bit_length()
+    best = None
+    for perm in permutations(range(n)):
+        total, placed = 0, 0
+        for v in perm:
+            placed |= 1 << v
+            total = combine(total, cost[placed])
+        if best is None or total < best[0]:
+            best = (total, perm)
+    return best
+
+
 def brute_min_segments(positions) -> int:
     """Minimum partition into contiguous strictly-increasing runs (DP)."""
     n = len(positions)

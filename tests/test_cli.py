@@ -1,11 +1,12 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from widthlab import decomposition
+from widthlab import bprog, decomposition
 from widthlab.cli import main
-from widthlab.graph import format_dimacs_graph
-from widthlab.instances import format_dimacs_cnf, cnf_of_graph, path_graph
+from widthlab.graph import Ordering, format_dimacs_graph
+from widthlab.instances import cnf_of_graph, cycle_graph, format_dimacs_cnf, path_graph
 
 
 def run(capsys, *argv):
@@ -178,6 +179,106 @@ class TestMalformedIntegers:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestDeclaredCounts:
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["mw", "--graph", "{in}"], "p edge 3 9\ne 1 2\n",
+             "line 1: declares 9 edges, found 1"),
+            (["lb-experiment", "--graph", "{in}", "--c", "1"], "p edge 2 -1\n",
+             "line 1: negative edge count -1"),
+            (["obdd-min", "--cnf", "{in}"], "p cnf 3 x\n",
+             "line 1: expected an integer, got 'x'"),
+            (["obdd-build", "--cnf", "{in}"], "c hi\np cnf 2 5\n1 0\n",
+             "line 2: declares 5 clauses, found 1"),
+        ],
+        ids=["mw-edges", "lb-negative-edges", "obdd-min-clauses-token", "obdd-build-clauses"],
+    )
+    def test_count_mismatch_is_a_usage_error(self, capsys, tmp_path, argv, text, message):
+        in_file = tmp_path / "input"
+        in_file.write_text(text)
+        code = main([a.format(**{"in": str(in_file)}) for a in argv])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Valid inputs of every file format, at most 8 vertices, variables or nodes,
+# so that no exact solver runs long on a mutation of them.
+_FUZZ_GRAPH = format_dimacs_graph(cycle_graph(4))
+_FUZZ_CNF = format_dimacs_cnf(cnf_of_graph(path_graph(2)))
+_FUZZ_PACE = decomposition.format_pace(
+    decomposition.path_decomposition_from_ordering(cycle_graph(4), Ordering.make(range(4))), 4)
+_FUZZ_BP = bprog.format_bp(bprog.build_obdd(cnf_of_graph(path_graph(2)), (0, 1, 2)))
+_FUZZ_TOKENS = ["-1", "0", "1", "2", "3", "4", "5", "8", "x", "1.5", "", "p", "e", "b",
+                "s", "td", "edge", "cnf", "bp"]
+
+
+@st.composite
+def mutated(draw, text):
+    """text after one to three line or token edits: drop, duplicate or swap
+    lines, insert a line of random tokens, replace one token, or truncate."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "dup", "swap", "insert", "token", "truncate"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert" or not lines:
+            tokens = draw(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=5))
+            lines.insert(i, " ".join(tokens))
+        elif op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            parts = lines[i].split() or [""]
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(_FUZZ_TOKENS))
+            lines[i] = " ".join(parts)
+        else:
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzzedFiles:
+    """Every file-reading command, fed mutated valid files, exits 0, 1 or 2
+    with at most one stderr line and never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-cnf", "--graph", "{graph}"],
+            ["mw", "--graph", "{graph}", "--json"],
+            ["mw", "--graph", "{graph}", "--order", "0,1,2,3"],
+            ["pw", "--graph", "{graph}", "--json"],
+            ["order-from-pd", "--graph", "{graph}", "--pd", "{pace}", "--json"],
+            ["pd-from-order", "--graph", "{graph}", "--order", "0,1,2,3"],
+            ["obdd-build", "--cnf", "{cnf}", "--json"],
+            ["obdd-min", "--cnf", "{cnf}", "--json"],
+            ["check-cnsobdd", "--bp", "{bp}", "--c", "1", "--json"],
+            ["lb-experiment", "--graph", "{graph}", "--c", "1"],
+        ],
+        ids=["gen-cnf", "mw", "mw-order", "pw", "order-from-pd", "pd-from-order", "obdd-build",
+             "obdd-min", "check-cnsobdd", "lb-experiment"],
+    )
+    @settings(deadline=None, max_examples=25,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_and_one_line(self, capsys, tmp_path, argv, data):
+        bases = {"graph": _FUZZ_GRAPH, "cnf": _FUZZ_CNF, "pace": _FUZZ_PACE, "bp": _FUZZ_BP}
+        paths = {}
+        for kind, base in bases.items():
+            text = data.draw(st.one_of(st.just(base), mutated(base)), label=kind)
+            paths[kind] = tmp_path / kind
+            paths[kind].write_text(text)
+        code = main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and err.count("\n") <= 1
+        if code == 2:
+            assert err.startswith("error: ") and err.endswith("\n")
 
 
 class TestLongChain:

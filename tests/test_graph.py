@@ -1,3 +1,6 @@
+import operator
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +15,10 @@ from widthlab.graph import (
     max_bipartite_matching,
     min_vertex_cover_bipartite,
     parse_dimacs_graph,
+    prefix_set_dp,
 )
 
-from oracles import brute_max_matching, brute_min_vertex_cover
+from oracles import brute_max_matching, brute_min_vertex_cover, brute_prefix_set_dp
 
 
 @st.composite
@@ -185,6 +189,46 @@ class TestDimacs:
     def test_parse_errors(self, text):
         with pytest.raises(FormatError):
             parse_dimacs_graph(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 3 9\ne 1 2\n", "line 1: declares 9 edges, found 1"),
+            ("c hi\np edge 3 0\ne 1 2\n", "line 2: declares 0 edges, found 1"),
+            ("p edge 3 -1\n", "line 1: negative edge count -1"),
+            ("p edge 3 x\n", "line 1: expected an integer, got 'x'"),
+        ],
+    )
+    def test_parse_error_names_the_line(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            parse_dimacs_graph(text)
+        assert str(exc.value) == message
+
+
+@st.composite
+def cost_tables(draw, max_n=6):
+    """Prefix-set cost tables with values in 0..2 (so ties are common) and
+    the full set costing 0."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    cost = draw(st.lists(st.integers(0, 2), min_size=1 << n, max_size=1 << n))
+    cost[-1] = 0
+    return cost
+
+
+class TestPrefixSetDp:
+    @settings(deadline=None, max_examples=60)
+    @given(cost_tables())
+    @pytest.mark.parametrize("ufunc, fold", [(np.maximum, max), (np.add, operator.add)],
+                             ids=["max", "add"])
+    def test_matches_permutation_enumeration(self, ufunc, fold, cost):
+        value, order = prefix_set_dp(cost, ufunc)
+        assert (value, order) == brute_prefix_set_dp(cost, fold)
+        assert type(value) is int and all(type(v) is int for v in order)
+
+    @pytest.mark.parametrize("ufunc", [np.maximum, np.add], ids=["max", "add"])
+    def test_zero_and_one_items(self, ufunc):
+        assert prefix_set_dp([0], ufunc) == (0, ())
+        assert prefix_set_dp([2, 0], ufunc) == (0, (0,))
 
 
 def test_iter_bits():

@@ -235,6 +235,10 @@ class TestDimacsCnf:
             ("p cnf -1 0\n", "line 1: negative variable count -1"),
             ("p cnf 2 1\n1 5 0\n", "line 2: variable 5 outside 1..2"),
             ("p cnf 2 1\n\n2 -2 0\n", "line 3: clause holds both 2 and -2"),
+            ("p cnf 2 5\n1 0\n", "line 1: declares 5 clauses, found 1"),
+            ("c hi\np cnf 2 0\n1 0\n", "line 2: declares 0 clauses, found 1"),
+            ("p cnf 3 -2\n", "line 1: negative clause count -2"),
+            ("p cnf 3 x\n", "line 1: expected an integer, got 'x'"),
         ],
     )
     def test_parse_error_names_the_line(self, text, message):

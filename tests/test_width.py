@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from widthlab.errors import CapacityError, InputError
-from widthlab.graph import Graph, Ordering, cut_graph, max_bipartite_matching
+from widthlab.graph import (
+    Graph,
+    Ordering,
+    adjacency_masks,
+    cut_graph,
+    iter_bits,
+    max_bipartite_matching,
+)
 from widthlab.instances import cycle_graph, grid_graph, path_graph, random_graph
 from widthlab.width import (
+    _matching_costs,
     matching_width_exact,
     min_vc_containing,
     mw_of_ordering,
@@ -37,6 +45,26 @@ def graphs(draw, max_n=6):
     return Graph.make(n, edges)
 
 
+@st.composite
+def graphs_with_ordering(draw, max_n=6):
+    g = draw(graphs(max_n=max_n))
+    return g, Ordering.make(draw(st.permutations(list(range(g.n)))))
+
+
+class TestCutMatchingCosts:
+    @settings(deadline=None, max_examples=40)
+    @given(graphs(max_n=9))
+    def test_gray_walk_equals_brute_force_on_every_mask(self, g):
+        cost = _matching_costs(adjacency_masks(g))
+        assert len(cost) == 1 << g.n
+        oracle: dict[tuple, int] = {}  # a cut and its complement cross the same edges
+        for mask in range(1 << g.n):
+            edges = tuple(crossing_edges(g, set(iter_bits(mask))))
+            if edges not in oracle:
+                oracle[edges] = brute_max_matching(edges)
+            assert cost[mask] == oracle[edges]
+
+
 class TestMwOfOrdering:
     def test_path_natural_order(self):
         g = path_graph(10)
@@ -60,17 +88,15 @@ class TestMwOfOrdering:
             mw_of_ordering(path_graph(3), Ordering.make([0, 1]))
 
     @settings(deadline=None)
-    @given(graphs())
-    def test_matches_per_prefix_brute_force(self, g):
-        sv = Ordering.make(range(g.n))
-        expected = max(
-            (
-                brute_max_matching(crossing_edges(g, set(sv.seq[:i])))
-                for i in range(1, g.n)
-            ),
-            default=0,
-        )
-        assert mw_of_ordering(g, sv).value == expected
+    @given(graphs_with_ordering())
+    def test_matches_per_prefix_brute_force(self, gsv):
+        g, sv = gsv
+        sizes = [
+            brute_max_matching(crossing_edges(g, set(sv.seq[:i]))) for i in range(1, g.n)
+        ]
+        report = mw_of_ordering(g, sv)
+        assert report.value == max(sizes, default=0)
+        assert report.witness_prefix == (sizes.index(max(sizes)) + 1 if sizes else None)
 
 
 class TestMatchingWidthExact:
