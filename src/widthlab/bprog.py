@@ -3,11 +3,11 @@ order-segmentation checker.
 
 Programs are DAGs with one root and one accepting leaf; edges optionally
 carry a literal.  An assignment is accepted when some consistent
-root-leaf path's literal set is contained in it.  OBDDs are built
-levelized over a variable order and reduced per level by residual
-subfunction (truth-table key); constant residuals short-circuit to two
-shared terminal nodes, and the rejecting terminal stays in the node
-count even though no accepting path passes through it.
+root-leaf path's literal set is contained in it.  OBDDs are built from
+the truth table (one strided write per clause) level by level over a
+variable order, one node per distinct residual row, numbered when first
+reached; constant residuals go to two shared terminals, numbered last, and
+the rejecting one counts as a node though no accepting path reaches it.
 
 The minimum size over all variable orders counts each level's nodes
 without building any OBDD: the Friedman–Supowit compaction derives the
@@ -33,7 +33,7 @@ from .errors import (
     InvariantViolationError,
     int_token,
 )
-from .graph import prefix_set_dp
+from .graph import prefix_set_dp, sets_by_size
 from .instances import Cnf, Literal
 
 DEFAULT_BUILD_CAP = 24
@@ -204,18 +204,20 @@ def equivalence_vs_cnf(
 
 def _truth_table(f: Cnf, order: Sequence[int]) -> np.ndarray:
     """Flat truth table of f; index bit j (most significant first) is the
-    value of order[j]."""
+    value of order[j].  Each clause writes False once, into the subcube of the
+    (2,)*m table where its literals are all false; other axes stay whole."""
     m = f.num_vars
     pos = {v: j for j, v in enumerate(order)}
-    idx = np.arange(1 << m, dtype=np.uint32)
-    table = np.ones(1 << m, dtype=bool)
+    try:
+        table = np.ones((2,) * m, dtype=bool)
+    except ValueError as exc:  # beyond numpy's array rank or size
+        raise CapacityError(f"truth table of {m} variables: {exc}") from None
     for clause in f.clauses:
-        cmask = np.zeros(1 << m, dtype=bool)
+        cube: list[int | slice] = [slice(None)] * m
         for lit in clause:
-            bit = (idx >> (m - 1 - pos[lit.var])) & 1
-            cmask |= bit == (1 if lit.positive else 0)
-        table &= cmask
-    return table
+            cube[pos[lit.var]] = 0 if lit.positive else 1
+        table[tuple(cube)] = False
+    return table.reshape(-1)
 
 
 def _constant_program(value: bool, order: tuple[int, ...]) -> BranchingProgram:
@@ -240,45 +242,28 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     if not tbl.any():
         return _constant_program(False, order)
 
-    # Level by level: one node per distinct non-constant residual row.
-    level_rows: list[list[np.ndarray]] = [[tbl]]
-    raw_edges: list[tuple[tuple[int, int], object, Literal]] = []
-    for lvl in range(m):
-        rows = level_rows[lvl]
-        next_rows: list[np.ndarray] = []
-        index: dict[bytes, int] = {}
+    # The true and false terminals are the last two nodes; until the node
+    # count is known, edges name them -2 and -1, counting from the end.
+    raw_edges: list[tuple[int, int, Literal]] = []
+    rows, first = [tbl], 0  # this level's rows; rows[j] is node first + j
+    del tbl  # the next level's rows are copies, so free the table after level 0
+    for var in order:
+        index: dict[bytes, int] = {}  # the next level's rows, in id order
         for j, row in enumerate(rows):
             half = len(row) // 2
             for positive, child in ((False, row[:half]), (True, row[half:])):
-                label = Literal(order[lvl], positive)
                 if child.all():
-                    target: object = "T"
+                    head = -2
                 elif not child.any():
-                    target = "F"
+                    head = -1
                 else:
-                    key = child.tobytes()
-                    if key not in index:
-                        index[key] = len(next_rows)
-                        next_rows.append(child)
-                    target = (lvl + 1, index[key])
-                raw_edges.append(((lvl, j), target, label))
-        level_rows.append(next_rows)
+                    head = index.setdefault(child.tobytes(), first + len(rows) + len(index))
+                raw_edges.append((first + j, head, Literal(var, positive)))
+        rows, first = [np.frombuffer(key, dtype=bool) for key in index], first + len(rows)
 
-    ids: dict[tuple[int, int], int] = {}
-    for lvl, rows in enumerate(level_rows):
-        for j in range(len(rows)):
-            ids[(lvl, j)] = len(ids)
-    t_id = len(ids)
-    f_id = t_id + 1
-    edges = tuple(
-        Edge(
-            ids[tail],
-            t_id if target == "T" else f_id if target == "F" else ids[target],
-            label,
-        )
-        for tail, target, label in raw_edges
-    )
-    z = BranchingProgram(f_id + 1, edges, root=0, leaf=t_id, var_order=order)
+    size = first + 2
+    edges = tuple(Edge(tail, head % size, label) for tail, head, label in raw_edges)
+    z = BranchingProgram(size, edges, root=0, leaf=size - 2, var_order=order)
     z.validate(strict=False)
     return z
 
@@ -312,15 +297,9 @@ def subfunction_counts(f: Cnf) -> list[int]:
     (one table, when a table is larger), so the time is O(m·3^m).
     """
     m = f.num_vars
-    sets = np.arange(1 << m, dtype=np.int64)
-    size = np.zeros(1 << m, dtype=np.int64)
-    for v in range(m):
-        size += (sets >> v) & 1
-    by_level = np.argsort(size, kind="stable")  # ascending sets within a level
-    starts = np.zeros(m + 2, dtype=np.int64)
-    np.cumsum(np.bincount(size, minlength=m + 1), out=starts[1:])
+    by_level, starts = sets_by_size(m)
     row = np.empty(1 << m, dtype=np.int64)  # a set's table index within its level
-    row[by_level] = sets - starts[size[by_level]]
+    row[by_level] = np.arange(1 << m) - np.repeat(starts[:-1], np.diff(starts))
     counts = np.zeros(1 << m, dtype=np.int64)
 
     parent = _truth_table(f, tuple(reversed(range(m)))).astype(np.int32)

@@ -335,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, CapacityError, WitnessNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory: the input or a cap is too large", file=sys.stderr)
+        return EXIT_USAGE
     except WidthlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED

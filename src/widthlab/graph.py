@@ -152,24 +152,36 @@ def _left_adjacency(c: CutGraph) -> dict[int, list[int]]:
 def max_bipartite_matching(c: CutGraph) -> Matching:
     """Maximum matching of a cut graph.
 
-    Augmenting paths are explored in ascending vertex-id order, so the
-    result is deterministic for a fixed input.
+    Augmenting paths are explored depth-first in ascending vertex-id order,
+    with an explicit stack, so the result is deterministic for a fixed input
+    and path length is not bounded by the recursion limit.  A failed search
+    changes nothing and its visited right vertices reach no free one, so they
+    stay visited until the next augmentation.
     """
     adj = _left_adjacency(c)
     match_right: dict[int, int] = {}
-
-    def augment(u: int, visited: set[int]) -> bool:
-        for v in adj.get(u, ()):
-            if v in visited:
+    visited: set[int] = set()
+    for u in sorted(adj):
+        # Each path left vertex's untried neighbours, and the right ones between.
+        untried, via = [iter(adj[u])], []
+        while untried:
+            for v in untried[-1]:
+                if v not in visited:
+                    break
+            else:
+                untried.pop()
+                del via[-1:]
                 continue
             visited.add(v)
-            if v not in match_right or augment(match_right[v], visited):
-                match_right[v] = u
-                return True
-        return False
-
-    for u in sorted(adj):
-        augment(u, set())
+            via.append(v)
+            x = match_right.get(v)
+            if x is None:  # augment: shift each via vertex to the left one before it
+                x = u
+                for w in via:
+                    match_right[w], x = x, match_right.get(w)
+                visited.clear()
+                break
+            untried.append(iter(adj[x]))
     return Matching(frozenset((u, v) for v, u in match_right.items()))
 
 
@@ -267,6 +279,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def sets_by_size(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^n subsets of n items as bitmasks grouped by size, ascending in a
+    group, and the groups' offsets: size k is sets[start[k]:start[k + 1]]."""
+    size = np.zeros(1 << n, dtype=np.int8)
+    for v in range(n):  # the sets holding v are those without it, plus v
+        size[1 << v:2 << v] = size[:1 << v] + 1
+    sets = np.argsort(size, kind="stable")
+    return sets, np.searchsorted(size[sets], np.arange(n + 2))
+
+
 def prefix_set_dp(cost: Sequence[int], combine: np.ufunc) -> tuple[int, tuple[int, ...]]:
     """Min over orderings of n items of their prefix sets' costs folded by the
     ufunc combine (np.maximum or np.add), and the lexicographically smallest
@@ -284,13 +306,10 @@ def prefix_set_dp(cost: Sequence[int], combine: np.ufunc) -> tuple[int, tuple[in
     cost = np.asarray(cost, dtype=np.int64)
     full = len(cost) - 1
     n = full.bit_length()
-    masks = np.arange(full + 1, dtype=np.int64)
-    popcount = np.zeros(full + 1, dtype=np.int64)
-    for v in range(n):
-        popcount += masks >> v & 1
+    by_size, start = sets_by_size(n)
     h = np.zeros_like(cost)
     for level in range(n - 1, -1, -1):
-        sets = masks[popcount == level]
+        sets = by_size[start[level]:start[level + 1]]
         best = np.full(len(sets), np.iinfo(np.int64).max)
         for v in range(n):
             outside = (sets >> v & 1) == 0

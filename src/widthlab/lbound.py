@@ -169,25 +169,21 @@ def check_distinctness(
     """One accepting path per family member (lexicographically smallest edge
     sequence), one separation vector each; reports any vector collision.
 
-    A missing accepting path means the program rejects a required
-    satisfying assignment and is an error, not a falsification.
+    Paths are enumerated once, in that order, until every member has one.  A
+    missing accepting path means the program rejects a required satisfying
+    assignment and is an error, not a falsification.
     """
-    paths = list(enumerate_computational_paths(z, cap=path_cap))
+    chosen: dict[int, ComputationalPath] = {}
+    paths = enumerate_computational_paths(z, cap=path_cap)
+    while len(chosen) < len(family) and (p := next(paths, None)) is not None:
+        for idx, s in enumerate(family):
+            if idx not in chosen and all(s[l.var] == l.positive for l in p.literals):
+                chosen[idx] = p
     vectors: list[tuple[int, ...]] = []
-    for idx, s in enumerate(family):
-        accepting = [
-            p
-            for p in paths
-            if all(s[l.var] == l.positive for l in p.literals)
-        ]
-        if not accepting:
-            raise ProgramIncorrectError(
-                f"no accepting path for family member {idx}"
-            )
-        chosen = min(accepting, key=ComputationalPath.sort_key)
-        vectors.append(
-            separation_vector(chosen, z.root, sv_star, svp_vars, c, suffix_vars)
-        )
+    for idx in range(len(family)):
+        if idx not in chosen:
+            raise ProgramIncorrectError(f"no accepting path for family member {idx}")
+        vectors.append(separation_vector(chosen[idx], z.root, sv_star, svp_vars, c, suffix_vars))
     collisions = tuple(
         (i, j)
         for i in range(len(vectors))

@@ -190,3 +190,39 @@ def brute_min_obdd(f) -> tuple[int, tuple[int, ...]]:
         if best is None or size < best[0]:
             best = (size, perm)
     return best
+
+
+def brute_truth_table(f, order) -> list[bool]:
+    """f evaluated on every assignment; in entry i, order[j] takes bit j of
+    i counted from the most significant of len(order) bits."""
+    m = len(order)
+    table = []
+    for i in range(1 << m):
+        assignment = [False] * f.num_vars
+        for j, v in enumerate(order):
+            assignment[v] = bool((i >> (m - 1 - j)) & 1)
+        table.append(f.evaluate(assignment))
+    return table
+
+
+def recursive_kuhn_pairs(edges) -> frozenset:
+    """Kuhn's augmenting-path matching of oriented (left, right) edges, by
+    plain recursion: left vertices ascending, each search trying neighbours
+    in ascending order with a fresh visited set."""
+    adj: dict = {}
+    for u, v in sorted(edges):
+        adj.setdefault(u, []).append(v)
+    match_right: dict = {}
+
+    def augment(u, visited) -> bool:
+        for v in adj[u]:
+            if v not in visited:
+                visited.add(v)
+                if v not in match_right or augment(match_right[v], visited):
+                    match_right[v] = u
+                    return True
+        return False
+
+    for u in sorted(adj):
+        augment(u, set())
+    return frozenset((u, v) for v, u in match_right.items())

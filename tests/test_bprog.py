@@ -6,6 +6,7 @@ from widthlab.instances import Cnf, Literal, cnf_of_graph, path_graph
 from widthlab.bprog import (
     BranchingProgram,
     Edge,
+    _truth_table,
     build_obdd,
     check_c_nsobdd,
     enumerate_computational_paths,
@@ -18,7 +19,12 @@ from widthlab.bprog import (
     subfunction_counts,
 )
 
-from oracles import brute_min_obdd, brute_min_segments, brute_subfunction_count
+from oracles import (
+    brute_min_obdd,
+    brute_min_segments,
+    brute_subfunction_count,
+    brute_truth_table,
+)
 
 
 @st.composite
@@ -148,6 +154,55 @@ class TestBuildObdd:
         verdict = equivalence_vs_cnf(z, f)
         assert not verdict.equivalent
         assert verdict.counterexample == (False,)
+
+    @pytest.mark.parametrize("m", [64, 65])
+    def test_raised_cap_beyond_numpy_arrays(self, m):
+        # 64 variables exceed numpy's array size, 65 its rank (on numpy 2).
+        with pytest.raises(CapacityError):
+            build_obdd(Cnf.make(m, [[Literal(0)]]), range(m), cap=m)
+
+    @pytest.mark.parametrize(
+        "order, text",
+        [
+            ((0, 1, 2, 3, 4),
+             "bp 11 1 10\n1 2 -1\n1 3 1\n2 4 -2\n2 10 2\n3 5 -2\n3 10 2\n4 6 -3\n"
+             "4 7 3\n5 8 -3\n5 10 3\n6 9 4\n6 11 -4\n7 10 4\n7 11 -4\n8 9 -4\n8 9 4\n"
+             "9 10 5\n9 11 -5\n"),
+            ((4, 2, 0, 3, 1),
+             "bp 10 1 9\n1 2 -5\n1 3 5\n2 4 -3\n2 5 3\n3 5 -3\n3 5 3\n4 6 -1\n4 6 1\n"
+             "5 7 -1\n5 9 1\n6 8 -4\n6 8 4\n7 8 -4\n7 9 4\n8 9 2\n8 10 -2\n"),
+        ],
+        ids=["ascending", "shuffled"],
+    )
+    def test_node_numbering(self, order, text):
+        # Decision nodes level by level in order of first reach, then the
+        # true and false terminals.
+        z = build_obdd(cnf_of_graph(path_graph(3)), order)
+        assert format_bp(z) == "c widthlab branching-program format v1\n" + text
+
+
+class TestTruthTable:
+    @settings(deadline=None, max_examples=60)
+    @given(cnfs(max_vars=8, max_clauses=6), st.randoms(use_true_random=False))
+    def test_matches_the_oracle(self, f, rng):
+        order = list(range(f.num_vars))
+        rng.shuffle(order)
+        assert _truth_table(f, order).tolist() == brute_truth_table(f, order)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Cnf.make(0, []),
+            Cnf.make(0, [[]]),
+            Cnf.make(3, [[Literal(0)], []]),
+            Cnf.make(3, []),
+            Cnf.make(5, [[Literal(4, False), Literal(1)], [Literal(1, False)]]),
+        ],
+        ids=["m0-true", "m0-false", "empty-clause", "tautology", "unused-vars"],
+    )
+    def test_corner_cases(self, f):
+        order = list(reversed(range(f.num_vars)))
+        assert _truth_table(f, order).tolist() == brute_truth_table(f, order)
 
 
 class TestMinObddSize:

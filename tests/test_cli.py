@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import widthlab
 from widthlab import bprog, decomposition
 from widthlab.cli import main
 from widthlab.graph import Ordering, format_dimacs_graph
@@ -153,6 +158,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err == "error: constructed decomposition invalid: union\n"
+
+
+class TestHugeDeclaredSizes:
+    """Declared sizes too large to allocate exit 2 with one line.  Each
+    command runs in a child process whose address space is capped just above
+    its start-up size, so the test itself allocates nothing large."""
+
+    CHILD = (
+        "import resource, sys\n"
+        "from widthlab.cli import main\n"
+        "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+        "limit = size + (128 << 20)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs /proc and an enforced RLIMIT_AS")
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["check-cnsobdd", "--bp", "{in}", "--c", "1"], "bp 10000000000000 1 2\n"),
+            (["gen-cnf", "--graph", "{in}"], "p edge 10000000000000 0\n"),
+        ],
+        ids=["bp-nodes", "graph-vertices"],
+    )
+    def test_out_of_memory_is_a_usage_error(self, tmp_path, argv, text):
+        in_file = tmp_path / "input"
+        in_file.write_text(text)
+        src = str(Path(widthlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *(a.format(**{"in": str(in_file)}) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestMalformedIntegers:

@@ -16,9 +16,15 @@ from widthlab.graph import (
     min_vertex_cover_bipartite,
     parse_dimacs_graph,
     prefix_set_dp,
+    sets_by_size,
 )
 
-from oracles import brute_max_matching, brute_min_vertex_cover, brute_prefix_set_dp
+from oracles import (
+    brute_max_matching,
+    brute_min_vertex_cover,
+    brute_prefix_set_dp,
+    recursive_kuhn_pairs,
+)
 
 
 @st.composite
@@ -129,6 +135,16 @@ class TestMatchingAndCover:
         )
         assert max_bipartite_matching(c) == max_bipartite_matching(c)
 
+    def test_long_alternating_path(self):
+        # One path e0-o0-e1-...-o(k-1)-ek with e_j = j on the left and
+        # o_j = 2k - j on the right: the search from ek walks the whole path.
+        k = 1500
+        edges = {(j, 2 * k - j) for j in range(k)} | {(j + 1, 2 * k - j) for j in range(k)}
+        c = CutGraph(frozenset(range(k + 1)), frozenset(range(k + 1, 2 * k + 1)),
+                     frozenset(edges))
+        m = max_bipartite_matching(c)
+        assert m.pairs == frozenset((j, 2 * k - j) for j in range(k))
+
     @settings(deadline=None)
     @given(graphs_with_ordering())
     def test_matching_matches_brute_force(self, gsv):
@@ -143,6 +159,14 @@ class TestMatchingAndCover:
                 assert (u, v) in c.edges
                 assert u not in used and v not in used
                 used.update((u, v))
+
+    @settings(deadline=None, max_examples=200)
+    @given(graphs_with_ordering(max_n=10))
+    def test_pairs_match_the_recursive_search(self, gsv):
+        g, sv = gsv
+        for i in range(1, g.n):
+            c = cut_graph(g, sv, i)
+            assert max_bipartite_matching(c).pairs == recursive_kuhn_pairs(c.edges)
 
     @settings(deadline=None)
     @given(graphs_with_ordering())
@@ -229,6 +253,15 @@ class TestPrefixSetDp:
     def test_zero_and_one_items(self, ufunc):
         assert prefix_set_dp([0], ufunc) == (0, ())
         assert prefix_set_dp([2, 0], ufunc) == (0, (0,))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+def test_sets_by_size(n):
+    sets, start = sets_by_size(n)
+    for k in range(n + 1):
+        expected = [s for s in range(1 << n) if bin(s).count("1") == k]
+        assert sets[start[k]:start[k + 1]].tolist() == expected
+    assert start[n + 1] == len(sets) == 1 << n
 
 
 def test_iter_bits():

@@ -3,7 +3,13 @@ import pytest
 from widthlab.errors import InputError, WitnessNotFoundError
 from widthlab.graph import Graph, Ordering
 from widthlab.instances import Literal, cnf_of_graph, path_graph
-from widthlab.bprog import BranchingProgram, ComputationalPath, Edge, build_obdd
+from widthlab.bprog import (
+    BranchingProgram,
+    ComputationalPath,
+    Edge,
+    build_obdd,
+    enumerate_computational_paths,
+)
 from widthlab.lbound import (
     assignment_family,
     check_distinctness,
@@ -183,6 +189,34 @@ class TestCheckDistinctness:
         z = chain_program(Literal(0))
         with pytest.raises(ProgramIncorrectError):
             check_distinctness(z, ((False,),), (0,), frozenset({0}), 1)
+
+    def test_lowest_rejected_member_is_named(self):
+        from widthlab.errors import ProgramIncorrectError
+
+        z = chain_program(Literal(0))
+        family = ((True,), (False,), (True,), (False,))
+        with pytest.raises(ProgramIncorrectError, match="family member 1$"):
+            check_distinctness(z, family, (0,), frozenset({0}), 1)
+
+    def test_each_member_gets_its_smallest_accepting_path(self):
+        # Nondeterministic: (x0, x1) = (1, 1) has three accepting paths, and
+        # only the smallest, 0-1-3, splits at node 1.
+        z = BranchingProgram(
+            4,
+            (Edge(0, 1, Literal(0)), Edge(0, 2), Edge(1, 3, Literal(1)),
+             Edge(2, 1), Edge(2, 3, Literal(1))),
+            0,
+            3,
+        )
+        family = ((True, True), (False, True), (True, True))
+        report = check_distinctness(z, family, (0, 1), frozenset({0}), 1)
+        assert report.vectors == ((1,), (0,), (1,))
+        assert report.collisions == ((0, 2),)
+        paths = list(enumerate_computational_paths(z))
+        for s, vector in zip(family, report.vectors):
+            accepting = [p for p in paths if all(s[l.var] == l.positive for l in p.literals)]
+            smallest = min(accepting, key=ComputationalPath.sort_key)
+            assert vector == separation_vector(smallest, z.root, (0, 1), frozenset({0}), 1)
 
 
 class TestVerifySizeBound:
