@@ -3,7 +3,9 @@ order-segmentation checker.
 
 Programs are DAGs with one root and one accepting leaf; edges optionally
 carry a literal.  An assignment is accepted when some consistent
-root-leaf path's literal set is contained in it.  OBDDs are built from
+root-leaf path's literal set is contained in it.  A computational path is
+its edge tuple alone: it reads no variable with both signs, so its literal
+set is the set of its edge labels.  OBDDs are built from
 the truth table (one strided write per clause) level by level over a
 variable order, one node per distinct residual row, numbered when first
 reached; constant residuals go to two shared terminals, numbered last, and
@@ -137,10 +139,15 @@ def _reachable(n: int, edges: Sequence[Edge], start: int, forward: bool) -> set[
 
 @dataclass(frozen=True)
 class ComputationalPath:
-    """A consistent root-leaf path with its labelling literal set."""
+    """A consistent root-leaf path, given by its edges alone; it reads no
+    variable with both signs, so its literal set is its edges' labels."""
 
     edges: tuple[Edge, ...]
-    literals: frozenset[Literal]
+
+    @functools.cached_property
+    def literals(self) -> frozenset[Literal]:
+        """The labels of the path's edges; built on first use."""
+        return frozenset(e.label for e in self.edges if e.label is not None)
 
     def nodes(self, root: int) -> tuple[int, ...]:
         seq = [root]
@@ -375,53 +382,50 @@ def enumerate_computational_paths(
 
     Depth-first with an explicit stack of out-edge iterators, one per node
     on the current path, so path length is not bounded by recursion depth.
+    One var -> sign dict holds the signs the path has read; each path edge
+    records the variable it added (None if it added none), so popping the
+    edge deletes exactly that entry.
     """
     out = z.out_edges
     count = 0
     path: list[Edge] = []
+    added: list[int | None] = []  # added[i]: the variable path[i] put in signs
     signs: dict[int, bool] = {}
-    claims: dict[int, int] = {}  # var -> number of edges on the path labelling it
-
-    def arrive() -> ComputationalPath:
-        nonlocal count
-        count += 1
-        if count > cap:
-            raise CapacityError(f"more than {cap} computational paths")
-        return ComputationalPath(
-            tuple(path),
-            frozenset(Literal(v, s) for v, s in signs.items()),
-        )
-
-    if z.root == z.leaf:
-        yield arrive()
-        return
     # stack[i] iterates the out-edges of the node that path[:i] reaches.
-    stack = [iter(out[z.root])]
-    while stack:
+    stack: list[Iterator[Edge]] = []
+    reached: int | None = z.root  # the node the last step reached, if any
+    while True:
+        if reached == z.leaf:
+            count += 1
+            if count > cap:
+                raise CapacityError(f"more than {cap} computational paths")
+            yield ComputationalPath(tuple(path))
+            stack.append(iter(()))  # the walk stops at the leaf
+        elif reached is not None:
+            stack.append(iter(out[reached]))
+        elif not stack:
+            return
+        reached = None
         for e in stack[-1]:
+            var = None
             if e.label is not None:
-                v = e.label.var
-                if v in signs and signs[v] != e.label.positive:
+                sign = signs.get(e.label.var)
+                if sign is None:
+                    var = e.label.var
+                    signs[var] = e.label.positive
+                elif sign != e.label.positive:
                     continue  # inconsistent continuation
-                signs.setdefault(v, e.label.positive)
-                claims[v] = claims.get(v, 0) + 1
             path.append(e)
-            if e.head == z.leaf:
-                yield arrive()
-                stack.append(iter(()))  # the walk stops at the leaf
-            else:
-                stack.append(iter(out[e.head]))
+            added.append(var)
+            reached = e.head
             break
         else:
             stack.pop()
             if path:
-                e = path.pop()
-                if e.label is not None:
-                    v = e.label.var
-                    claims[v] -= 1
-                    if claims[v] == 0:
-                        del claims[v]
-                        del signs[v]
+                path.pop()
+                var = added.pop()
+                if var is not None:
+                    del signs[var]
 
 
 def min_segments(positions: Sequence[int]) -> int:

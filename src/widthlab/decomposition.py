@@ -69,13 +69,18 @@ def validate_decomposition(
     """Check the union, containment and connectedness properties.
 
     Returns the first violated property with a witness vertex or edge; a
-    foreign vertex in a bag is a malformed input, not a verdict.
+    foreign vertex in a bag is a malformed input, not a verdict.  One pass
+    over the bags gives each vertex the ascending list of bags holding it;
+    the checks then read only those lists: vertices in ascending order for
+    union and connectedness, edges in `sorted_edges` order for containment.
     """
     td = d.as_tree() if isinstance(d, PathDecomposition) else d
-    for bag in td.bags:
+    holding: list[list[int]] = [[] for _ in range(g.n)]
+    for i, bag in enumerate(td.bags):
         for v in bag:
             if not 0 <= v < g.n:
                 raise InputError(f"bag contains foreign vertex {v}")
+            holding[v].append(i)
     nbrs = _tree_neighbors(len(td.bags), td.tree_edges)
     if len(td.bags) > 0:
         # The tree itself must be connected and acyclic.
@@ -91,24 +96,22 @@ def validate_decomposition(
         if len(seen) != len(td.bags):
             raise InputError("decomposition tree is disconnected")
 
-    covered = set().union(*td.bags) if td.bags else set()
     for v in g.vertices():
-        if v not in covered:
+        if not holding[v]:
             return ValidationResult(False, "union", (v,))
     for u, v in g.sorted_edges():
-        if not any(u in bag and v in bag for bag in td.bags):
+        if set(holding[u]).isdisjoint(holding[v]):
             return ValidationResult(False, "containment", (u, v))
     for v in g.vertices():
-        holding = [i for i, bag in enumerate(td.bags) if v in bag]
-        seen = {holding[0]}
-        stack = [holding[0]]
-        holding_set = set(holding)
+        held = set(holding[v])
+        seen = {holding[v][0]}
+        stack = [holding[v][0]]
         while stack:
             for b in nbrs[stack.pop()]:
-                if b in holding_set and b not in seen:
+                if b in held and b not in seen:
                     seen.add(b)
                     stack.append(b)
-        if seen != holding_set:
+        if seen != held:
             return ValidationResult(False, "connectedness", (v,))
     return ValidationResult(True)
 

@@ -13,7 +13,6 @@ from .bprog import (
     build_obdd,
     enumerate_computational_paths,
     min_obdd_size_over_orders,
-    min_segments,
     DEFAULT_MIN_SIZE_CAP,
     DEFAULT_PATH_CAP,
 )
@@ -86,65 +85,51 @@ def separation_vector(
 ) -> tuple[int, ...]:
     """The (2c-1)-tuple of segment-boundary nodes of a computational path.
 
-    The path is split greedily into at most c order-respecting segments
-    (padded with empty trailing segments); each segment is then split at
-    the head of its last edge labelled by a prefix-side variable.  A
-    segment with only prefix-side variables (or none at all) keeps its own
-    end as the boundary; one with only suffix-side variables uses its
-    start.
+    The path is split greedily into order-respecting segments: a new one
+    starts at each labelled edge whose variable does not follow the
+    previous label's in sv_star (the descents `min_segments` counts).  At
+    most c are allowed, and empty trailing segments pad the split to c.
+    Each segment is then split at the head of its last edge labelled by a
+    prefix-side variable.  A segment with only prefix-side variables (or
+    none at all) keeps its own end as the boundary; one with only
+    suffix-side variables uses its start.  An unknown variable is reported
+    before an exceeded budget.
     """
     if c < 1:
         raise InputError(f"segment budget must be positive, got {c}")
     pos = {v: i for i, v in enumerate(sv_star)}
     if suffix_vars is None:
         suffix_vars = frozenset(pos) - svp_vars
-    labelled = [
-        (j, e.label.var) for j, e in enumerate(p.edges) if e.label is not None
-    ]
-    for _, v in labelled:
+    # [first edge, last prefix-side edge or None, reads a suffix-side variable]
+    segments: list[list] = [[0, None, False]]
+    last = None
+    for j, e in enumerate(p.edges):
+        if e.label is None:
+            continue
+        v = e.label.var
         if v not in pos:
             raise InputError(f"path labels variable {v} missing from the order")
-    positions = [pos[v] for _, v in labelled]
-    if min_segments(positions) > c:
-        raise InputError(
-            f"path needs {min_segments(positions)} segments, budget is {c}"
-        )
-
-    # Segment boundaries as half-open edge-index ranges [a, b).
-    cuts = [0]
-    last = None
-    for (j, v) in labelled:
         if last is not None and pos[v] <= last:
-            cuts.append(j)
+            segments.append([j, None, False])
         last = pos[v]
-    segments = [
-        (cuts[i], cuts[i + 1] if i + 1 < len(cuts) else len(p.edges))
-        for i in range(len(cuts))
-    ]
-    while len(segments) < c:
-        segments.append((len(p.edges), len(p.edges)))
+        if v in svp_vars:
+            segments[-1][1] = j
+        if v in suffix_vars:
+            segments[-1][2] = True
+    if len(segments) > c:
+        raise InputError(f"path needs {len(segments)} segments, budget is {c}")
+    segments += [[len(p.edges), None, False]] * (c - len(segments))
 
-    nodes = [root] + [e.head for e in p.edges]
+    nodes = p.nodes(root)
     vector: list[int] = []
-    for i, (a, b) in enumerate(segments):
-        prefix_edges = [
-            j
-            for j in range(a, b)
-            if p.edges[j].label is not None and p.edges[j].label.var in svp_vars
-        ]
-        has_suffix = any(
-            p.edges[j].label is not None and p.edges[j].label.var in suffix_vars
-            for j in range(a, b)
-        )
-        if prefix_edges and has_suffix:
-            end1 = nodes[prefix_edges[-1] + 1]
-        elif prefix_edges:
-            end1 = nodes[b]
+    for i, (a, prefix_edge, has_suffix) in enumerate(segments):
+        b = segments[i + 1][0] if i + 1 < c else len(p.edges)
+        if prefix_edge is not None and has_suffix:
+            vector.append(nodes[prefix_edge + 1])
         elif has_suffix:
-            end1 = nodes[a]
+            vector.append(nodes[a])
         else:
-            end1 = nodes[b]
-        vector.append(end1)
+            vector.append(nodes[b])
         if i < c - 1:
             vector.append(nodes[b])
     return tuple(vector)
@@ -223,9 +208,14 @@ def run_lb_experiment(
     Measures the minimum OBDD size of the graph's CNF over all variable
     orders, checks it against 2^(t/(2c-1)) with t the exact matching
     width, and verifies the assignment family and separation-vector
-    distinctness on the size-minimal OBDD.
+    distinctness on the size-minimal OBDD.  That OBDD is read-once, so no
+    path needs more segments than there are variables, and c is checked
+    against that limit before any DP runs.
     """
     f = cnf_of_graph(g)
+    limit = max(1, f.num_vars)
+    if not 1 <= c <= limit:
+        raise InputError(f"segment budget must be between 1 and {limit}, got {c}")
     mw_report = matching_width_exact(g)
     if t is None:
         t = mw_report.value

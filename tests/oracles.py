@@ -1,14 +1,16 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here is deliberately naive: enumeration over edge subsets,
-vertex subsets or whole permutations.  None of it shares code with the
-library beyond the Graph container and Cnf.evaluate.
+vertex subsets, whole permutations or all root-leaf edge sequences.  None
+of it shares code with the library beyond the Graph container,
+Cnf.evaluate and the path order ComputationalPath.sort_key.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
+from widthlab.bprog import ComputationalPath
 from widthlab.graph import Graph
 
 
@@ -226,3 +228,58 @@ def recursive_kuhn_pairs(edges) -> frozenset:
     for u in sorted(adj):
         augment(u, set())
     return frozenset((u, v) for v, u in match_right.items())
+
+
+def brute_validate_decomposition(g: Graph, bags, tree_edges) -> tuple:
+    """(valid, failed_property, witness) of a well-formed tree decomposition,
+    scanning every bag once per vertex and once per edge: union and
+    connectedness by ascending vertex, containment in sorted edge order."""
+    nbrs: list[list[int]] = [[] for _ in bags]
+    for a, b in tree_edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    covered = set().union(*bags) if bags else set()
+    for v in g.vertices():
+        if v not in covered:
+            return (False, "union", (v,))
+    for u, v in g.sorted_edges():
+        if not any(u in bag and v in bag for bag in bags):
+            return (False, "containment", (u, v))
+    for v in g.vertices():
+        holding = [i for i, bag in enumerate(bags) if v in bag]
+        seen = {holding[0]}
+        stack = [holding[0]]
+        holding_set = set(holding)
+        while stack:
+            for b in nbrs[stack.pop()]:
+                if b in holding_set and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        if seen != holding_set:
+            return (False, "connectedness", (v,))
+    return (True, None, None)
+
+
+def brute_computational_paths(z) -> list[tuple[tuple, frozenset]]:
+    """(edges, literal set) of every root-leaf edge sequence that reads no
+    variable with both signs, by plain recursion over out-edges; a sequence
+    ends when it first reaches the leaf.  The literal set is the edges'
+    labels, and the list is sorted by ComputationalPath.sort_key."""
+    found = []
+
+    def walk(node: int, edges: tuple) -> None:
+        if node == z.leaf:
+            labels = frozenset(e.label for e in edges if e.label is not None)
+            if len({l.var for l in labels}) == len(labels):
+                found.append(edges)
+            return
+        for e in z.edges:
+            if e.tail == node:
+                walk(e.head, edges + (e,))
+
+    walk(z.root, ())
+    found.sort(key=lambda edges: ComputationalPath(edges).sort_key())
+    return [
+        (edges, frozenset(e.label for e in edges if e.label is not None))
+        for edges in found
+    ]

@@ -20,6 +20,7 @@ from widthlab.bprog import (
 )
 
 from oracles import (
+    brute_computational_paths,
     brute_min_obdd,
     brute_min_segments,
     brute_subfunction_count,
@@ -46,6 +47,29 @@ def single_clause(*signed):
     lits = [Literal.from_signed(s) for s in signed]
     m = max(l.var for l in lits) + 1
     return Cnf.make(m, [lits])
+
+
+@st.composite
+def dag_programs(draw, max_nodes=7, max_vars=3):
+    """Programs on nodes 0..n-1 with edges going up in node id, so they are
+    DAGs; parallel edges, unlabelled edges, repeated reads and sign
+    conflicts are all common.  The leaf may be the root or have out-edges.
+    No edge is listed twice: two copies of one edge repeat every path
+    through it, and the repeats interleave with paths that differ later."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    m = draw(st.integers(min_value=1, max_value=max_vars))
+    labels = st.none() | st.builds(
+        Literal, st.integers(min_value=0, max_value=m - 1), st.booleans()
+    )
+    edges = []
+    if n > 1:
+        tails = st.integers(min_value=0, max_value=n - 2)
+        for tail in draw(st.lists(tails, max_size=3 * n)):
+            head = draw(st.integers(min_value=tail + 1, max_value=n - 1))
+            edges.append(Edge(tail, head, draw(labels)))
+    edges = list(dict.fromkeys(edges))
+    leaf = draw(st.integers(min_value=0, max_value=n - 1))
+    return BranchingProgram(n, tuple(edges), 0, leaf)
 
 
 def chain_program(n):
@@ -309,6 +333,21 @@ class TestPathEnumeration:
         z = build_obdd(f, tuple(range(5)))
         with pytest.raises(CapacityError):
             list(enumerate_computational_paths(z, cap=2))
+
+    @settings(deadline=None, max_examples=200)
+    @given(dag_programs(), st.integers(min_value=0, max_value=12))
+    def test_equals_the_brute_force_oracle(self, z, cap):
+        expected = brute_computational_paths(z)
+        got = []
+        try:
+            for p in enumerate_computational_paths(z, cap=cap):
+                got.append((p.edges, p.literals))
+        except CapacityError:
+            assert len(expected) > cap
+            assert got == expected[:cap]
+        else:
+            assert len(expected) <= cap
+            assert got == expected
 
 
 class TestLongChains:

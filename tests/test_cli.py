@@ -139,6 +139,18 @@ class TestObddCommands:
         assert payload["pass"] and payload["family_size"] == 2
 
 
+class TestLbExperimentBudget:
+    @pytest.mark.parametrize("c", ["0", "2000"])
+    def test_out_of_range_c_is_a_usage_error(self, capsys, tmp_path, c):
+        g_file = tmp_path / "c5.gr"
+        g_file.write_text(format_dimacs_graph(cycle_graph(5)))
+        code = main(["lb-experiment", "--graph", str(g_file), "--c", c])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: segment budget must be between 1 and 10, got {c}\n"
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -21,6 +21,8 @@ from widthlab.decomposition import (
 )
 from widthlab.width import matching_width_exact, mw_of_ordering, pathwidth_exact
 
+from oracles import brute_validate_decomposition
+
 
 def fs(*verts):
     return frozenset(verts)
@@ -37,7 +39,78 @@ def graphs(draw, max_n=7):
     return Graph.make(n, edges)
 
 
+def layout_bags(g, order):
+    """Path-shaped: bag i holds order[i] and the earlier vertices that have a
+    neighbour at position i or later."""
+    pos = {v: i for i, v in enumerate(order)}
+    last = {u: max([pos[u]] + [pos[w] for w in g.neighbors(u)]) for u in order}
+    return [
+        frozenset(u for u in order[: i + 1] if u == v or last[u] >= i)
+        for i, v in enumerate(order)
+    ]
+
+
+def elimination_bags(g, order):
+    """Tree-shaped: eliminating order[i] gives bag i, the vertex and its later
+    neighbours in the filled graph, hung below the bag of the earliest of
+    those neighbours (or of order[i + 1] when it has none)."""
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = {v: set(g.neighbors(v)) for v in order}
+    bags, tree = [], []
+    for i, v in enumerate(order):
+        later = {u for u in nbrs[v] if pos[u] > i}
+        for u in later:
+            nbrs[u] |= later - {u}
+        bags.append(frozenset(later | {v}))
+        if later:
+            tree.append((pos[min(later, key=pos.get)], i))
+        elif i + 1 < len(order):
+            tree.append((i + 1, i))
+    return bags, tree
+
+
+@st.composite
+def decompositions(draw):
+    """A graph with a valid path- or tree-shaped decomposition, either left
+    valid or broken one of three ways: a vertex dropped from every bag, an
+    edge left uncovered, or a vertex's occurrences split in two by a new
+    leaf bag holding it."""
+    g = draw(graphs())
+    order = draw(st.permutations(range(g.n)))
+    path_shaped = draw(st.booleans())
+    if path_shaped:
+        bags, tree = layout_bags(g, order), []
+    else:
+        bags, tree = elimination_bags(g, order)
+    damage = draw(st.sampled_from(["none", "drop", "uncover", "split"]))
+    if damage == "drop":
+        x = draw(st.sampled_from(range(g.n)))
+        bags = [bag - {x} for bag in bags]
+    elif damage == "uncover" and g.edges:
+        u, v = draw(st.sampled_from(g.sorted_edges()))
+        bags = [bag - {v} if u in bag else bag for bag in bags]
+    elif damage == "split":
+        x = draw(st.sampled_from(range(g.n)))
+        if not path_shaped:
+            tree.append((draw(st.sampled_from(range(len(bags)))), len(bags)))
+        bags.append(frozenset({x}))
+    if path_shaped:
+        return g, PathDecomposition(tuple(bags)), damage
+    return g, TreeDecomposition(tuple(bags), tuple(tree)), damage
+
+
 class TestValidate:
+    @settings(deadline=None, max_examples=300)
+    @given(decompositions())
+    def test_equals_the_brute_force_oracle(self, gd):
+        g, d, damage = gd
+        td = d.as_tree() if isinstance(d, PathDecomposition) else d
+        verdict = validate_decomposition(g, d)
+        assert verdict.valid or damage != "none"
+        assert (verdict.valid, verdict.failed_property, verdict.witness) == (
+            brute_validate_decomposition(g, td.bags, td.tree_edges)
+        )
+
     def test_valid_path_decomposition(self):
         g = path_graph(4)
         pd = PathDecomposition((fs(0, 1), fs(1, 2), fs(2, 3)))

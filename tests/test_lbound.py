@@ -107,8 +107,7 @@ def chain_program(*labels):
 
 
 def only_path(z):
-    lits = frozenset(e.label for e in z.edges if e.label is not None)
-    return ComputationalPath(z.edges, lits)
+    return ComputationalPath(z.edges)
 
 
 class TestSeparationVector:
@@ -146,6 +145,26 @@ class TestSeparationVector:
         p = only_path(z)
         vec = separation_vector(p, 0, (0,), frozenset({0}), 2)
         assert vec == (1, 1, 1)
+
+    def test_padding_after_one_descent(self):
+        z = chain_program(Literal(1), Literal(0))
+        p = only_path(z)
+        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 3)
+        assert vec == (0, 1, 2, 2, 2)
+
+    def test_split_after_the_last_prefix_edge_before_suffix_edges(self):
+        # segments [x0 x1 x2 x3] and [x1 x2]; x0, x1 prefix-side
+        z = chain_program(*(Literal(v) for v in (0, 1, 2, 3, 1, 2)))
+        p = only_path(z)
+        vec = separation_vector(p, 0, (0, 1, 2, 3), frozenset({0, 1}), 2)
+        assert vec == (2, 4, 5)
+
+    def test_unlabelled_edges_stay_in_the_segment_before_a_descent(self):
+        # the second segment starts at the x0 edge, not after the x1 edge
+        z = chain_program(None, Literal(1), None, Literal(0))
+        p = only_path(z)
+        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 2)
+        assert vec == (0, 3, 4)
 
     def test_budget_too_small(self):
         z = chain_program(Literal(1), Literal(0))
