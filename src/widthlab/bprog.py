@@ -7,22 +7,29 @@ root-leaf path's literal set is contained in it.  A computational path is
 its edge tuple alone: it reads no variable with both signs, so its literal
 set is the set of its edge labels.  OBDDs are built from
 the truth table (one strided write per clause) level by level over a
-variable order, one node per distinct residual row, numbered when first
-reached; constant residuals go to two shared terminals, numbered last, and
-the rejecting one counts as a node though no accepting path reaches it.
+variable order, one node per distinct residual row (a row packed into one
+int), numbered when first reached; constant residuals go to two shared
+terminals, numbered last, and the rejecting one counts as a node though no
+accepting path reaches it.
+
+The segmentation checker first bounds the segments of every root-leaf
+path with a DP over the DAG, O(E·m); only when that bound exceeds the
+budget does it enumerate consistent paths, to find the first violating
+one.
 
 The minimum size over all variable orders counts each level's nodes
 without building any OBDD: the Friedman–Supowit compaction derives the
 residual-function ids of every prefix set from those of a set one
 variable larger, level by level from the truth table down, and
 `graph.prefix_set_dp` sums them along the best order.  Program traversals
-(evaluation, path enumeration, validation) use explicit stacks, so program
-depth is not bounded by the recursion limit.
+(evaluation, path enumeration, the segment DP, validation) use explicit
+stacks, so program depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -193,15 +200,18 @@ class EquivalenceVerdict:
 def equivalence_vs_cnf(
     z: BranchingProgram, f: Cnf, cap: int = DEFAULT_EQUIV_CAP
 ) -> EquivalenceVerdict:
-    """Truth-table comparison over all assignments of the CNF's variables."""
+    """Compare z with f on every assignment of the CNF's variables, in
+    binary order with variable 0 most significant; the counterexample is
+    the first assignment where they differ.  f's side is read from its
+    truth table and z is evaluated on each assignment."""
     m = f.num_vars
     if m > cap:
         raise CapacityError(f"equivalence check: {m} variables exceeds cap {cap}")
     if not z.variables <= set(range(m)):
         raise InputError("program tests variables outside the CNF")
-    for bits in range(1 << m):
-        s = tuple(bool((bits >> (m - 1 - i)) & 1) for i in range(m))
-        if evaluate(z, s) != f.evaluate(s):
+    table = _truth_table(f, range(m)).tolist()
+    for s, value in zip(itertools.product((False, True), repeat=m), table):
+        if evaluate(z, s) != value:
             return EquivalenceVerdict(False, s)
     return EquivalenceVerdict(True)
 
@@ -235,7 +245,11 @@ def _constant_program(value: bool, order: tuple[int, ...]) -> BranchingProgram:
 def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> BranchingProgram:
     """Deterministic reduced OBDD of f, levelized by the variable order.
 
-    Size is the node count: decision nodes plus both terminals.
+    Size is the node count: decision nodes plus both terminals.  Each level
+    keys its nodes by their residual truth-table rows, packed into Python
+    ints, so a node's two children are a mask and a shift of its row and
+    no numpy call runs per node.  Nodes are numbered level by level in the
+    order they are first reached; the two terminals come last.
     """
     m = f.num_vars
     if sorted(order) != list(range(m)):
@@ -249,24 +263,25 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     if not tbl.any():
         return _constant_program(False, order)
 
-    # The true and false terminals are the last two nodes; until the node
-    # count is known, edges name them -2 and -1, counting from the end.
+    # A row is one int: bit k is entry k of the residual's table, so the
+    # low half is the branch where the level's variable is 0.  The true and
+    # false terminals are the last two nodes; until the node count is known,
+    # edges name them -2 and -1, counting from the end.
     raw_edges: list[tuple[int, int, Literal]] = []
-    rows, first = [tbl], 0  # this level's rows; rows[j] is node first + j
-    del tbl  # the next level's rows are copies, so free the table after level 0
+    rows = [int.from_bytes(np.packbits(tbl, bitorder="little").tobytes(), "little")]
+    first, width = 0, len(tbl)  # rows[j] is node first + j, of width bits
+    del tbl  # the rows are ints, so free the table after packing it
     for var in order:
-        index: dict[bytes, int] = {}  # the next level's rows, in id order
-        for j, row in enumerate(rows):
-            half = len(row) // 2
-            for positive, child in ((False, row[:half]), (True, row[half:])):
-                if child.all():
-                    head = -2
-                elif not child.any():
-                    head = -1
-                else:
-                    head = index.setdefault(child.tobytes(), first + len(rows) + len(index))
-                raw_edges.append((first + j, head, Literal(var, positive)))
-        rows, first = [np.frombuffer(key, dtype=bool) for key in index], first + len(rows)
+        width >>= 1
+        ones = (1 << width) - 1
+        index = {ones: -2, 0: -1}  # then the next level's rows, in id order
+        next_id = first + len(rows) - 2  # plus len(index): the next new id
+        low, high = Literal(var, False), Literal(var, True)
+        for tail, row in enumerate(rows, first):
+            for label, child in ((low, row & ones), (high, row >> width)):
+                head = index.setdefault(child, next_id + len(index))
+                raw_edges.append((tail, head, label))
+        rows, first = list(index)[2:], first + len(rows)
 
     size = first + 2
     edges = tuple(Edge(tail, head % size, label) for tail, head, label in raw_edges)
@@ -445,6 +460,49 @@ def min_segments(positions: Sequence[int]) -> int:
     return k
 
 
+def _max_segments(z: BranchingProgram, pos: Mapping[int, int]) -> int:
+    """The most segments any root-leaf path of z needs, consistent or not,
+    with labelled variables ordered by pos; 0 when no path reaches the leaf.
+
+    Nodes are visited in Kahn order.  Each keeps, per position of the last
+    labelled variable read (-1 before any), the most segments a root-node
+    path ending that way needs; what a continuation adds depends only on
+    that position, so the map is exact.  Paths stop at the leaf, but what
+    the leaf passes on never comes back to it.  O(E·m) time.
+    """
+    indeg = [0] * z.num_nodes
+    for e in z.edges:
+        indeg[e.head] += 1
+    out = z.out_edges
+    most: list[dict[int, int]] = [{} for _ in range(z.num_nodes)]
+    most[z.root][-1] = 1
+    ready = [v for v in range(z.num_nodes) if indeg[v] == 0]
+    visited = 0
+    while ready:
+        v = ready.pop()
+        visited += 1
+        states = most[v]
+        for e in out[v]:
+            indeg[e.head] -= 1
+            if indeg[e.head] == 0:
+                ready.append(e.head)
+            if not states:
+                continue
+            target = most[e.head]
+            if e.label is None:
+                for last, k in states.items():
+                    if target.get(last, 0) < k:
+                        target[last] = k
+            else:
+                q = pos[e.label.var]
+                need = max(k + (q <= last) for last, k in states.items())
+                if target.get(q, 0) < need:
+                    target[q] = need
+    if visited != z.num_nodes:
+        raise InputError("program graph contains a cycle")
+    return max(most[z.leaf].values(), default=0)
+
+
 @dataclass(frozen=True)
 class SegmentationVerdict:
     ok: bool
@@ -462,7 +520,11 @@ def check_c_nsobdd(
     contiguous segments whose labelled variables strictly follow sv.
 
     Inconsistent paths are exempt; unlabelled edges never constrain the
-    segmentation.
+    segmentation.  A DP over the DAG first bounds the segments of every
+    path, consistent or not (`_max_segments`); when that bound is at most
+    c the check passes without enumerating a path.  Otherwise the paths
+    are enumerated in order and the first consistent one needing more than
+    c segments is the witness, so path_cap bounds only that search.
     """
     if c < 1:
         raise InputError(f"segment budget must be positive, got {c}")
@@ -472,6 +534,8 @@ def check_c_nsobdd(
     missing = z.variables - set(pos)
     if missing:
         raise InputError(f"variable order misses program variables {sorted(missing)}")
+    if _max_segments(z, pos) <= c:
+        return SegmentationVerdict(True)
     for p in enumerate_computational_paths(z, cap=path_cap):
         positions = [pos[e.label.var] for e in p.edges if e.label is not None]
         k = min_segments(positions)
@@ -498,6 +562,7 @@ def format_bp(z: BranchingProgram) -> str:
 def parse_bp(text: str) -> BranchingProgram:
     header = None
     edges: list[Edge] = []
+    seen: set[tuple[int, int, int]] = set()  # (tail, head, signed literal or 0)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -515,13 +580,16 @@ def parse_bp(text: str) -> BranchingProgram:
             if len(parts) not in (2, 3):
                 raise FormatError(f"line {lineno}: expected 'tail head [literal]'")
             tail, head = (int_token(p, f"line {lineno}") - 1 for p in parts[:2])
-            label = None
+            label, signed = None, 0
             if len(parts) == 3:
                 signed = int_token(parts[2], f"line {lineno}")
                 try:
                     label = Literal.from_signed(signed)
                 except InputError as exc:
                     raise FormatError(f"line {lineno}: {exc}") from exc
+            if (tail, head, signed) in seen:
+                raise FormatError(f"line {lineno}: duplicate edge '{line}'")
+            seen.add((tail, head, signed))
             edges.append(Edge(tail, head, label))
     if header is None:
         raise FormatError("missing 'bp' header line")

@@ -305,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bp", required=True)
     p.add_argument("--order", help="variable order, 0-based; default ascending")
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--path-cap", type=int, default=bprog.DEFAULT_PATH_CAP)
+    p.add_argument("--path-cap", type=int, default=bprog.DEFAULT_PATH_CAP,
+                   help="most paths enumerated while searching for a violating "
+                        "path; a passing program is certified without enumeration")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check_cnsobdd)

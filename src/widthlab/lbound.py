@@ -210,12 +210,14 @@ def run_lb_experiment(
     width, and verifies the assignment family and separation-vector
     distinctness on the size-minimal OBDD.  That OBDD is read-once, so no
     path needs more segments than there are variables, and c is checked
-    against that limit before any DP runs.
+    against that limit, and t checked non-negative, before any DP runs.
     """
     f = cnf_of_graph(g)
     limit = max(1, f.num_vars)
     if not 1 <= c <= limit:
         raise InputError(f"segment budget must be between 1 and {limit}, got {c}")
+    if t is not None and t < 0:
+        raise InputError(f"t must be non-negative, got {t}")
     mw_report = matching_width_exact(g)
     if t is None:
         t = mw_report.value

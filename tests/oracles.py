@@ -1,8 +1,9 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here is deliberately naive: enumeration over edge subsets,
-vertex subsets, whole permutations or all root-leaf edge sequences.  None
-of it shares code with the library beyond the Graph container,
+vertex subsets, whole permutations or all root-leaf edge sequences, and
+OBDD levels keyed by whole truth-table rows.  None of it shares code with
+the library beyond the Graph and BranchingProgram containers,
 Cnf.evaluate and the path order ComputationalPath.sort_key.
 """
 
@@ -10,8 +11,11 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from widthlab.bprog import ComputationalPath
+import numpy as np
+
+from widthlab.bprog import BranchingProgram, ComputationalPath, Edge
 from widthlab.graph import Graph
+from widthlab.instances import Literal
 
 
 def brute_max_matching(edges) -> int:
@@ -283,3 +287,45 @@ def brute_computational_paths(z) -> list[tuple[tuple, frozenset]]:
         (edges, frozenset(e.label for e in edges if e.label is not None))
         for edges in found
     ]
+
+
+def brute_check_c_nsobdd(z, sv, c) -> tuple:
+    """(ok, violating edges, segments needed) of the segmentation check:
+    the first consistent root-leaf path in sort_key order whose labelled
+    variables need more than c increasing runs of sv positions."""
+    pos = {v: i for i, v in enumerate(sv)}
+    for edges, _ in brute_computational_paths(z):
+        k = brute_min_segments([pos[e.label.var] for e in edges if e.label is not None])
+        if k > c:
+            return (False, edges, k)
+    return (True, None, None)
+
+
+def row_keyed_obdd(f, order) -> BranchingProgram:
+    """Reduced OBDD of f along order, one level at a time: each node is
+    keyed by the bytes of its residual truth-table row (a numpy bool
+    array, first half the variable's 0 branch), numbered when first
+    reached level by level, with the true and false terminals last."""
+    order = tuple(order)
+    tbl = np.array(brute_truth_table(f, order), dtype=bool)
+    if tbl.all() or not tbl.any():
+        edges = (Edge(0, 1),) if tbl.all() else ()
+        return BranchingProgram(2, edges, root=0, leaf=1, var_order=order)
+    raw_edges = []
+    rows, first = [tbl], 0  # this level's rows; rows[j] is node first + j
+    for var in order:
+        index = {}  # the next level's rows, in id order
+        for j, row in enumerate(rows):
+            half = len(row) // 2
+            for positive, child in ((False, row[:half]), (True, row[half:])):
+                if child.all():
+                    head = -2
+                elif not child.any():
+                    head = -1
+                else:
+                    head = index.setdefault(child.tobytes(), first + len(rows) + len(index))
+                raw_edges.append((first + j, head, Literal(var, positive)))
+        rows, first = [np.frombuffer(key, dtype=bool) for key in index], first + len(rows)
+    size = first + 2
+    edges = tuple(Edge(tail, head % size, label) for tail, head, label in raw_edges)
+    return BranchingProgram(size, edges, root=0, leaf=size - 2, var_order=order)

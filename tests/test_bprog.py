@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,11 +22,14 @@ from widthlab.bprog import (
 )
 
 from oracles import (
+    brute_check_c_nsobdd,
     brute_computational_paths,
     brute_min_obdd,
     brute_min_segments,
     brute_subfunction_count,
     brute_truth_table,
+    clause_scan_satisfies,
+    row_keyed_obdd,
 )
 
 
@@ -179,6 +184,19 @@ class TestBuildObdd:
         assert not verdict.equivalent
         assert verdict.counterexample == (False,)
 
+    @settings(deadline=None, max_examples=50)
+    @given(cnfs(max_clauses=5))
+    def test_counterexample_is_the_first_difference(self, f):
+        # The OBDD of f without its last clause, against f: the first
+        # assignment in binary order (variable 0 most significant) where
+        # they differ.
+        g = Cnf.make(f.num_vars, f.clauses[:-1])
+        differ = [s for s in itertools.product((False, True), repeat=f.num_vars)
+                  if clause_scan_satisfies(f, s) != clause_scan_satisfies(g, s)]
+        verdict = equivalence_vs_cnf(build_obdd(g, range(f.num_vars)), f)
+        assert verdict.equivalent == (not differ)
+        assert verdict.counterexample == (differ[0] if differ else None)
+
     @pytest.mark.parametrize("m", [64, 65])
     def test_raised_cap_beyond_numpy_arrays(self, m):
         # 64 variables exceed numpy's array size, 65 its rank (on numpy 2).
@@ -203,6 +221,15 @@ class TestBuildObdd:
         # true and false terminals.
         z = build_obdd(cnf_of_graph(path_graph(3)), order)
         assert format_bp(z) == "c widthlab branching-program format v1\n" + text
+
+    @settings(deadline=None, max_examples=80)
+    @given(cnfs(max_vars=10, max_clauses=8), st.randoms(use_true_random=False))
+    def test_equals_the_row_keyed_oracle(self, f, rng):
+        order = list(range(f.num_vars))
+        rng.shuffle(order)
+        z, expected = build_obdd(f, order), row_keyed_obdd(f, order)
+        assert format_bp(z) == format_bp(expected)
+        assert z.var_order == expected.var_order
 
 
 class TestTruthTable:
@@ -418,6 +445,52 @@ class TestCheckCNsobdd:
         assert check_c_nsobdd(z, (0, 1), 1).ok
         assert not check_c_nsobdd(z, (1, 0), 1).ok
 
+    @settings(deadline=None, max_examples=300)
+    @given(dag_programs(), st.permutations(range(3)), st.integers(min_value=1, max_value=3))
+    def test_equals_the_brute_force_oracle(self, z, sv, c):
+        verdict = check_c_nsobdd(z, sv, c)
+        path = verdict.violating_path
+        got = (verdict.ok, path.edges if path else None, verdict.segments_needed)
+        assert got == brute_check_c_nsobdd(z, sv, c)
+
+    def test_path_cap_bounds_only_the_witness_search(self):
+        # Ten diamonds in a row, each reading x_i with either sign: 2^10
+        # consistent paths, all in order, so no path is enumerated.
+        edges = tuple(Edge(i, i + 1, Literal(i, s)) for i in range(10) for s in (False, True))
+        z = BranchingProgram(11, edges, 0, 10)
+        assert len(brute_computational_paths(z)) == 1 << 10
+        assert check_c_nsobdd(z, range(10), 1, path_cap=4).ok
+        # A last step reading x_0 again violates the order, but only on
+        # paths that took x_0 positively: the 512 paths before the first
+        # such one are enumerated, and they count against the cap.
+        z = BranchingProgram(12, edges + (Edge(10, 11, Literal(0)), Edge(10, 11, Literal(10))),
+                             0, 11)
+        with pytest.raises(CapacityError):
+            check_c_nsobdd(z, range(11), 1, path_cap=4)
+        verdict = check_c_nsobdd(z, range(11), 1)
+        assert not verdict.ok and verdict.segments_needed == 2
+        assert verdict.violating_path.edges[0].label == Literal(0)
+
+    def test_rereading_a_variable_starts_a_segment(self):
+        z = BranchingProgram(
+            3, (Edge(0, 1, Literal(0)), Edge(1, 2, Literal(0))), 0, 2
+        )
+        verdict = check_c_nsobdd(z, (0,), 1)
+        assert not verdict.ok and verdict.segments_needed == 2
+        assert check_c_nsobdd(z, (0,), 2).ok
+
+    def test_leaf_out_edges_do_not_count(self):
+        # Paths stop at the leaf; the descent after it belongs to none.
+        z = BranchingProgram(
+            3, (Edge(0, 1, Literal(1)), Edge(1, 2, Literal(0))), 0, 1
+        )
+        assert check_c_nsobdd(z, (0, 1), 1).ok
+
+    def test_rejects_a_cycle(self):
+        z = BranchingProgram(3, (Edge(0, 1), Edge(1, 2), Edge(2, 1)), 0, 2)
+        with pytest.raises(InputError, match="cycle"):
+            check_c_nsobdd(z, (), 1)
+
     def test_input_validation(self):
         z = BranchingProgram(2, (Edge(0, 1, Literal(3)),), 0, 1)
         with pytest.raises(InputError):
@@ -460,3 +533,11 @@ class TestBpFormat:
     def test_parse_errors(self, text):
         with pytest.raises(FormatError):
             parse_bp(text)
+
+    def test_duplicate_edge(self):
+        text = "bp 3 1 3\n1 2\n1 2\n2 3\n2 3 -1\n"
+        with pytest.raises(FormatError, match="^line 3: duplicate edge '1 2'$"):
+            parse_bp(text)
+        # Parallel edges with different labels are distinct edges.
+        z = parse_bp("bp 2 1 2\n1 2\n1 2 1\n1 2 -1\n")
+        assert len(z.edges) == 3

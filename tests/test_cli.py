@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import widthlab
-from widthlab import bprog, decomposition
+from widthlab import bprog, decomposition, lbound
 from widthlab.cli import main
 from widthlab.graph import Ordering, format_dimacs_graph
 from widthlab.instances import cnf_of_graph, cycle_graph, format_dimacs_cnf, path_graph
@@ -149,6 +149,42 @@ class TestLbExperimentBudget:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: segment budget must be between 1 and 10, got {c}\n"
+
+    def test_negative_t_fails_before_order_minimisation(self, capsys, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("order minimisation ran")
+
+        monkeypatch.setattr(lbound, "min_obdd_size_over_orders", unreachable)
+        g_file = tmp_path / "c5.gr"
+        g_file.write_text(format_dimacs_graph(cycle_graph(5)))
+        code = main(["lb-experiment", "--graph", str(g_file), "--c", "1", "--t", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: t must be non-negative, got -1\n"
+
+
+class TestCheckCnsobddFiles:
+    def test_duplicate_edge_is_a_usage_error(self, capsys, tmp_path):
+        bp_file = tmp_path / "dup.bp"
+        bp_file.write_text("bp 3 1 3\n1 2\n1 2\n2 3\n2 3 -1\n")
+        code = main(["check-cnsobdd", "--bp", str(bp_file), "--c", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: line 3: duplicate edge '1 2'\n"
+
+    def test_path_cap_bounds_only_the_witness_search(self, capsys, tmp_path):
+        # 2^8 consistent paths through eight diamonds, none violating.
+        lines = [f"{i + 1} {i + 2} {s * (i + 1)}" for i in range(8) for s in (-1, 1)]
+        bp_file = tmp_path / "diamonds.bp"
+        bp_file.write_text("bp 9 1 9\n" + "\n".join(lines) + "\n")
+        code, out = run(capsys, "check-cnsobdd", "--bp", str(bp_file), "--c", "1",
+                        "--path-cap", "4")
+        assert code == 0 and out == "pass\n"
+        code = main(["check-cnsobdd", "--bp", str(bp_file), "--c", "1", "--path-cap", "4",
+                     "--order", "1 0 2 3 4 5 6 7"])
+        assert code == 1
 
 
 class TestExitCodes:
