@@ -21,9 +21,13 @@ The minimum size over all variable orders counts each level's nodes
 without building any OBDD: the Friedman–Supowit compaction derives the
 residual-function ids of every prefix set from those of a set one
 variable larger, level by level from the truth table down, and
-`graph.prefix_set_dp` sums them along the best order.  Program traversals
-(evaluation, path enumeration, the segment DP, validation) use explicit
-stacks, so program depth is not bounded by the recursion limit.
+`graph.prefix_set_dp` sums them along the best order.
+
+Each program computes its topological order once, by Kahn's algorithm
+(`BranchingProgram.topological_order`); validation, the segment DP and
+path enumeration read it, so a cyclic program raises instead of hanging.
+Evaluation and path enumeration use explicit stacks, so program depth is
+not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -88,60 +92,48 @@ class BranchingProgram:
         """The variables some edge tests; built once."""
         return frozenset(e.label.var for e in self.edges if e.label is not None)
 
-    def validate(self, strict: bool = True) -> None:
-        """Check DAG shape, root/leaf degrees and (strictly) that every node
-        lies on a root-leaf path.  OBDDs keep a rejecting dead-end terminal
-        and are validated non-strictly."""
-        if not (0 <= self.root < self.num_nodes and 0 <= self.leaf < self.num_nodes):
-            raise InputError("root or leaf outside node range")
+    @functools.cached_property
+    def topological_order(self) -> tuple[int, ...]:
+        """The nodes with every edge's tail before its head, by Kahn's
+        algorithm on int adjacency lists built from `edges`; built once.
+        Raises InputError on a cycle."""
         indeg = [0] * self.num_nodes
-        out: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        succ: list[list[int]] = [[] for _ in range(self.num_nodes)]
         for e in self.edges:
-            if not (0 <= e.tail < self.num_nodes and 0 <= e.head < self.num_nodes):
-                raise InputError(f"edge ({e.tail},{e.head}) outside node range")
             indeg[e.head] += 1
-            out[e.tail].append(e.head)
-        if indeg[self.root] != 0:
-            raise InputError("root has incoming edges")
-        if out[self.leaf]:
-            raise InputError("leaf has outgoing edges")
-        # topological check
+            succ[e.tail].append(e.head)
         order = [v for v in range(self.num_nodes) if indeg[v] == 0]
-        seen = 0
-        deg = list(indeg)
-        queue = list(order)
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in out[v]:
-                deg[w] -= 1
-                if deg[w] == 0:
-                    queue.append(w)
-        if seen != self.num_nodes:
+        for v in order:  # a FIFO queue: nodes are appended as they become ready
+            for w in succ[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    order.append(w)
+        if len(order) != self.num_nodes:
             raise InputError("program graph contains a cycle")
-        if strict:
-            reach_root = _reachable(self.num_nodes, self.edges, self.root, forward=True)
-            reach_leaf = _reachable(self.num_nodes, self.edges, self.leaf, forward=False)
-            for v in range(self.num_nodes):
-                if v not in reach_root or v not in reach_leaf:
-                    raise InputError(f"node {v} lies on no root-leaf path")
+        return tuple(order)
 
-
-def _reachable(n: int, edges: Sequence[Edge], start: int, forward: bool) -> set[int]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        if forward:
-            adj[e.tail].append(e.head)
-        else:
-            adj[e.head].append(e.tail)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    def validate(self) -> None:
+        """Check that root, leaf and every edge lie in the node range, that
+        the root has no in-edge and the leaf no out-edge, and that the graph
+        is a DAG (`topological_order`).  A node need not lie on a root-leaf
+        path: an OBDD keeps a rejecting terminal that no path to the leaf
+        reaches."""
+        n, root, leaf = self.num_nodes, self.root, self.leaf
+        if not (0 <= root < n and 0 <= leaf < n):
+            raise InputError("root or leaf outside node range")
+        root_in = leaf_out = False
+        for e in self.edges:
+            if not (0 <= e.tail < n and 0 <= e.head < n):
+                raise InputError(f"edge ({e.tail},{e.head}) outside node range")
+            if e.head == root:
+                root_in = True
+            if e.tail == leaf:
+                leaf_out = True
+        if root_in:
+            raise InputError("root has incoming edges")
+        if leaf_out:
+            raise InputError("leaf has outgoing edges")
+        self.topological_order  # raises on a cycle
 
 
 @dataclass(frozen=True)
@@ -165,13 +157,12 @@ class ComputationalPath:
         return tuple(e.sort_key() for e in self.edges)
 
 
-def evaluate(z: BranchingProgram, assignment: Mapping[int, bool] | Sequence[bool]) -> bool:
+def evaluate(z: BranchingProgram, assignment: Sequence[bool]) -> bool:
     """True iff some consistent root-leaf path's literal set is contained in
-    the assignment."""
-    getter = assignment.get if isinstance(assignment, Mapping) else None
+    the assignment, a sequence whose entry v is the value of variable v; it
+    must cover every variable z tests."""
     for v in z.variables:
-        val = getter(v) if getter else (assignment[v] if v < len(assignment) else None)
-        if val is None:
+        if v >= len(assignment):
             raise InputError(f"assignment does not cover variable {v}")
     # Containment in a full assignment forces consistency, so this reduces
     # to reachability through agreeing edges.
@@ -286,7 +277,7 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     size = first + 2
     edges = tuple(Edge(tail, head % size, label) for tail, head, label in raw_edges)
     z = BranchingProgram(size, edges, root=0, leaf=size - 2, var_order=order)
-    z.validate(strict=False)
+    z.validate()
     return z
 
 
@@ -395,12 +386,15 @@ def enumerate_computational_paths(
 ) -> Iterator[ComputationalPath]:
     """All consistent root-leaf paths, in lexicographic edge-sequence order.
 
-    Depth-first with an explicit stack of out-edge iterators, one per node
-    on the current path, so path length is not bounded by recursion depth.
-    One var -> sign dict holds the signs the path has read; each path edge
-    records the variable it added (None if it added none), so popping the
-    edge deletes exactly that entry.
+    The first step reads `z.topological_order`, so a cyclic program raises
+    InputError instead of being walked forever.  Depth-first with an
+    explicit stack of out-edge iterators, one per node on the current path,
+    so path length is not bounded by recursion depth.  One var -> sign dict
+    holds the signs the path has read; each path edge records the variable
+    it added (None if it added none), so popping the edge deletes exactly
+    that entry.
     """
+    z.topological_order  # raises on a cycle
     out = z.out_edges
     count = 0
     path: list[Edge] = []
@@ -464,30 +458,21 @@ def _max_segments(z: BranchingProgram, pos: Mapping[int, int]) -> int:
     """The most segments any root-leaf path of z needs, consistent or not,
     with labelled variables ordered by pos; 0 when no path reaches the leaf.
 
-    Nodes are visited in Kahn order.  Each keeps, per position of the last
+    Nodes are visited in `z.topological_order`, which raises InputError
+    on a cycle.  Each keeps, per position of the last
     labelled variable read (-1 before any), the most segments a root-node
     path ending that way needs; what a continuation adds depends only on
     that position, so the map is exact.  Paths stop at the leaf, but what
     the leaf passes on never comes back to it.  O(E·m) time.
     """
-    indeg = [0] * z.num_nodes
-    for e in z.edges:
-        indeg[e.head] += 1
     out = z.out_edges
     most: list[dict[int, int]] = [{} for _ in range(z.num_nodes)]
     most[z.root][-1] = 1
-    ready = [v for v in range(z.num_nodes) if indeg[v] == 0]
-    visited = 0
-    while ready:
-        v = ready.pop()
-        visited += 1
+    for v in z.topological_order:
         states = most[v]
+        if not states:
+            continue
         for e in out[v]:
-            indeg[e.head] -= 1
-            if indeg[e.head] == 0:
-                ready.append(e.head)
-            if not states:
-                continue
             target = most[e.head]
             if e.label is None:
                 for last, k in states.items():
@@ -498,8 +483,6 @@ def _max_segments(z: BranchingProgram, pos: Mapping[int, int]) -> int:
                 need = max(k + (q <= last) for last, k in states.items())
                 if target.get(q, 0) < need:
                     target[q] = need
-    if visited != z.num_nodes:
-        raise InputError("program graph contains a cycle")
     return max(most[z.leaf].values(), default=0)
 
 
@@ -596,7 +579,7 @@ def parse_bp(text: str) -> BranchingProgram:
     num_nodes, root, leaf = header
     z = BranchingProgram(num_nodes, tuple(edges), root - 1, leaf - 1)
     try:
-        z.validate(strict=False)
+        z.validate()
     except InputError as exc:
         raise FormatError(str(exc)) from exc
     return z

@@ -44,18 +44,11 @@ def _load_graph(path: str) -> graph.Graph:
     return graph.parse_dimacs_graph(Path(path).read_text())
 
 
-def _parse_order(spec: str, n: int) -> graph.Ordering:
-    parts = spec.replace(",", " ").split()
-    seq = [int_token(p, "--order", InputError) for p in parts]
-    if len(seq) != n:
-        raise InputError(f"order has {len(seq)} entries, expected {n}")
-    return graph.Ordering.make(seq)
-
-
-def _parse_var_order(spec: str, m: int) -> tuple[int, ...]:
+def _parse_order(spec: str, n: int) -> tuple[int, ...]:
+    """A comma- or space-separated permutation of 0..n-1."""
     o = tuple(int_token(p, "--order", InputError) for p in spec.replace(",", " ").split())
-    if sorted(o) != list(range(m)):
-        raise InputError(f"not a permutation of 0..{m - 1}: {o}")
+    if sorted(o) != list(range(n)):
+        raise InputError(f"--order is not a permutation of 0..{n - 1}: {o}")
     return o
 
 
@@ -84,7 +77,7 @@ def cmd_gen_cnf(args) -> int:
 def cmd_mw(args) -> int:
     g = _load_graph(args.graph)
     if args.order is not None:
-        report = width.mw_of_ordering(g, _parse_order(args.order, g.n))
+        report = width.mw_of_ordering(g, graph.Ordering(_parse_order(args.order, g.n)))
         mode = "ordering"
     else:
         report = width.matching_width_exact(g, cap=args.cap)
@@ -148,7 +141,7 @@ def cmd_order_from_pd(args) -> int:
 
 def cmd_pd_from_order(args) -> int:
     g = _load_graph(args.graph)
-    sv = _parse_order(args.order, g.n)
+    sv = graph.Ordering(_parse_order(args.order, g.n))
     pd = decomposition.path_decomposition_from_ordering(g, sv)
     verdict = decomposition.validate_decomposition(g, pd)
     if not verdict.valid:
@@ -162,7 +155,7 @@ def cmd_pd_from_order(args) -> int:
 def cmd_obdd_build(args) -> int:
     f = instances.parse_dimacs_cnf(Path(args.cnf).read_text())
     order = (
-        _parse_var_order(args.order, f.num_vars)
+        _parse_order(args.order, f.num_vars)
         if args.order is not None
         else tuple(range(f.num_vars))
     )
@@ -198,7 +191,7 @@ def cmd_check_cnsobdd(args) -> int:
     z = bprog.parse_bp(Path(args.bp).read_text())
     m = (max(z.variables) + 1) if z.variables else 0
     order = (
-        _parse_var_order(args.order, m)
+        _parse_order(args.order, m)
         if args.order is not None
         else tuple(range(m))
     )

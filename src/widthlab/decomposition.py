@@ -183,10 +183,6 @@ def path_decomposition_from_ordering(g: Graph, sv: Ordering) -> PathDecompositio
     The width is at most twice the ordering's matching width.
     """
     n = g.n
-    if n == 0:
-        return PathDecomposition(())
-    if n == 1:
-        return PathDecomposition((frozenset({sv.seq[0]}),))
     chain = settled_vertex_covers(g, sv).covers
     bags = []
     for i in range(n):

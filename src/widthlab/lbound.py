@@ -16,7 +16,7 @@ from .bprog import (
     DEFAULT_MIN_SIZE_CAP,
     DEFAULT_PATH_CAP,
 )
-from .errors import InputError, ProgramIncorrectError, WitnessNotFoundError
+from .errors import CapacityError, InputError, ProgramIncorrectError, WitnessNotFoundError
 from .graph import Graph, Ordering, cut_graph, max_bipartite_matching
 from .instances import Cnf, cnf_of_graph, edge_variable, vertex_variable
 from .width import matching_width_exact
@@ -209,15 +209,20 @@ def run_lb_experiment(
     orders, checks it against 2^(t/(2c-1)) with t the exact matching
     width, and verifies the assignment family and separation-vector
     distinctness on the size-minimal OBDD.  That OBDD is read-once, so no
-    path needs more segments than there are variables, and c is checked
-    against that limit, and t checked non-negative, before any DP runs.
+    path needs more segments than there are variables.  The CNF has one
+    variable per vertex and per edge, so c is checked against that limit,
+    t checked non-negative and the variable count against min_size_cap
+    before the CNF is built or any DP runs.
     """
-    f = cnf_of_graph(g)
-    limit = max(1, f.num_vars)
+    m = g.n + len(g.edges)
+    limit = max(1, m)
     if not 1 <= c <= limit:
         raise InputError(f"segment budget must be between 1 and {limit}, got {c}")
     if t is not None and t < 0:
         raise InputError(f"t must be non-negative, got {t}")
+    if m > min_size_cap:
+        raise CapacityError(f"order minimization: {m} variables exceeds cap {min_size_cap}")
+    f = cnf_of_graph(g)
     mw_report = matching_width_exact(g)
     if t is None:
         t = mw_report.value

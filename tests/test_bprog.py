@@ -20,6 +20,7 @@ from widthlab.bprog import (
     parse_bp,
     subfunction_counts,
 )
+from widthlab.lbound import check_distinctness
 
 from oracles import (
     brute_check_c_nsobdd,
@@ -77,6 +78,11 @@ def dag_programs(draw, max_nodes=7, max_vars=3):
     return BranchingProgram(n, tuple(edges), 0, leaf)
 
 
+def cyclic_program():
+    """Nodes 1 and 2 form a cycle on the way from the root to the leaf."""
+    return BranchingProgram(4, (Edge(0, 1), Edge(1, 2), Edge(2, 1), Edge(1, 3)), 0, 3)
+
+
 def chain_program(n):
     """A path of n nodes whose i-th edge tests variable i positively."""
     return BranchingProgram(
@@ -100,11 +106,35 @@ class TestValidate:
         with pytest.raises(InputError):
             z.validate()
 
-    def test_strict_rejects_stranded_node(self):
+    def test_accepts_stranded_node(self):
+        # An OBDD's rejecting terminal lies on no root-leaf path.
         z = BranchingProgram(3, (Edge(0, 1),), 0, 1)
-        with pytest.raises(InputError):
-            z.validate(strict=True)
-        z.validate(strict=False)
+        z.validate()
+
+
+class TestTopologicalOrder:
+    @given(dag_programs())
+    def test_every_edge_goes_forward(self, z):
+        order = z.topological_order
+        assert sorted(order) == list(range(z.num_nodes))
+        rank = {v: i for i, v in enumerate(order)}
+        assert all(rank[e.tail] < rank[e.head] for e in z.edges)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda z: z.topological_order,
+            lambda z: z.validate(),
+            lambda z: next(enumerate_computational_paths(z)),
+            lambda z: check_c_nsobdd(z, (), 1),
+            lambda z: check_distinctness(z, [()], (), frozenset(), 1),
+        ],
+        ids=["topological_order", "validate", "enumerate_computational_paths",
+             "check_c_nsobdd", "check_distinctness"],
+    )
+    def test_every_reader_rejects_a_cycle(self, read):
+        with pytest.raises(InputError, match="^program graph contains a cycle$"):
+            read(cyclic_program())
 
 
 class TestEvaluate:

@@ -163,6 +163,21 @@ class TestLbExperimentBudget:
         assert captured.out == ""
         assert captured.err == "error: t must be non-negative, got -1\n"
 
+    def test_order_minimisation_cap_is_checked_before_the_cnf_is_built(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the CNF was built")
+
+        monkeypatch.setattr(lbound, "cnf_of_graph", unreachable)
+        g_file = tmp_path / "c9.gr"
+        g_file.write_text(format_dimacs_graph(cycle_graph(9)))  # 9 + 9 variables
+        code = main(["lb-experiment", "--graph", str(g_file), "--c", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: order minimization: 18 variables exceeds cap 16\n"
+
 
 class TestCheckCnsobddFiles:
     def test_duplicate_edge_is_a_usage_error(self, capsys, tmp_path):
@@ -270,6 +285,38 @@ class TestMalformedIntegers:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestOrderFlag:
+    """Every command with --order reads it as one permutation format and
+    reports each fault with the same line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mw", "--graph", "{p3}"],
+            ["pd-from-order", "--graph", "{p3}"],
+            ["obdd-build", "--cnf", "{k2}"],
+            ["check-cnsobdd", "--bp", "{bp}", "--c", "1"],
+        ],
+        ids=["mw", "pd-from-order", "obdd-build", "check-cnsobdd"],
+    )
+    @pytest.mark.parametrize(
+        "order, shown", [("0 1", "(0, 1)"), ("0,1,1", "(0, 1, 1)")], ids=["short", "repeated"]
+    )
+    def test_not_a_permutation(self, capsys, tmp_path, k2_cnf_file, argv, order, shown):
+        # Three vertices, and three variables in the CNF and the program.
+        p3_file = tmp_path / "p3.gr"
+        p3_file.write_text(format_dimacs_graph(path_graph(3)))
+        bp_file = tmp_path / "k2.bp"
+        z = bprog.build_obdd(cnf_of_graph(path_graph(2)), range(3))
+        bp_file.write_text(bprog.format_bp(z))
+        paths = {"p3": str(p3_file), "k2": k2_cnf_file, "bp": str(bp_file)}
+        code = main([a.format(**paths) for a in argv] + ["--order", order])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --order is not a permutation of 0..2: {shown}\n"
 
 
 class TestDeclaredCounts:

@@ -210,10 +210,11 @@ class TestPdFromOrdering:
         assert validate_decomposition(g, pd).valid
         assert pd.width <= 2  # 2 * mw of the natural order
 
-    def test_singleton_graph(self):
-        g = Graph.make(1, [])
-        pd = path_decomposition_from_ordering(g, Ordering.make([0]))
-        assert pd.bags == (fs(0),)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_singleton_graph(self, n):
+        g = Graph.make(n, [])
+        pd = path_decomposition_from_ordering(g, Ordering.make(range(n)))
+        assert pd.bags == tuple(fs(v) for v in range(n))
 
     @settings(deadline=None, max_examples=40)
     @given(graphs(max_n=6))
