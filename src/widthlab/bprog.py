@@ -2,7 +2,9 @@
 order-segmentation checker.
 
 Programs are DAGs with one root and one accepting leaf; edges optionally
-carry a literal.  An assignment is accepted when some consistent
+carry a literal, and a program stores them sorted by `Edge.sort_key`, so
+programs with the same edges are equal and walks and `format_bp` follow
+that order.  An assignment is accepted when some consistent
 root-leaf path's literal set is contained in it.  A computational path is
 its edge tuple alone: it reads no variable with both signs, so its literal
 set is the set of its edge labels.  OBDDs are built from
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -69,11 +71,16 @@ class Edge:
 
 @dataclass(frozen=True)
 class BranchingProgram:
+    """The constructor stores the edges sorted by `Edge.sort_key`, whatever
+    order they come in: the one place that order is applied."""
+
     num_nodes: int
     edges: tuple[Edge, ...]
     root: int
     leaf: int
-    var_order: tuple[int, ...] | None = None  # set when built as an OBDD
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=Edge.sort_key)))
 
     @property
     def size(self) -> int:
@@ -81,16 +88,21 @@ class BranchingProgram:
 
     @functools.cached_property
     def out_edges(self) -> tuple[tuple[Edge, ...], ...]:
-        """Each node's out-edges, sorted by Edge.sort_key; built once."""
+        """Each node's out-edges, in stored order; built once."""
         out: list[list[Edge]] = [[] for _ in range(self.num_nodes)]
         for e in self.edges:
             out[e.tail].append(e)
-        return tuple(tuple(sorted(lst, key=Edge.sort_key)) for lst in out)
+        return tuple(map(tuple, out))
 
     @functools.cached_property
     def variables(self) -> frozenset[int]:
         """The variables some edge tests; built once."""
         return frozenset(e.label.var for e in self.edges if e.label is not None)
+
+    @functools.cached_property
+    def num_vars(self) -> int:
+        """One more than the largest variable some edge tests; built once."""
+        return max(self.variables, default=-1) + 1
 
     @functools.cached_property
     def topological_order(self) -> tuple[int, ...]:
@@ -153,17 +165,13 @@ class ComputationalPath:
         seq.extend(e.head for e in self.edges)
         return tuple(seq)
 
-    def sort_key(self) -> tuple:
-        return tuple(e.sort_key() for e in self.edges)
-
 
 def evaluate(z: BranchingProgram, assignment: Sequence[bool]) -> bool:
     """True iff some consistent root-leaf path's literal set is contained in
     the assignment, a sequence whose entry v is the value of variable v; it
-    must cover every variable z tests."""
-    for v in z.variables:
-        if v >= len(assignment):
-            raise InputError(f"assignment does not cover variable {v}")
+    must cover every variable z tests, so it is no shorter than z.num_vars."""
+    if len(assignment) < z.num_vars:
+        raise InputError(f"assignment does not cover variable {z.num_vars - 1}")
     # Containment in a full assignment forces consistency, so this reduces
     # to reachability through agreeing edges.
     out = z.out_edges
@@ -188,16 +196,14 @@ class EquivalenceVerdict:
     counterexample: tuple[bool, ...] | None = None
 
 
-def equivalence_vs_cnf(
-    z: BranchingProgram, f: Cnf, cap: int = DEFAULT_EQUIV_CAP
-) -> EquivalenceVerdict:
+def equivalence_vs_cnf(z: BranchingProgram, f: Cnf) -> EquivalenceVerdict:
     """Compare z with f on every assignment of the CNF's variables, in
     binary order with variable 0 most significant; the counterexample is
     the first assignment where they differ.  f's side is read from its
     truth table and z is evaluated on each assignment."""
     m = f.num_vars
-    if m > cap:
-        raise CapacityError(f"equivalence check: {m} variables exceeds cap {cap}")
+    if m > DEFAULT_EQUIV_CAP:
+        raise CapacityError(f"equivalence check: {m} variables exceeds cap {DEFAULT_EQUIV_CAP}")
     if not z.variables <= set(range(m)):
         raise InputError("program tests variables outside the CNF")
     table = _truth_table(f, range(m)).tolist()
@@ -228,9 +234,9 @@ def _truth_table(f: Cnf, order: Sequence[int]) -> np.ndarray:
     return table.reshape(-1)
 
 
-def _constant_program(value: bool, order: tuple[int, ...]) -> BranchingProgram:
+def _constant_program(value: bool) -> BranchingProgram:
     edges = (Edge(0, 1),) if value else ()
-    return BranchingProgram(2, edges, root=0, leaf=1, var_order=order)
+    return BranchingProgram(2, edges, root=0, leaf=1)
 
 
 def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> BranchingProgram:
@@ -250,9 +256,9 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     order = tuple(order)
     tbl = _truth_table(f, order)
     if tbl.all():
-        return _constant_program(True, order)
+        return _constant_program(True)
     if not tbl.any():
-        return _constant_program(False, order)
+        return _constant_program(False)
 
     # A row is one int: bit k is entry k of the residual's table, so the
     # low half is the branch where the level's variable is 0.  The true and
@@ -276,7 +282,8 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
 
     size = first + 2
     edges = tuple(Edge(tail, head % size, label) for tail, head, label in raw_edges)
-    z = BranchingProgram(size, edges, root=0, leaf=size - 2, var_order=order)
+    del raw_edges  # free the triples before the constructor sorts the edges
+    z = BranchingProgram(size, edges, root=0, leaf=size - 2)
     z.validate()
     return z
 
@@ -533,8 +540,9 @@ BP_HEADER = "c widthlab branching-program format v1"
 
 
 def format_bp(z: BranchingProgram) -> str:
+    """One line per edge in stored order; `parse_bp` reads back an equal program."""
     lines = [BP_HEADER, f"bp {z.num_nodes} {z.root + 1} {z.leaf + 1}"]
-    for e in sorted(z.edges, key=Edge.sort_key):
+    for e in z.edges:
         if e.label is None:
             lines.append(f"{e.tail + 1} {e.head + 1}")
         else:

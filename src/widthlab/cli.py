@@ -113,7 +113,7 @@ def cmd_td_ctree(args) -> int:
     result = decomposition.ctree_decomposition(args.r, args.k)
     if args.extended:
         d = result.extended
-        n = decomposition.ctree_primal_graph(args.r, args.k).n
+        n = instances.f_rk_num_vars(args.r, args.k)
     else:
         d = result.base
         n = instances.ct_graph(args.r, args.k).n
@@ -189,11 +189,10 @@ def cmd_obdd_min(args) -> int:
 
 def cmd_check_cnsobdd(args) -> int:
     z = bprog.parse_bp(Path(args.bp).read_text())
-    m = (max(z.variables) + 1) if z.variables else 0
     order = (
-        _parse_order(args.order, m)
+        _parse_order(args.order, z.num_vars)
         if args.order is not None
-        else tuple(range(m))
+        else tuple(sorted(z.variables))
     )
     verdict = bprog.check_c_nsobdd(z, order, args.c, path_cap=args.path_cap)
     payload = {

@@ -14,7 +14,6 @@ from .bprog import (
     enumerate_computational_paths,
     min_obdd_size_over_orders,
     DEFAULT_MIN_SIZE_CAP,
-    DEFAULT_PATH_CAP,
 )
 from .errors import CapacityError, InputError, ProgramIncorrectError, WitnessNotFoundError
 from .graph import Graph, Ordering, cut_graph, max_bipartite_matching
@@ -81,7 +80,7 @@ def separation_vector(
     sv_star: Sequence[int],
     svp_vars: frozenset[int],
     c: int,
-    suffix_vars: frozenset[int] | None = None,
+    suffix_vars: frozenset[int],
 ) -> tuple[int, ...]:
     """The (2c-1)-tuple of segment-boundary nodes of a computational path.
 
@@ -90,16 +89,16 @@ def separation_vector(
     previous label's in sv_star (the descents `min_segments` counts).  At
     most c are allowed, and empty trailing segments pad the split to c.
     Each segment is then split at the head of its last edge labelled by a
-    prefix-side variable.  A segment with only prefix-side variables (or
-    none at all) keeps its own end as the boundary; one with only
-    suffix-side variables uses its start.  An unknown variable is reported
-    before an exceeded budget.
+    prefix-side variable (one in svp_vars).  A segment that reads no
+    suffix-side variable (none in suffix_vars) keeps its own end as the
+    boundary; one that reads suffix-side but no prefix-side variables uses
+    its start.  A variable in neither set, such as an edge variable, counts
+    for neither side.  An unknown variable is reported before an exceeded
+    budget.
     """
     if c < 1:
         raise InputError(f"segment budget must be positive, got {c}")
     pos = {v: i for i, v in enumerate(sv_star)}
-    if suffix_vars is None:
-        suffix_vars = frozenset(pos) - svp_vars
     # [first edge, last prefix-side edge or None, reads a suffix-side variable]
     segments: list[list] = [[0, None, False]]
     last = None
@@ -148,18 +147,20 @@ def check_distinctness(
     sv_star: Sequence[int],
     svp_vars: frozenset[int],
     c: int,
-    suffix_vars: frozenset[int] | None = None,
-    path_cap: int = DEFAULT_PATH_CAP,
+    suffix_vars: frozenset[int],
 ) -> DistinctnessReport:
     """One accepting path per family member (lexicographically smallest edge
-    sequence), one separation vector each; reports any vector collision.
+    sequence), one separation vector each (`separation_vector` with the
+    prefix-side svp_vars and suffix-side suffix_vars); reports any vector
+    collision.
 
-    Paths are enumerated once, in that order, until every member has one.  A
-    missing accepting path means the program rejects a required satisfying
-    assignment and is an error, not a falsification.
+    Paths are enumerated once, in that order, until every member has one,
+    at most DEFAULT_PATH_CAP of them.  A missing accepting path means the
+    program rejects a required satisfying assignment and is an error, not a
+    falsification.
     """
     chosen: dict[int, ComputationalPath] = {}
-    paths = enumerate_computational_paths(z, cap=path_cap)
+    paths = enumerate_computational_paths(z)
     while len(chosen) < len(family) and (p := next(paths, None)) is not None:
         for idx, s in enumerate(family):
             if idx not in chosen and all(s[l.var] == l.positive for l in p.literals):
@@ -178,23 +179,12 @@ def check_distinctness(
     return DistinctnessReport(not collisions, tuple(vectors), collisions)
 
 
-@dataclass(frozen=True)
-class BoundVerdict:
-    passes: bool
-    size_ok: bool
-    rk_ok: bool | None = None
-
-
-def verify_size_bound(z_size: int, t: int, c: int, rk: int | None = None) -> BoundVerdict:
-    """size >= 2^(t/(2c-1)), compared in exact integer arithmetic as
-    size^(2c-1) >= 2^t; optionally also size^(4c-2) >= 2^rk."""
+def verify_size_bound(z_size: int, t: int, c: int) -> bool:
+    """Whether size >= 2^(t/(2c-1)), compared in exact integer arithmetic
+    as size^(2c-1) >= 2^t."""
     if z_size < 0 or t < 0 or c < 1:
         raise InputError("bad bound parameters")
-    size_ok = z_size ** (2 * c - 1) >= 1 << t
-    rk_ok = None
-    if rk is not None:
-        rk_ok = z_size ** (4 * c - 2) >= 1 << rk
-    return BoundVerdict(size_ok and (rk_ok is not False), size_ok, rk_ok)
+    return z_size ** (2 * c - 1) >= 1 << t
 
 
 def run_lb_experiment(
@@ -228,7 +218,7 @@ def run_lb_experiment(
         t = mw_report.value
     best = min_obdd_size_over_orders(f, cap=min_size_cap)
     z = build_obdd(f, best.order)
-    bound = verify_size_bound(best.size, t, c)
+    holds = verify_size_bound(best.size, t, c)
 
     sv = Ordering.make([v for v in best.order if v < g.n])
     w = witness_cut(g, sv, t)
@@ -239,7 +229,7 @@ def run_lb_experiment(
     distinct = check_distinctness(z, family, best.order, svp_vars, c, suffix_vars)
 
     ok = (
-        bound.passes
+        holds
         and all(member_sat)
         and distinct.distinct
         and len(family) == 1 << t
@@ -254,7 +244,7 @@ def run_lb_experiment(
             "statement": "size^(2c-1) >= 2^t",
             "lhs": best.size ** (2 * c - 1),
             "rhs": 1 << t,
-            "holds": bound.size_ok,
+            "holds": holds,
         },
         "measured_size": best.size,
         "best_order": list(best.order),

@@ -4,7 +4,7 @@ Everything here is deliberately naive: enumeration over edge subsets,
 vertex subsets, whole permutations or all root-leaf edge sequences, and
 OBDD levels keyed by whole truth-table rows.  None of it shares code with
 the library beyond the Graph and BranchingProgram containers,
-Cnf.evaluate and the path order ComputationalPath.sort_key.
+Cnf.evaluate and the edge order Edge.sort_key.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from widthlab.bprog import BranchingProgram, ComputationalPath, Edge
+from widthlab.bprog import BranchingProgram, Edge
 from widthlab.graph import Graph
 from widthlab.instances import Literal
 
@@ -268,7 +268,7 @@ def brute_computational_paths(z) -> list[tuple[tuple, frozenset]]:
     """(edges, literal set) of every root-leaf edge sequence that reads no
     variable with both signs, by plain recursion over out-edges; a sequence
     ends when it first reaches the leaf.  The literal set is the edges'
-    labels, and the list is sorted by ComputationalPath.sort_key."""
+    labels, and the list is sorted by the paths' Edge.sort_key sequences."""
     found = []
 
     def walk(node: int, edges: tuple) -> None:
@@ -282,7 +282,7 @@ def brute_computational_paths(z) -> list[tuple[tuple, frozenset]]:
                 walk(e.head, edges + (e,))
 
     walk(z.root, ())
-    found.sort(key=lambda edges: ComputationalPath(edges).sort_key())
+    found.sort(key=lambda edges: [e.sort_key() for e in edges])
     return [
         (edges, frozenset(e.label for e in edges if e.label is not None))
         for edges in found
@@ -291,8 +291,9 @@ def brute_computational_paths(z) -> list[tuple[tuple, frozenset]]:
 
 def brute_check_c_nsobdd(z, sv, c) -> tuple:
     """(ok, violating edges, segments needed) of the segmentation check:
-    the first consistent root-leaf path in sort_key order whose labelled
-    variables need more than c increasing runs of sv positions."""
+    the first consistent root-leaf path, in brute_computational_paths
+    order, whose labelled variables need more than c increasing runs of sv
+    positions."""
     pos = {v: i for i, v in enumerate(sv)}
     for edges, _ in brute_computational_paths(z):
         k = brute_min_segments([pos[e.label.var] for e in edges if e.label is not None])
@@ -310,7 +311,7 @@ def row_keyed_obdd(f, order) -> BranchingProgram:
     tbl = np.array(brute_truth_table(f, order), dtype=bool)
     if tbl.all() or not tbl.any():
         edges = (Edge(0, 1),) if tbl.all() else ()
-        return BranchingProgram(2, edges, root=0, leaf=1, var_order=order)
+        return BranchingProgram(2, edges, root=0, leaf=1)
     raw_edges = []
     rows, first = [tbl], 0  # this level's rows; rows[j] is node first + j
     for var in order:
@@ -328,4 +329,4 @@ def row_keyed_obdd(f, order) -> BranchingProgram:
         rows, first = [np.frombuffer(key, dtype=bool) for key in index], first + len(rows)
     size = first + 2
     edges = tuple(Edge(tail, head % size, label) for tail, head, label in raw_edges)
-    return BranchingProgram(size, edges, root=0, leaf=size - 2, var_order=order)
+    return BranchingProgram(size, edges, root=0, leaf=size - 2)

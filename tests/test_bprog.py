@@ -127,7 +127,7 @@ class TestTopologicalOrder:
             lambda z: z.validate(),
             lambda z: next(enumerate_computational_paths(z)),
             lambda z: check_c_nsobdd(z, (), 1),
-            lambda z: check_distinctness(z, [()], (), frozenset(), 1),
+            lambda z: check_distinctness(z, [()], (), frozenset(), 1, frozenset()),
         ],
         ids=["topological_order", "validate", "enumerate_computational_paths",
              "check_c_nsobdd", "check_distinctness"],
@@ -151,6 +151,15 @@ class TestEvaluate:
         z = BranchingProgram(2, (Edge(0, 1, Literal(1)),), 0, 1)
         with pytest.raises(InputError):
             evaluate(z, (True,))
+
+    def test_short_assignment_names_the_largest_variable(self):
+        z = BranchingProgram(
+            3, (Edge(0, 1, Literal(0)), Edge(1, 2, Literal(5)), Edge(0, 2, Literal(2, False))),
+            0, 2,
+        )
+        with pytest.raises(InputError, match="^assignment does not cover variable 5$"):
+            evaluate(z, (True, True))
+        assert evaluate(z, (False,) * 6)
 
     def test_nondeterministic_or(self):
         z = BranchingProgram(
@@ -214,6 +223,11 @@ class TestBuildObdd:
         assert not verdict.equivalent
         assert verdict.counterexample == (False,)
 
+    def test_equivalence_cap(self):
+        z = BranchingProgram(2, (Edge(0, 1),), 0, 1)
+        with pytest.raises(CapacityError, match="^equivalence check: 21 variables exceeds cap 20$"):
+            equivalence_vs_cnf(z, Cnf.make(21, []))
+
     @settings(deadline=None, max_examples=50)
     @given(cnfs(max_clauses=5))
     def test_counterexample_is_the_first_difference(self, f):
@@ -257,9 +271,7 @@ class TestBuildObdd:
     def test_equals_the_row_keyed_oracle(self, f, rng):
         order = list(range(f.num_vars))
         rng.shuffle(order)
-        z, expected = build_obdd(f, order), row_keyed_obdd(f, order)
-        assert format_bp(z) == format_bp(expected)
-        assert z.var_order == expected.var_order
+        assert build_obdd(f, order) == row_keyed_obdd(f, order)
 
 
 class TestTruthTable:
@@ -541,13 +553,25 @@ class TestBpFormat:
             "2 3 1\n"
         )
 
-    def test_round_trip(self):
-        f = cnf_of_graph(path_graph(3))
-        z = build_obdd(f, (0, 1, 2, 3, 4))
-        again = parse_bp(format_bp(z))
-        assert again.num_nodes == z.num_nodes
-        assert again.root == z.root and again.leaf == z.leaf
-        assert set(again.edges) == set(z.edges)
+    @settings(deadline=None, max_examples=60)
+    @given(cnfs(max_vars=8, max_clauses=6), st.randoms(use_true_random=False))
+    def test_round_trip(self, f, rng):
+        order = list(range(f.num_vars))
+        rng.shuffle(order)
+        z = build_obdd(f, order)
+        assert parse_bp(format_bp(z)) == z
+
+    @settings(deadline=None, max_examples=100)
+    @given(dag_programs(), st.randoms(use_true_random=False))
+    def test_edge_order_is_canonical(self, z, rng):
+        edges = list(z.edges)
+        rng.shuffle(edges)
+        y = BranchingProgram(z.num_nodes, tuple(edges), z.root, z.leaf)
+        assert y == z
+        assert y.out_edges == z.out_edges
+        assert format_bp(y) == format_bp(z)
+        paths = [p.edges for p in enumerate_computational_paths(y)]
+        assert paths == [p.edges for p in enumerate_computational_paths(z)]
 
     @pytest.mark.parametrize(
         "text",

@@ -11,7 +11,13 @@ import widthlab
 from widthlab import bprog, decomposition, lbound
 from widthlab.cli import main
 from widthlab.graph import Ordering, format_dimacs_graph
-from widthlab.instances import cnf_of_graph, cycle_graph, format_dimacs_cnf, path_graph
+from widthlab.instances import (
+    cnf_of_graph,
+    ct_graph,
+    cycle_graph,
+    format_dimacs_cnf,
+    path_graph,
+)
 
 
 def run(capsys, *argv):
@@ -88,10 +94,18 @@ class TestWidthCommands:
 
 
 class TestDecompositionCommands:
-    def test_td_ctree(self, capsys):
-        code, out = run(capsys, "td-ctree", "--r", "1", "--k", "2")
+    @pytest.mark.parametrize("r, k", [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("extended", [False, True], ids=["base", "extended"])
+    def test_td_ctree(self, capsys, extended, r, k):
+        flags = ["--extended"] if extended else []
+        code, out = run(capsys, "td-ctree", "--r", str(r), "--k", str(k), *flags)
         assert code == 0
-        assert "s td 3 4 6" in out
+        g = decomposition.ctree_primal_graph(r, k) if extended else ct_graph(r, k)
+        td, n = decomposition.parse_pace(out)
+        assert n == g.n
+        assert decomposition.validate_decomposition(g, td).valid
+        if (extended, r, k) == (False, 1, 2):
+            assert "s td 3 4 6" in out
 
     def test_round_trip_through_files(self, capsys, tmp_path, p10_file):
         pd_file = str(tmp_path / "p10.td")
@@ -188,6 +202,26 @@ class TestCheckCnsobddFiles:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: line 3: duplicate edge '1 2'\n"
+
+    def test_default_order_is_the_programs_variables_ascending(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The program reads variables 3 and 7 only.
+        bp_file = tmp_path / "sparse.bp"
+        bp_file.write_text("bp 3 1 3\n1 2 4\n2 3 -8\n")
+        orders = []
+        check = bprog.check_c_nsobdd
+
+        def recording(z, sv, *args, **kwargs):
+            orders.append(tuple(sv))
+            return check(z, sv, *args, **kwargs)
+
+        monkeypatch.setattr(bprog, "check_c_nsobdd", recording)
+        code, out = run(capsys, "check-cnsobdd", "--bp", str(bp_file), "--c", "1", "--json")
+        assert code == 0 and orders == [(3, 7)]
+        code, explicit = run(capsys, "check-cnsobdd", "--bp", str(bp_file), "--c", "1",
+                             "--json", "--order", "0,1,2,3,4,5,6,7")
+        assert code == 0 and explicit == out
 
     def test_path_cap_bounds_only_the_witness_search(self, capsys, tmp_path):
         # 2^8 consistent paths through eight diamonds, none violating.

@@ -116,26 +116,26 @@ class TestSeparationVector:
         # prefix-labelled edge
         z = chain_program(Literal(0), Literal(1))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 1)
+        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 1, frozenset({1}))
         assert vec == (1,)
 
     def test_only_prefix_vars_uses_segment_end(self):
         z = chain_program(Literal(0), Literal(1))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset({0, 1}), 1)
+        vec = separation_vector(p, 0, (0, 1), frozenset({0, 1}), 1, frozenset())
         assert vec == (2,)
 
     def test_only_suffix_vars_uses_segment_start(self):
         z = chain_program(Literal(0), Literal(1))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset(), 1)
+        vec = separation_vector(p, 0, (0, 1), frozenset(), 1, frozenset({0, 1}))
         assert vec == (0,)
 
     def test_two_segments(self):
         # positions 1 then 0: a descent, so two segments under c=2
         z = chain_program(Literal(1), Literal(0))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 2)
+        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 2, frozenset({1}))
         # segment 1 holds only suffix var 1 (start 0); cut at node 1;
         # segment 2 holds only prefix var 0 (end 2)
         assert vec == (0, 1, 2)
@@ -143,40 +143,40 @@ class TestSeparationVector:
     def test_padding_with_empty_segments(self):
         z = chain_program(Literal(0))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0,), frozenset({0}), 2)
+        vec = separation_vector(p, 0, (0,), frozenset({0}), 2, frozenset())
         assert vec == (1, 1, 1)
 
     def test_padding_after_one_descent(self):
         z = chain_program(Literal(1), Literal(0))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 3)
+        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 3, frozenset({1}))
         assert vec == (0, 1, 2, 2, 2)
 
     def test_split_after_the_last_prefix_edge_before_suffix_edges(self):
         # segments [x0 x1 x2 x3] and [x1 x2]; x0, x1 prefix-side
         z = chain_program(*(Literal(v) for v in (0, 1, 2, 3, 1, 2)))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1, 2, 3), frozenset({0, 1}), 2)
+        vec = separation_vector(p, 0, (0, 1, 2, 3), frozenset({0, 1}), 2, frozenset({2, 3}))
         assert vec == (2, 4, 5)
 
     def test_unlabelled_edges_stay_in_the_segment_before_a_descent(self):
         # the second segment starts at the x0 edge, not after the x1 edge
         z = chain_program(None, Literal(1), None, Literal(0))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 2)
+        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 2, frozenset({1}))
         assert vec == (0, 3, 4)
 
     def test_budget_too_small(self):
         z = chain_program(Literal(1), Literal(0))
         p = only_path(z)
         with pytest.raises(InputError):
-            separation_vector(p, 0, (0, 1), frozenset({0}), 1)
+            separation_vector(p, 0, (0, 1), frozenset({0}), 1, frozenset({1}))
 
     def test_unknown_variable(self):
         z = chain_program(Literal(5))
         p = only_path(z)
         with pytest.raises(InputError):
-            separation_vector(p, 0, (0, 1), frozenset({0}), 1)
+            separation_vector(p, 0, (0, 1), frozenset({0}), 1, frozenset({1}))
 
 
 class TestCheckDistinctness:
@@ -198,7 +198,7 @@ class TestCheckDistinctness:
         # single unlabeled edge: every member uses the same path
         z = BranchingProgram(2, (Edge(0, 1),), 0, 1)
         family = ((True, False), (False, True))
-        report = check_distinctness(z, family, (0, 1), frozenset({0}), 1)
+        report = check_distinctness(z, family, (0, 1), frozenset({0}), 1, frozenset({1}))
         assert not report.distinct
         assert report.collisions == ((0, 1),)
 
@@ -207,7 +207,7 @@ class TestCheckDistinctness:
 
         z = chain_program(Literal(0))
         with pytest.raises(ProgramIncorrectError):
-            check_distinctness(z, ((False,),), (0,), frozenset({0}), 1)
+            check_distinctness(z, ((False,),), (0,), frozenset({0}), 1, frozenset())
 
     def test_lowest_rejected_member_is_named(self):
         from widthlab.errors import ProgramIncorrectError
@@ -215,7 +215,7 @@ class TestCheckDistinctness:
         z = chain_program(Literal(0))
         family = ((True,), (False,), (True,), (False,))
         with pytest.raises(ProgramIncorrectError, match="family member 1$"):
-            check_distinctness(z, family, (0,), frozenset({0}), 1)
+            check_distinctness(z, family, (0,), frozenset({0}), 1, frozenset())
 
     def test_each_member_gets_its_smallest_accepting_path(self):
         # Nondeterministic: (x0, x1) = (1, 1) has three accepting paths, and
@@ -228,29 +228,24 @@ class TestCheckDistinctness:
             3,
         )
         family = ((True, True), (False, True), (True, True))
-        report = check_distinctness(z, family, (0, 1), frozenset({0}), 1)
+        report = check_distinctness(z, family, (0, 1), frozenset({0}), 1, frozenset({1}))
         assert report.vectors == ((1,), (0,), (1,))
         assert report.collisions == ((0, 2),)
         paths = list(enumerate_computational_paths(z))
         for s, vector in zip(family, report.vectors):
             accepting = [p for p in paths if all(s[l.var] == l.positive for l in p.literals)]
-            smallest = min(accepting, key=ComputationalPath.sort_key)
-            assert vector == separation_vector(smallest, z.root, (0, 1), frozenset({0}), 1)
+            smallest = min(accepting, key=lambda p: [e.sort_key() for e in p.edges])
+            assert vector == separation_vector(smallest, z.root, (0, 1), frozenset({0}), 1,
+                                               frozenset({1}))
 
 
 class TestVerifySizeBound:
     def test_exact_integer_comparison(self):
-        assert verify_size_bound(8, 3, 1).passes  # 8 >= 8
-        assert not verify_size_bound(7, 3, 1).passes  # 7 < 8
+        assert verify_size_bound(8, 3, 1) is True  # 8 >= 8
+        assert verify_size_bound(7, 3, 1) is False  # 7 < 8
         # fractional exponents never hit floating point: 3^3 = 27 >= 2^3
-        assert verify_size_bound(3, 3, 2).passes
-        assert not verify_size_bound(1, 1, 2).passes
-
-    def test_optional_rk_bound(self):
-        verdict = verify_size_bound(4, 2, 1, rk=4)
-        assert verdict.size_ok and verdict.rk_ok and verdict.passes
-        verdict = verify_size_bound(4, 2, 1, rk=5)
-        assert verdict.size_ok and not verdict.rk_ok and not verdict.passes
+        assert verify_size_bound(3, 3, 2) is True
+        assert verify_size_bound(1, 1, 2) is False
 
     def test_parameter_validation(self):
         with pytest.raises(InputError):
