@@ -41,13 +41,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    FormatError,
-    InputError,
-    InvariantViolationError,
-    int_token,
-)
+from .errors import CapacityError, FormatError, InputError, int_token
 from .graph import prefix_set_dp, sets_by_size
 from .instances import Cnf, Literal
 
@@ -249,10 +243,10 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     order they are first reached; the two terminals come last.
     """
     m = f.num_vars
-    if sorted(order) != list(range(m)):
-        raise InputError("order is not a permutation of the CNF's variables")
     if m > cap:
         raise CapacityError(f"OBDD build: {m} variables exceeds cap {cap}")
+    if sorted(order) != list(range(m)):
+        raise InputError("order is not a permutation of the CNF's variables")
     order = tuple(order)
     tbl = _truth_table(f, order)
     if tbl.all():

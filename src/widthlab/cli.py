@@ -47,7 +47,7 @@ def _load_graph(path: str) -> graph.Graph:
 def _parse_order(spec: str, n: int) -> tuple[int, ...]:
     """A comma- or space-separated permutation of 0..n-1."""
     o = tuple(int_token(p, "--order", InputError) for p in spec.replace(",", " ").split())
-    if sorted(o) != list(range(n)):
+    if len(o) != n or sorted(o) != list(range(n)):
         raise InputError(f"--order is not a permutation of 0..{n - 1}: {o}")
     return o
 
@@ -65,12 +65,12 @@ def cmd_gen_graph(args) -> int:
 def cmd_gen_cnf(args) -> int:
     if args.graph is not None:
         g = _load_graph(args.graph)
-        f = instances.cnf_of_graph(g)
     elif args.r is not None and args.k is not None:
-        f = instances.f_rk(args.r, args.k)
+        g = instances.ct_graph(args.r, args.k)
     else:
         raise InputError("gen-cnf needs --graph or both --r and --k")
-    _write_out(instances.format_dimacs_cnf(f), args.out)
+    f = instances.cnf_of_graph(g)
+    _write_out(instances.format_dimacs_cnf(f, instances.graph_cnf_names(g)), args.out)
     return EXIT_OK
 
 
@@ -157,7 +157,7 @@ def cmd_obdd_build(args) -> int:
     order = (
         _parse_order(args.order, f.num_vars)
         if args.order is not None
-        else tuple(range(f.num_vars))
+        else range(f.num_vars)
     )
     z = bprog.build_obdd(f, order, cap=args.cap)
     if args.out is not None:

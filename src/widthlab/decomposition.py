@@ -257,7 +257,7 @@ def parse_pace(text: str) -> tuple[TreeDecomposition, int]:
     if header is None:
         raise FormatError("missing 's td' solution line")
     num_bags, _, n = header
-    if sorted(bags) != list(range(num_bags)):
+    if len(bags) != num_bags or sorted(bags) != list(range(num_bags)):
         raise FormatError("bag ids do not cover 1..<declared bag count>")
     td = TreeDecomposition(tuple(bags[i] for i in range(num_bags)), tuple(edges))
     return td, n

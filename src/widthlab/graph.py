@@ -54,9 +54,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def neighbors(self, v: int) -> set[int]:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
@@ -89,9 +86,6 @@ class Ordering:
 
     def prefix(self, i: int) -> frozenset[int]:
         return frozenset(self.seq[:i])
-
-    def position(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.seq)}
 
 
 @dataclass(frozen=True)

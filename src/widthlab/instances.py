@@ -5,13 +5,18 @@ The CNF of a graph has one all-positive 3-clause per edge over a vertex
 variable per vertex and an edge variable per edge.  Variable numbering is
 canonical (vertex variables first, by id, then edge variables in
 lexicographic endpoint order) so serialized output is reproducible.
+
+A `Cnf` is its variable count and clauses.  Variable names live only in
+the DIMACS writer, as `c var` comments (`graph_cnf_names` gives a graph
+CNF's); the reader skips every `c` line, so parsing builds nothing per
+declared variable.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import FormatError, InputError, int_token
@@ -24,9 +29,6 @@ from .graph import Graph
 class Literal:
     var: int
     positive: bool = True
-
-    def negated(self) -> "Literal":
-        return Literal(self.var, not self.positive)
 
     def signed(self) -> int:
         """DIMACS-style signed 1-based integer."""
@@ -41,16 +43,13 @@ class Literal:
 
 @dataclass(frozen=True)
 class Cnf:
+    """A CNF over variables 0..num_vars-1: the count and the clauses only."""
+
     num_vars: int
     clauses: tuple[tuple[Literal, ...], ...]
-    var_names: tuple[str, ...] = field(default=())
 
     @staticmethod
-    def make(
-        num_vars: int,
-        clauses: Iterable[Iterable[Literal]],
-        var_names: Sequence[str] | None = None,
-    ) -> "Cnf":
+    def make(num_vars: int, clauses: Iterable[Iterable[Literal]]) -> "Cnf":
         normed = []
         for clause in clauses:
             lits = tuple(sorted(set(clause)))
@@ -61,13 +60,7 @@ class Cnf:
                 if not 0 <= l.var < num_vars:
                     raise InputError(f"literal variable {l.var} outside 0..{num_vars - 1}")
             normed.append(lits)
-        if var_names is None:
-            names = tuple(f"x{i}" for i in range(num_vars))
-        else:
-            if len(var_names) != num_vars:
-                raise InputError("var_names length does not match num_vars")
-            names = tuple(var_names)
-        return Cnf(num_vars, tuple(normed), names)
+        return Cnf(num_vars, tuple(normed))
 
     def evaluate(self, assignment: Sequence[bool]) -> bool:
         if len(assignment) != self.num_vars:
@@ -129,13 +122,18 @@ def edge_variable(g: Graph, u: int, v: int) -> int:
 
 def cnf_of_graph(g: Graph) -> Cnf:
     """One clause (X_u or X_uv or X_v) per edge, all positive."""
+    clauses = [
+        (Literal(u), Literal(g.n + idx), Literal(v))
+        for idx, (u, v) in enumerate(g.sorted_edges())
+    ]
+    return Cnf.make(g.n + len(g.edges), clauses)
+
+
+def graph_cnf_names(g: Graph) -> list[str]:
+    """Names of `cnf_of_graph(g)`'s variables, for `format_dimacs_cnf`."""
     names = [f"vertex {u}" for u in range(g.n)]
-    clauses = []
-    for idx, (u, v) in enumerate(g.sorted_edges()):
-        names.append(f"edge {{{u},{v}}}")
-        evar = g.n + idx
-        clauses.append((Literal(u), Literal(evar), Literal(v)))
-    return Cnf.make(g.n + len(g.edges), clauses, names)
+    names.extend(f"edge {{{u},{v}}}" for u, v in g.sorted_edges())
+    return names
 
 
 def f_rk(r: int, k: int) -> Cnf:
@@ -214,9 +212,11 @@ def generate(kind: str, params: Mapping[str, object], seed: int = 0) -> Graph:
 DIMACS_CNF_HEADER = "c widthlab cnf format v1 (DIMACS)"
 
 
-def format_dimacs_cnf(f: Cnf) -> str:
+def format_dimacs_cnf(f: Cnf, names: Sequence[str] = ()) -> str:
+    """DIMACS text of f.  Each of `names` is printed as a `c var` comment
+    naming the variable at its position; readers skip these lines."""
     lines = [DIMACS_CNF_HEADER]
-    lines.extend(f"c var {i + 1} {name}" for i, name in enumerate(f.var_names))
+    lines.extend(f"c var {i + 1} {name}" for i, name in enumerate(names))
     lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
     lines.extend(
         " ".join(str(l.signed()) for l in clause) + " 0" for clause in f.clauses
@@ -226,19 +226,10 @@ def format_dimacs_cnf(f: Cnf) -> str:
 
 def parse_dimacs_cnf(text: str) -> Cnf:
     num_vars = None
-    names: dict[int, str] = {}
     clauses: list[tuple[Literal, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("c"):
-            parts = line.split(maxsplit=3)
-            if len(parts) == 4 and parts[1] == "var":
-                try:
-                    names[int(parts[2]) - 1] = parts[3]
-                except ValueError:
-                    pass
+        if not line or line.startswith("c"):
             continue
         parts = line.split()
         if parts[0] == "p":
@@ -272,5 +263,4 @@ def parse_dimacs_cnf(text: str) -> Cnf:
         raise FormatError("missing 'p cnf' problem line")
     if len(clauses) != declared:
         raise FormatError(f"line {p_line}: declares {declared} clauses, found {len(clauses)}")
-    var_names = tuple(names.get(i, f"x{i}") for i in range(num_vars))
-    return Cnf.make(num_vars, clauses, var_names)
+    return Cnf.make(num_vars, clauses)

@@ -15,7 +15,13 @@ from .bprog import (
     min_obdd_size_over_orders,
     DEFAULT_MIN_SIZE_CAP,
 )
-from .errors import CapacityError, InputError, ProgramIncorrectError, WitnessNotFoundError
+from .errors import (
+    CapacityError,
+    InputError,
+    InvariantViolationError,
+    ProgramIncorrectError,
+    WitnessNotFoundError,
+)
 from .graph import Graph, Ordering, cut_graph, max_bipartite_matching
 from .instances import Cnf, cnf_of_graph, edge_variable, vertex_variable
 from .width import matching_width_exact
@@ -198,11 +204,13 @@ def run_lb_experiment(
     Measures the minimum OBDD size of the graph's CNF over all variable
     orders, checks it against 2^(t/(2c-1)) with t the exact matching
     width, and verifies the assignment family and separation-vector
-    distinctness on the size-minimal OBDD.  That OBDD is read-once, so no
-    path needs more segments than there are variables.  The CNF has one
-    variable per vertex and per edge, so c is checked against that limit,
-    t checked non-negative and the variable count against min_size_cap
-    before the CNF is built or any DP runs.
+    distinctness on the size-minimal OBDD.  The minimum size comes from the
+    compaction and the OBDD from `build_obdd`, so a size mismatch between
+    the two engines raises InvariantViolationError.  The OBDD is
+    read-once, so no path needs more segments than there are variables.
+    The CNF has one variable per vertex and per edge, so c is checked
+    against that limit, t checked non-negative and the variable count
+    against min_size_cap before the CNF is built or any DP runs.
     """
     m = g.n + len(g.edges)
     limit = max(1, m)
@@ -218,6 +226,10 @@ def run_lb_experiment(
         t = mw_report.value
     best = min_obdd_size_over_orders(f, cap=min_size_cap)
     z = build_obdd(f, best.order)
+    if z.size != best.size:
+        raise InvariantViolationError(
+            f"OBDD along the best order has {z.size} nodes, order minimization said {best.size}"
+        )
     holds = verify_size_bound(best.size, t, c)
 
     sv = Ordering.make([v for v in best.order if v < g.n])

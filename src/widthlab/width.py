@@ -28,7 +28,6 @@ from .errors import CapacityError, InputError, InvariantViolationError
 from .graph import (
     CutGraph,
     Graph,
-    Matching,
     Ordering,
     VertexCover,
     adjacency_masks,

@@ -18,6 +18,11 @@ from widthlab.graph import Graph
 from widthlab.instances import Literal
 
 
+def neighbours(g: Graph, v: int) -> set[int]:
+    """The vertices sharing an edge with v, by a scan over all edges."""
+    return {b if a == v else a for a, b in g.edges if v in (a, b)}
+
+
 def brute_max_matching(edges) -> int:
     """Maximum matching size by branching over every edge."""
     edges = list(edges)
@@ -83,7 +88,7 @@ def brute_pathwidth(g: Graph) -> tuple[int, tuple[int, ...]]:
         for v in perm:
             placed.add(v)
             boundary = sum(
-                1 for u in placed if any(w not in placed for w in g.neighbors(u))
+                1 for u in placed if any(w not in placed for w in neighbours(g, u))
             )
             worst = max(worst, boundary)
         if best is None or worst < best[0]:
@@ -104,7 +109,7 @@ def brute_pathwidth_bags(g: Graph) -> int:
         for i in range(n):
             prefix = set(perm[:i])
             boundary = {
-                u for u in prefix if any(w not in prefix for w in g.neighbors(u))
+                u for u in prefix if any(w not in prefix for w in neighbours(g, u))
             }
             worst = max(worst, len(boundary | {perm[i]}) - 1)
         if best is None or worst < best:

@@ -62,6 +62,42 @@ class TestGenerators:
         code, _ = run(capsys, "gen-cnf")
         assert code == 2
 
+    # Outputs recorded before variable names moved from Cnf to the writer.
+    GEN_CNF_R1_K2 = (
+        "c widthlab cnf format v1 (DIMACS)\n"
+        + "".join(f"c var {i + 1} vertex {i}\n" for i in range(6))
+        + "".join(f"c var {i} edge {{{e}}}\n" for i, e in enumerate(
+            ["0,1", "0,2", "0,3", "0,4", "0,5", "1,2", "1,3", "1,4", "1,5", "2,3", "4,5"], 7))
+        + "p cnf 17 11\n"
+        "1 2 7 0\n1 3 8 0\n1 4 9 0\n1 5 10 0\n1 6 11 0\n2 3 12 0\n"
+        "2 4 13 0\n2 5 14 0\n2 6 15 0\n3 4 16 0\n5 6 17 0\n"
+    )
+    GEN_CNF_GRAPH = (
+        "c widthlab cnf format v1 (DIMACS)\n"
+        "c var 1 vertex 0\nc var 2 vertex 1\nc var 3 vertex 2\nc var 4 vertex 3\n"
+        "c var 5 vertex 4\nc var 6 edge {0,1}\nc var 7 edge {0,4}\nc var 8 edge {1,2}\n"
+        "c var 9 edge {3,4}\n"
+        "p cnf 9 4\n"
+        "1 2 6 0\n1 5 7 0\n2 3 8 0\n4 5 9 0\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, graph_text, expected",
+        [
+            (["--r", "1", "--k", "2"], None, GEN_CNF_R1_K2),
+            (["--graph", "{in}"], "c a comment\np edge 5 4\ne 5 1\ne 3 2\ne 1 2\ne 4 5\n",
+             GEN_CNF_GRAPH),
+        ],
+        ids=["r1-k2", "graph"],
+    )
+    def test_gen_cnf_bytes(self, capsys, tmp_path, argv, graph_text, expected):
+        in_file = tmp_path / "input.gr"
+        if graph_text is not None:
+            in_file.write_text(graph_text)
+        code, out = run(capsys, "gen-cnf", *(a.format(**{"in": str(in_file)}) for a in argv))
+        assert code == 0
+        assert out == expected
+
 
 class TestWidthCommands:
     def test_mw_exact(self, capsys, p10_file):
@@ -256,11 +292,32 @@ class TestExitCodes:
         assert code == 3
         assert err == "error: constructed decomposition invalid: union\n"
 
+    def test_obdd_engines_disagreeing_is_an_invariant_violation(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        real = lbound.min_obdd_size_over_orders
+
+        def one_too_many(f, cap):
+            best = real(f, cap=cap)
+            return bprog.MinObddResult(best.size + 1, best.order)
+
+        monkeypatch.setattr(lbound, "min_obdd_size_over_orders", one_too_many)
+        g_file = tmp_path / "c5.gr"
+        g_file.write_text(format_dimacs_graph(cycle_graph(5)))
+        code = main(["lb-experiment", "--graph", str(g_file), "--c", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: OBDD along the best order has ")
+        assert captured.err.count("\n") == 1
+
 
 class TestHugeDeclaredSizes:
-    """Declared sizes too large to allocate exit 2 with one line.  Each
-    command runs in a child process whose address space is capped just above
-    its start-up size, so the test itself allocates nothing large."""
+    """Huge declared sizes exit 2 with one line: a named error when a cap or
+    a shape check can reject them before anything is built per declared
+    item, otherwise "out of memory".  Each command runs in a child process
+    whose address space is capped just above its start-up size, so the test
+    itself allocates nothing large."""
 
     CHILD = (
         "import resource, sys\n"
@@ -270,29 +327,47 @@ class TestHugeDeclaredSizes:
         "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
+    HUGE = 10_000_000_000_000
+    OUT_OF_MEMORY = "error: out of memory: the input or a cap is too large"
+    NOT_A_PERMUTATION = f"error: --order is not a permutation of 0..{HUGE - 1}: (0,)"
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="needs /proc and an enforced RLIMIT_AS")
     @pytest.mark.parametrize(
-        "argv, text",
+        "argv, text, stderr",
         [
-            (["check-cnsobdd", "--bp", "{in}", "--c", "1"], "bp 10000000000000 1 2\n"),
-            (["gen-cnf", "--graph", "{in}"], "p edge 10000000000000 0\n"),
+            (["check-cnsobdd", "--bp", "{in}", "--c", "1"], f"bp {HUGE} 1 2\n", OUT_OF_MEMORY),
+            (["gen-cnf", "--graph", "{in}"], f"p edge {HUGE} 0\n", OUT_OF_MEMORY),
+            (["mw", "--graph", "{in}", "--order", "0"], f"p edge {HUGE} 0\n",
+             NOT_A_PERMUTATION),
+            (["order-from-pd", "--graph", "{gr}", "--pd", "{in}"], f"s td {HUGE} 1 1\n",
+             "error: bag ids do not cover 1..<declared bag count>"),
+            (["obdd-build", "--cnf", "{in}", "--order", "0"], f"p cnf {HUGE} 0\n",
+             NOT_A_PERMUTATION),
+            (["check-cnsobdd", "--bp", "{in}", "--c", "1", "--order", "0"],
+             f"bp 2 1 2\n1 2 {HUGE}\n", NOT_A_PERMUTATION),
+            (["obdd-build", "--cnf", "{in}"], f"p cnf {HUGE} 0\n",
+             f"error: OBDD build: {HUGE} variables exceeds cap 24"),
+            (["obdd-min", "--cnf", "{in}"], f"p cnf {HUGE} 0\n",
+             f"error: order minimization: {HUGE} variables exceeds cap 16"),
         ],
-        ids=["bp-nodes", "graph-vertices"],
+        ids=["bp-nodes", "graph-vertices", "mw-order", "pace-bags", "obdd-build-order",
+             "check-cnsobdd-order", "obdd-build-cap", "obdd-min-cap"],
     )
-    def test_out_of_memory_is_a_usage_error(self, tmp_path, argv, text):
+    def test_out_of_memory_is_a_usage_error(self, tmp_path, argv, text, stderr):
         in_file = tmp_path / "input"
         in_file.write_text(text)
+        gr_file = tmp_path / "one.gr"
+        gr_file.write_text("p edge 1 0\n")
+        paths = {"in": str(in_file), "gr": str(gr_file)}
         src = str(Path(widthlab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
         proc = subprocess.run(
-            [sys.executable, "-c", self.CHILD, *(a.format(**{"in": str(in_file)}) for a in argv)],
+            [sys.executable, "-c", self.CHILD, *(a.format(**paths) for a in argv)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == stderr + "\n"
 
 
 class TestMalformedIntegers:

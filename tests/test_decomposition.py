@@ -21,7 +21,7 @@ from widthlab.decomposition import (
 )
 from widthlab.width import matching_width_exact, mw_of_ordering, pathwidth_exact
 
-from oracles import brute_validate_decomposition
+from oracles import brute_validate_decomposition, neighbours
 
 
 def fs(*verts):
@@ -43,7 +43,7 @@ def layout_bags(g, order):
     """Path-shaped: bag i holds order[i] and the earlier vertices that have a
     neighbour at position i or later."""
     pos = {v: i for i, v in enumerate(order)}
-    last = {u: max([pos[u]] + [pos[w] for w in g.neighbors(u)]) for u in order}
+    last = {u: max([pos[u]] + [pos[w] for w in neighbours(g, u)]) for u in order}
     return [
         frozenset(u for u in order[: i + 1] if u == v or last[u] >= i)
         for i, v in enumerate(order)
@@ -55,7 +55,7 @@ def elimination_bags(g, order):
     neighbours in the filled graph, hung below the bag of the earliest of
     those neighbours (or of order[i + 1] when it has none)."""
     pos = {v: i for i, v in enumerate(order)}
-    nbrs = {v: set(g.neighbors(v)) for v in order}
+    nbrs = {v: neighbours(g, v) for v in order}
     bags, tree = [], []
     for i, v in enumerate(order):
         later = {u for u in nbrs[v] if pos[u] > i}

@@ -62,11 +62,6 @@ class TestGraphMake:
         with pytest.raises(InputError):
             Graph.make(-1, [])
 
-    def test_neighbors(self):
-        g = Graph.make(4, [(0, 1), (1, 2), (1, 3)])
-        assert g.neighbors(1) == {0, 2, 3}
-        assert g.neighbors(0) == {1}
-
 
 class TestOrdering:
     def test_rejects_non_permutation(self):
@@ -78,7 +73,6 @@ class TestOrdering:
     def test_prefix_and_position(self):
         o = Ordering.make([2, 0, 1])
         assert o.prefix(2) == frozenset({2, 0})
-        assert o.position() == {2: 0, 0: 1, 1: 2}
 
 
 class TestCutGraph:

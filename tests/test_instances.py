@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from widthlab.errors import FormatError, InputError
+from widthlab.graph import Graph
 from widthlab.instances import (
     Cnf,
     Literal,
@@ -16,6 +17,7 @@ from widthlab.instances import (
     f_rk_num_vars,
     format_dimacs_cnf,
     generate,
+    graph_cnf_names,
     grid_graph,
     parse_dimacs_cnf,
     path_graph,
@@ -34,9 +36,6 @@ class TestLiteral:
     def test_zero_is_not_a_literal(self):
         with pytest.raises(InputError):
             Literal.from_signed(0)
-
-    def test_negated(self):
-        assert Literal(3, True).negated() == Literal(3, False)
 
 
 class TestCnf:
@@ -127,8 +126,13 @@ class TestGraphCnf:
         assert f.evaluate((True, False, False))
 
     def test_var_names(self):
-        f = cnf_of_graph(path_graph(2))
-        assert f.var_names == ("vertex 0", "vertex 1", "edge {0,1}")
+        assert graph_cnf_names(path_graph(2)) == ["vertex 0", "vertex 1", "edge {0,1}"]
+        g = Graph.make(4, [(2, 3), (0, 3), (0, 1)])
+        assert graph_cnf_names(g) == [
+            "vertex 0", "vertex 1", "vertex 2", "vertex 3",
+            "edge {0,1}", "edge {0,3}", "edge {2,3}",
+        ]
+        assert len(graph_cnf_names(g)) == cnf_of_graph(g).num_vars
 
     def test_primal_graph(self):
         f = cnf_of_graph(path_graph(2))
@@ -199,8 +203,9 @@ def cnfs(draw, max_vars=6, max_clauses=5):
 
 class TestDimacsCnf:
     def test_format_known(self):
-        f = cnf_of_graph(path_graph(2))
-        assert format_dimacs_cnf(f) == (
+        g = path_graph(2)
+        f = cnf_of_graph(g)
+        assert format_dimacs_cnf(f, graph_cnf_names(g)) == (
             "c widthlab cnf format v1 (DIMACS)\n"
             "c var 1 vertex 0\n"
             "c var 2 vertex 1\n"
@@ -208,10 +213,16 @@ class TestDimacsCnf:
             "p cnf 3 1\n"
             "1 2 3 0\n"
         )
+        assert format_dimacs_cnf(f) == (
+            "c widthlab cnf format v1 (DIMACS)\n"
+            "p cnf 3 1\n"
+            "1 2 3 0\n"
+        )
 
-    @given(cnfs())
-    def test_round_trip(self, f):
-        assert parse_dimacs_cnf(format_dimacs_cnf(f)) == f
+    @given(cnfs(), st.lists(st.text(alphabet="ab {},0123456789", min_size=1), max_size=6))
+    def test_round_trip(self, f, names):
+        # `c var` lines are comments: any names, or none, parse to the same CNF
+        assert parse_dimacs_cnf(format_dimacs_cnf(f, names)) == f
 
     @pytest.mark.parametrize(
         "text",
