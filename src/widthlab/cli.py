@@ -123,7 +123,9 @@ def cmd_td_ctree(args) -> int:
 
 def cmd_order_from_pd(args) -> int:
     g = _load_graph(args.graph)
-    td, _ = decomposition.parse_pace(Path(args.pd).read_text())
+    td, n = decomposition.parse_pace(Path(args.pd).read_text())
+    if n != g.n:
+        raise InputError(f"decomposition declares {n} vertices, but the graph has {g.n}")
     pd = decomposition.as_path_decomposition(td)
     ordering = decomposition.ordering_from_path_decomposition(g, pd)
     value = width.mw_of_ordering(g, ordering).value

@@ -225,7 +225,11 @@ def format_pace(d: TreeDecomposition | PathDecomposition, n: int) -> str:
 
 
 def parse_pace(text: str) -> tuple[TreeDecomposition, int]:
-    """Returns the decomposition and the declared host-graph vertex count."""
+    """Returns the decomposition and the declared host-graph vertex count.
+
+    The `s td` line's sizes are checked: the bag ids must be 1..<bags>, every
+    bag vertex must lie in 1..<n>, and <width+1> must be the largest bag's
+    size."""
     header = None
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
@@ -248,7 +252,12 @@ def parse_pace(text: str) -> tuple[TreeDecomposition, int]:
             bid = int_token(parts[1], f"line {lineno}") - 1
             if bid in bags:
                 raise FormatError(f"line {lineno}: duplicate bag {bid + 1}")
-            bags[bid] = frozenset(int_token(p, f"line {lineno}") - 1 for p in parts[2:])
+            bag = frozenset(int_token(p, f"line {lineno}") - 1 for p in parts[2:])
+            if bag and not (min(bag) >= 0 and max(bag) < header[2]):
+                raise FormatError(
+                    f"line {lineno}: bag {bid + 1} has a vertex outside 1..{header[2]}"
+                )
+            bags[bid] = bag
         else:
             if header is None or len(parts) != 2:
                 raise FormatError(f"line {lineno}: unrecognized line {line!r}")
@@ -256,9 +265,14 @@ def parse_pace(text: str) -> tuple[TreeDecomposition, int]:
                           int_token(parts[1], f"line {lineno}") - 1))
     if header is None:
         raise FormatError("missing 's td' solution line")
-    num_bags, _, n = header
+    num_bags, width_plus_1, n = header
     if len(bags) != num_bags or sorted(bags) != list(range(num_bags)):
         raise FormatError("bag ids do not cover 1..<declared bag count>")
+    largest = max(map(len, bags.values()), default=0)
+    if width_plus_1 != largest:
+        raise FormatError(
+            f"declared width+1 is {width_plus_1}, but the largest bag has {largest} vertices"
+        )
     td = TreeDecomposition(tuple(bags[i] for i in range(num_bags)), tuple(edges))
     return td, n
 

@@ -3,19 +3,25 @@
 Matching width of an ordering is the maximum, over proper nonempty
 prefixes, of the maximum matching size of the prefix cut.  The
 graph-level value minimizes over all orderings; because the cut value
-depends only on the prefix *set*, the minimization is the prefix-set DP
-`graph.prefix_set_dp` (max of costs) rather than a factorial enumeration.
-Pathwidth is computed the same way via vertex separation (the cost of a
-prefix set is the number of its vertices with a neighbor outside).
+depends only on the prefix *set*, the minimization runs over prefix sets
+rather than a factorial enumeration of orderings.
 
-Cut matchings are never rebuilt.  `_CutMatching` keeps one maximum matching
-on bitmasks while vertices cross the cut one at a time, and repairs it after
-each move with at most two iterative alternating searches, so its size moves
-by at most 1 per step.  `mw_of_ordering` moves the ordering's vertices in
-turn.  `matching_width_exact` fills all 2^n cut sizes with a Gray-code walk
-over the 2^(n-1) masks that leave vertex n-1 on the suffix side: a cut and
-its complement have the same matching, so each step fills both entries.  The
-vertex-separation costs of all masks come from one numpy pass per vertex.
+Cut matchings live on bitmasks in one class, `_CutMatching`.  It keeps one
+maximum matching while vertices cross the cut one at a time, repairing it
+after each move with at most two iterative alternating searches, so its size
+moves by at most 1 per step; `mw_of_ordering` moves the ordering's vertices
+in turn.  It also sizes a given cut from scratch, which is how
+`matching_width_exact` reads its costs: a minimax search over prefix sets
+that sizes only the cuts it reaches, never a table of all 2^n of them.
+
+Pathwidth is computed via vertex separation (the cost of a prefix set is the
+number of its vertices with a neighbor outside): the costs of all 2^n masks
+come from one numpy pass per vertex and feed the table DP
+`graph.prefix_set_dp`.  The table stays because these costs vectorise and
+the search's per-set Python work does not: a search of the same shape for
+pathwidth, value only, took 24 ms against the table's 7 ms on
+`random_graph(14, .5, 0)`, and 5.9 s against 0.74 s on
+`random_graph(20, .6, 1)` (Python 3.11, shared 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -96,6 +102,36 @@ class _CutMatching:
         self._augment(v)
         return self.size
 
+    def size_of(self, mask: int) -> int:
+        """Maximum matching size of the cut (mask, full ^ mask), from scratch:
+        a greedy pass over the smaller side, then one alternating search from
+        each of its vertices left free (one pass suffices, as in `move`)."""
+        adj, full = self.adj, self.full
+        self.mask = mask
+        self.mate = mate = [-1] * len(adj)
+        small = mask if mask.bit_count() * 2 <= len(adj) else full ^ mask
+        free = full ^ small
+        size = 0
+        unmatched = []
+        while small:
+            low = small & -small
+            small ^= low
+            u = low.bit_length() - 1
+            nbrs = adj[u] & free
+            if nbrs:
+                y = nbrs & -nbrs
+                free ^= y
+                w = y.bit_length() - 1
+                mate[u] = w
+                mate[w] = u
+                size += 1
+            else:
+                unmatched.append(u)
+        self.size = size
+        for u in unmatched:
+            self._augment(u)
+        return self.size
+
     def _augment(self, x: int) -> None:
         """Augment along one alternating path from the free vertex x, if any."""
         adj, mate, parent = self.adj, self.mate, self.parent
@@ -147,28 +183,6 @@ def _separation_boundary(adj: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def _matching_costs(adj: tuple[int, ...]) -> list[int]:
-    """Maximum matching size of every cut (s, full ^ s), s over all 2^n masks.
-
-    A Gray-code walk over the 2^(n-1) masks that keep vertex n-1 on the
-    suffix side moves one vertex per step, so the matching is repaired, not
-    rebuilt; a cut and its complement share their matching, so each step
-    fills cost[s] and cost[full ^ s].
-    """
-    n = len(adj)
-    cost = [0] * (1 << n)
-    if n < 2:
-        return cost
-    full = (1 << n) - 1
-    cut = _CutMatching(adj)
-    mask = 0
-    for i in range(1, 1 << (n - 1)):
-        v = (i & -i).bit_length() - 1
-        mask ^= 1 << v
-        cost[mask] = cost[full ^ mask] = cut.move(v)
-    return cost
-
-
 def _separation_costs(adj: tuple[int, ...]) -> np.ndarray:
     """Vertex-separation boundary size of every mask s over all 2^n masks:
     the sum over v of [v in s] * [adj[v] & ~s != 0], one numpy pass per v."""
@@ -179,13 +193,103 @@ def _separation_costs(adj: tuple[int, ...]) -> np.ndarray:
     return cost
 
 
-def _exact_width(g: Graph, cost_table, cap: int, what: str) -> WidthReport:
-    """Minimize, over orderings, the max of cost over proper nonempty prefixes,
-    with the lexicographically smallest optimal ordering as witness."""
+def matching_width_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:
+    """Exact matching width, with the lexicographically smallest optimal
+    ordering as witness and its first prefix whose cut attains the value.
+
+    A minimax search over prefix sets (positive-instance-driven, Tamaki
+    2017): it grows the sets reachable from the empty set through sets of
+    cut size at most k, and keeps each costlier set waiting under its cut
+    size; when nothing more is reachable, k rises to the smallest waiting
+    size.  The first k at which the full set is reached is the matching
+    width.  A DFS at that k, smallest vertex first, marking sets that cannot
+    complete as dead, then finds the witness `prefix_set_dp` would take from
+    the full table of cut sizes.
+
+    k starts at (min degree + 1) // 2, a lower bound: a prefix P of that
+    size leaves each of its vertices at least as many neighbours outside P,
+    so a maximal matching of the cut covers P or has at least that many
+    edges.  A cut of a set with at most k vertices, or at most k outside it,
+    has at most k edges in a matching and is not sized; every other cut is
+    sized once, from scratch, and shares its size with its complement.
+    """
     n = g.n
     if n > cap:
-        raise CapacityError(f"{what}: n={n} exceeds subset DP cap {cap}")
-    cost = cost_table(adjacency_masks(g))
+        raise CapacityError(f"matching width: n={n} exceeds subset DP cap {cap}")
+    adj = adjacency_masks(g)
+    full = (1 << n) - 1
+    size_of = _CutMatching(adj).size_of
+    sized = bytearray(1 << n)  # cut size + 1 of each mask sized so far, else 0
+    seen = bytearray(1 << n)
+    seen[0] = 1
+    k = (min(map(int.bit_count, adj), default=0) + 1) // 2
+    stack = [0]
+    waiting: dict[int, list[int]] = {}
+    while not seen[full]:
+        if not stack:
+            k = min(waiting)
+            stack = waiting.pop(k)
+        s = stack.pop()
+        rest = full ^ s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            t = s | low
+            if seen[t]:
+                continue
+            seen[t] = 1
+            c = sized[t] - 1
+            if c < 0:
+                size = t.bit_count()
+                if size <= k or n - size <= k:
+                    stack.append(t)
+                    continue
+                c = size_of(t)
+                sized[t] = sized[full ^ t] = c + 1
+            if c <= k:
+                stack.append(t)
+            else:
+                waiting.setdefault(c, []).append(t)
+
+    dead = bytearray(1 << n)
+    path = [0]
+    untried = [full]  # per depth, the vertices not yet tried as the next one
+    while path[-1] != full:
+        s = path[-1]
+        rest = untried[-1]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            t = s | low
+            if dead[t]:
+                continue
+            if not sized[t]:
+                sized[t] = sized[full ^ t] = size_of(t) + 1
+            if sized[t] <= k + 1:
+                break
+        else:
+            dead[s] = 1
+            path.pop()
+            untried.pop()
+            continue
+        untried[-1] = rest
+        path.append(t)
+        untried.append(full ^ t)
+    seq = tuple((t ^ s).bit_length() - 1 for s, t in zip(path, path[1:]))
+    prefix = next((i for i in range(1, n) if sized[path[i]] == k + 1), None)
+    return WidthReport(value=k, witness_ordering=Ordering(seq), witness_prefix=prefix)
+
+
+def pathwidth_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:
+    """Exact pathwidth via vertex separation: the cost of a prefix set is the
+    number of its vertices with a neighbor outside it.  The full table of
+    costs feeds `prefix_set_dp`, whose witness is the lexicographically
+    smallest optimal ordering; the witness prefix is its first prefix whose
+    cost attains the value."""
+    n = g.n
+    if n > cap:
+        raise CapacityError(f"pathwidth: n={n} exceeds subset DP cap {cap}")
+    cost = _separation_costs(adjacency_masks(g))
     value, seq = prefix_set_dp(cost, np.maximum)
     prefix = None
     mask = 0
@@ -195,18 +299,6 @@ def _exact_width(g: Graph, cost_table, cap: int, what: str) -> WidthReport:
             prefix = i
             break
     return WidthReport(value=value, witness_ordering=Ordering(seq), witness_prefix=prefix)
-
-
-def matching_width_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:
-    """Exact matching width with a witness ordering (prefix-set DP over the
-    Gray-walk cut matching sizes)."""
-    return _exact_width(g, _matching_costs, cap, "matching width")
-
-
-def pathwidth_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:
-    """Exact pathwidth via vertex separation: the cost of a prefix set is the
-    number of its vertices with a neighbor outside it."""
-    return _exact_width(g, _separation_costs, cap, "pathwidth")
 
 
 def _drop_vertices(c: CutGraph, x: frozenset[int]) -> CutGraph:

@@ -4,7 +4,9 @@ Everything here is deliberately naive: enumeration over edge subsets,
 vertex subsets, whole permutations or all root-leaf edge sequences, and
 OBDD levels keyed by whole truth-table rows.  None of it shares code with
 the library beyond the Graph and BranchingProgram containers,
-Cnf.evaluate and the edge order Edge.sort_key.
+Cnf.evaluate and the edge order Edge.sort_key, except `matching_costs`: it
+fills the table of all cut sizes by walking `width._CutMatching.move` along
+a Gray code, a path apart from the from-scratch sizing the search uses.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from widthlab.bprog import BranchingProgram, Edge
-from widthlab.graph import Graph
+from widthlab.graph import Graph, adjacency_masks
 from widthlab.instances import Literal
+from widthlab.width import _CutMatching
 
 
 def neighbours(g: Graph, v: int) -> set[int]:
@@ -53,6 +56,28 @@ def brute_min_vertex_cover(edges) -> int:
 
 def crossing_edges(g: Graph, left: set[int]) -> list[tuple[int, int]]:
     return [e for e in g.sorted_edges() if (e[0] in left) != (e[1] in left)]
+
+
+def matching_costs(g: Graph) -> list[int]:
+    """Maximum matching size of every cut (s, full ^ s), s over all 2^n masks.
+
+    A Gray-code walk over the 2^(n-1) masks that keep vertex n-1 on the
+    suffix side moves one vertex per step, so the matching is repaired, not
+    rebuilt; a cut and its complement share their matching, so each step
+    fills cost[s] and cost[full ^ s].
+    """
+    n = g.n
+    cost = [0] * (1 << n)
+    if n < 2:
+        return cost
+    full = (1 << n) - 1
+    cut = _CutMatching(adjacency_masks(g))
+    mask = 0
+    for i in range(1, 1 << (n - 1)):
+        v = (i & -i).bit_length() - 1
+        mask ^= 1 << v
+        cost[mask] = cost[full ^ mask] = cut.move(v)
+    return cost
 
 
 def brute_matching_width(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -380,16 +380,24 @@ class TestMalformedIntegers:
             (["check-cnsobdd", "--bp", "{in}", "--c", "1"], "bp 2 1 x\n1 2\n"),
             (["order-from-pd", "--graph", "{p10}", "--pd", "{in}"], "s td 1 x 3\nb 1 1 2\n"),
             (["order-from-pd", "--graph", "{p10}", "--pd", "{in}"], "s td 1 2 3\nb\n"),
+            (["order-from-pd", "--graph", "{p4}", "--pd", "{in}"],
+             "s td 1 99 2\nb 1 1 2 3 4\n"),
+            (["order-from-pd", "--graph", "{p4}", "--pd", "{in}"],
+             "s td 1 99 4\nb 1 1 2 3 4\n"),
+            (["order-from-pd", "--graph", "{p4}", "--pd", "{in}"],
+             "s td 1 4 5\nb 1 1 2 3 4\n"),
         ],
         ids=["mw-order", "obdd-build-order", "cnf-header", "bp-header", "pace-header",
-             "pace-bare-bag"],
+             "pace-bare-bag", "pace-bag-vertex", "pace-width", "pace-n-vs-graph"],
     )
     def test_usage_error_with_one_line(self, capsys, tmp_path, p10_file, k2_cnf_file,
                                        argv, text):
         in_file = tmp_path / "input"
         if text is not None:
             in_file.write_text(text)
-        paths = {"p10": p10_file, "k2": k2_cnf_file, "in": str(in_file)}
+        p4_file = tmp_path / "p4.gr"
+        p4_file.write_text(format_dimacs_graph(path_graph(4)))
+        paths = {"p10": p10_file, "k2": k2_cnf_file, "in": str(in_file), "p4": str(p4_file)}
         code = main([a.format(**paths) for a in argv])
         err = capsys.readouterr().err
         assert code == 2

@@ -260,6 +260,10 @@ class TestPaceFormat:
             "s td 2 1 1\nb 1 1\n",  # missing bag 2
             "s td 1 1 1\nb 1 1\nb 1 1\n",  # duplicate bag
             "s td 1 1 1\nnope\n",  # junk line
+            "s td 1 99 2\nb 1 1 2 3 4\n",  # bag vertices beyond the declared n
+            "s td 1 2 4\nb 1 0 1\n",  # bag vertex 0
+            "s td 1 99 4\nb 1 1 2 3 4\n",  # declared width+1 is not the largest bag
+            "s td 0 1 4\n",  # declared width+1 of no bags
         ],
     )
     def test_parse_errors(self, text):

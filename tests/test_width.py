@@ -1,7 +1,8 @@
 from itertools import permutations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from widthlab.errors import CapacityError, InputError
 from widthlab.graph import (
@@ -11,10 +12,11 @@ from widthlab.graph import (
     cut_graph,
     iter_bits,
     max_bipartite_matching,
+    prefix_set_dp,
 )
-from widthlab.instances import cycle_graph, grid_graph, path_graph, random_graph
+from widthlab.instances import ct_graph, cycle_graph, grid_graph, path_graph, random_graph
 from widthlab.width import (
-    _matching_costs,
+    _CutMatching,
     matching_width_exact,
     min_vc_containing,
     mw_of_ordering,
@@ -27,6 +29,7 @@ from oracles import (
     brute_max_matching,
     brute_pathwidth,
     crossing_edges,
+    matching_costs,
 )
 
 
@@ -51,18 +54,43 @@ def graphs_with_ordering(draw, max_n=6):
     return g, Ordering.make(draw(st.permutations(list(range(g.n)))))
 
 
+def brute_cut_sizes(g):
+    """Maximum matching size of every cut, indexed by mask, by brute force."""
+    sizes, by_edges = [], {}  # a cut and its complement cross the same edges
+    for mask in range(1 << g.n):
+        edges = tuple(crossing_edges(g, set(iter_bits(mask))))
+        if edges not in by_edges:
+            by_edges[edges] = brute_max_matching(edges)
+        sizes.append(by_edges[edges])
+    return sizes
+
+
+def table_dp_report(g):
+    """matching_width_exact's report, recomputed by the table DP over the
+    Gray-walk cut sizes: the value, the lexicographically smallest optimal
+    ordering, and its first prefix whose cut attains the value."""
+    cost = matching_costs(g)
+    value, seq = prefix_set_dp(cost, np.maximum)
+    mask, prefix = 0, None
+    for i, v in enumerate(seq[: g.n - 1], 1):
+        mask |= 1 << v
+        if cost[mask] == value:
+            prefix = i
+            break
+    return value, seq, prefix
+
+
 class TestCutMatchingCosts:
     @settings(deadline=None, max_examples=40)
     @given(graphs(max_n=9))
     def test_gray_walk_equals_brute_force_on_every_mask(self, g):
-        cost = _matching_costs(adjacency_masks(g))
-        assert len(cost) == 1 << g.n
-        oracle: dict[tuple, int] = {}  # a cut and its complement cross the same edges
-        for mask in range(1 << g.n):
-            edges = tuple(crossing_edges(g, set(iter_bits(mask))))
-            if edges not in oracle:
-                oracle[edges] = brute_max_matching(edges)
-            assert cost[mask] == oracle[edges]
+        assert matching_costs(g) == brute_cut_sizes(g)
+
+    @settings(deadline=None, max_examples=40)
+    @given(graphs(max_n=9))
+    def test_size_of_equals_brute_force_on_every_mask(self, g):
+        cut = _CutMatching(adjacency_masks(g))
+        assert [cut.size_of(mask) for mask in range(1 << g.n)] == brute_cut_sizes(g)
 
 
 class TestMwOfOrdering:
@@ -134,6 +162,35 @@ class TestMatchingWidthExact:
     def test_matches_permutation_enumeration(self, g):
         report = matching_width_exact(g)
         assert (report.value, report.witness_ordering.seq) == brute_matching_width(g)
+
+    @settings(deadline=None, max_examples=60)
+    @given(graphs(max_n=9))
+    @example(Graph.make(0, []))
+    @example(Graph.make(1, []))
+    def test_matches_table_dp(self, g):
+        report = matching_width_exact(g)
+        got = (report.value, report.witness_ordering.seq, report.witness_prefix)
+        assert got == table_dp_report(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            random_graph(14, 0.2, 0),
+            random_graph(14, 0.5, 0),
+            grid_graph(2, 7),
+            cycle_graph(14),
+            random_graph(13, 0.3, 0),
+            ct_graph(3, 1),
+            ct_graph(2, 2),
+            grid_graph(4, 4),
+        ],
+        ids=["random14_p0.2", "random14_p0.5", "grid2x7", "cycle14", "random13_p0.3",
+             "ct_3_1", "ct_2_2", "grid4x4"],
+    )
+    def test_matches_table_dp_on_larger_graphs(self, g):
+        report = matching_width_exact(g)
+        got = (report.value, report.witness_ordering.seq, report.witness_prefix)
+        assert got == table_dp_report(g)
 
 
 class TestPathwidthExact:
