@@ -37,13 +37,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, FormatError, InputError, int_token
 from .graph import prefix_set_dp, sets_by_size
 from .instances import Cnf, Literal
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUILD_CAP = 24
 DEFAULT_EQUIV_CAP = 20
@@ -51,7 +52,7 @@ DEFAULT_MIN_SIZE_CAP = 16
 DEFAULT_PATH_CAP = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     tail: int
     head: int
@@ -214,6 +215,8 @@ def _truth_table(f: Cnf, order: Sequence[int]) -> np.ndarray:
     """Flat truth table of f; index bit j (most significant first) is the
     value of order[j].  Each clause writes False once, into the subcube of the
     (2,)*m table where its literals are all false; other axes stay whole."""
+    import numpy as np
+
     m = f.num_vars
     pos = {v: j for j, v in enumerate(order)}
     try:
@@ -242,6 +245,8 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     no numpy call runs per node.  Nodes are numbered level by level in the
     order they are first reached; the two terminals come last.
     """
+    import numpy as np
+
     m = f.num_vars
     if m > cap:
         raise CapacityError(f"OBDD build: {m} variables exceeds cap {cap}")
@@ -310,6 +315,8 @@ def subfunction_counts(f: Cnf) -> list[int]:
     deduplicated by a sort over a chunk of about _COMPACTION_CHUNK entries
     (one table, when a table is larger), so the time is O(m·3^m).
     """
+    import numpy as np
+
     m = f.num_vars
     by_level, starts = sets_by_size(m)
     row = np.empty(1 << m, dtype=np.int64)  # a set's table index within its level
@@ -371,6 +378,8 @@ def min_obdd_size_over_orders(f: Cnf, cap: int = DEFAULT_MIN_SIZE_CAP) -> MinObd
     adjacent levels of id tables in memory); `prefix_set_dp` with addition
     then minimises the sum over the 2^m sets.
     """
+    import numpy as np
+
     m = f.num_vars
     if m > cap:
         raise CapacityError(f"order minimization: {m} variables exceeds cap {cap}")

@@ -4,24 +4,31 @@ Vertices are dense integer ids 0..n-1.  Cut graphs are bipartite by
 construction (prefix side vs. suffix side of an ordering), so maximum
 matching and minimum vertex cover are computed with augmenting paths and
 the alternating-reachability construction.  All tie-breaking is by
-ascending vertex id so results are reproducible.  (The width DPs size their
-cuts with `width`'s bitmask matching, repaired one moved vertex at a time.)
+ascending vertex id so results are reproducible.  This matching serves
+the settled covers and `lbound.witness_cut`; the width values use none of
+it.  `mw_of_ordering` repairs one bitmask matching (`width._CutMatching`)
+as each vertex crosses the cut, `matching_width_exact` sizes each cut it
+reaches from scratch with `_CutMatching.size_of`, and pathwidth uses no
+matching at all.
 
 `prefix_set_dp` minimises a fold (max or +, given as a numpy ufunc) of
 prefix-set costs over all orderings.  Its table is filled one popcount level
 at a time, from the largest sets down, each level by one vectorised pass per
 item; only the witness walk is a Python loop, and it returns Python ints.
+It and `sets_by_size` import numpy when called, so the rest of the package
+runs without loading it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import FormatError, InputError, InvariantViolationError, int_token
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -276,6 +283,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 def sets_by_size(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The 2^n subsets of n items as bitmasks grouped by size, ascending in a
     group, and the groups' offsets: size k is sets[start[k]:start[k + 1]]."""
+    import numpy as np
+
     size = np.zeros(1 << n, dtype=np.int8)
     for v in range(n):  # the sets holding v are those without it, plus v
         size[1 << v:2 << v] = size[:1 << v] + 1
@@ -297,6 +306,8 @@ def prefix_set_dp(cost: Sequence[int], combine: np.ufunc) -> tuple[int, tuple[in
     smallest v that still completes, with the cost acc spent so far, to the
     optimum h[0].
     """
+    import numpy as np
+
     cost = np.asarray(cost, dtype=np.int64)
     full = len(cost) - 1
     n = full.bit_length()

@@ -25,7 +25,7 @@ from .graph import Graph
 # --- literals and CNFs ---
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Literal:
     var: int
     positive: bool = True

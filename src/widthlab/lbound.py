@@ -209,8 +209,9 @@ def run_lb_experiment(
     the two engines raises InvariantViolationError.  The OBDD is
     read-once, so no path needs more segments than there are variables.
     The CNF has one variable per vertex and per edge, so c is checked
-    against that limit, t checked non-negative and the variable count
-    against min_size_cap before the CNF is built or any DP runs.
+    against that limit, t against 0..n // 2 (no cut matching has more
+    edges) and the variable count against min_size_cap before the CNF is
+    built or any DP runs.
     """
     m = g.n + len(g.edges)
     limit = max(1, m)
@@ -218,6 +219,9 @@ def run_lb_experiment(
         raise InputError(f"segment budget must be between 1 and {limit}, got {c}")
     if t is not None and t < 0:
         raise InputError(f"t must be non-negative, got {t}")
+    if t is not None and t > g.n // 2:
+        raise InputError(f"t must be at most {g.n // 2}, the most edges a cut matching "
+                         f"of {g.n} vertices can have, got {t}")
     if m > min_size_cap:
         raise CapacityError(f"order minimization: {m} variables exceeds cap {min_size_cap}")
     f = cnf_of_graph(g)

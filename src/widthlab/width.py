@@ -27,8 +27,7 @@ pathwidth, value only, took 24 ms against the table's 7 ms on
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InputError, InvariantViolationError
 from .graph import (
@@ -43,6 +42,9 @@ from .graph import (
     min_vertex_cover_bipartite,
     prefix_set_dp,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SUBSET_DP_CAP = 20
 
@@ -186,6 +188,8 @@ def _separation_boundary(adj: tuple[int, ...], mask: int) -> int:
 def _separation_costs(adj: tuple[int, ...]) -> np.ndarray:
     """Vertex-separation boundary size of every mask s over all 2^n masks:
     the sum over v of [v in s] * [adj[v] & ~s != 0], one numpy pass per v."""
+    import numpy as np
+
     s = np.arange(1 << len(adj), dtype=np.int64)
     cost = np.zeros_like(s)
     for v, nbrs in enumerate(adj):
@@ -286,6 +290,8 @@ def pathwidth_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:
     costs feeds `prefix_set_dp`, whose witness is the lexicographically
     smallest optimal ordering; the witness prefix is its first prefix whose
     cost attains the value."""
+    import numpy as np
+
     n = g.n
     if n > cap:
         raise CapacityError(f"pathwidth: n={n} exceeds subset DP cap {cap}")

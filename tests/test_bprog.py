@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -539,6 +540,19 @@ class TestCheckCNsobdd:
             check_c_nsobdd(z, (0, 1), 1)  # order misses variable 3
         with pytest.raises(InputError):
             check_c_nsobdd(z, (3,), 0)
+
+
+class TestEdge:
+    def test_value_semantics_without_an_instance_dict(self):
+        a, b = Edge(0, 1, Literal(2, False)), Edge(0, 1, Literal(2, False))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != Edge(0, 1, Literal(2)) and Edge(0, 1) == Edge(0, 1, None)
+        assert Literal(0, False) < Literal(0) < Literal(1, False)
+        assert a.sort_key() == (0, 1, 2, False) and Edge(0, 1).sort_key() == (0, 1, -1, False)
+        for obj, field in ((a, "tail"), (a.label, "var")):
+            assert not hasattr(obj, "__dict__")  # slots: the bytes per edge stay small
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, field, 5)
 
 
 class TestBpFormat:

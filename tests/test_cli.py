@@ -213,6 +213,36 @@ class TestLbExperimentBudget:
         assert captured.out == ""
         assert captured.err == "error: t must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize("t", ["5", "99"])
+    def test_t_above_half_the_vertices_fails_before_the_cnf_is_built(
+        self, capsys, tmp_path, monkeypatch, t
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the CNF was built")
+
+        monkeypatch.setattr(lbound, "cnf_of_graph", unreachable)
+        g_file = tmp_path / "c8.gr"
+        g_file.write_text(format_dimacs_graph(cycle_graph(8)))
+        code = main(["lb-experiment", "--graph", str(g_file), "--c", "1", "--t", t])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: t must be at most 4, the most edges a cut matching of 8 vertices "
+            f"can have, got {t}\n"
+        )
+
+    def test_t_of_half_the_vertices_passes_the_early_checks(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(lbound, "cnf_of_graph", reached)
+        with pytest.raises(Reached):
+            lbound.run_lb_experiment(cycle_graph(8), 1, t=4)
+
     def test_order_minimisation_cap_is_checked_before_the_cnf_is_built(
         self, capsys, tmp_path, monkeypatch
     ):

@@ -1,10 +1,17 @@
-"""Every name a library module imports is used in that module.
+"""Imports of the library modules.
 
-A name counts as used when the module's code loads it, including inside
-annotations, whether written as expressions or as strings.
+Every name a library module imports is used in that module.  A name counts
+as used when the module's code loads it, including inside annotations,
+whether written as expressions or as strings.
+
+numpy is imported only inside the table kernels, so the commands that build
+no table never load it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +62,50 @@ def used_names(tree: ast.Module) -> set[str]:
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     assert sorted(imported_names(tree) - used_names(tree)) == []
+
+
+# A fresh interpreter runs every command that builds no numpy table, then
+# reports whether numpy is loaded, runs `pw` and reports again.
+NUMPY_CHILD = r"""
+import sys
+from widthlab import cli
+
+d, seq = sys.argv[1], ",".join(map(str, range(9)))
+
+
+def run(*argv):
+    if "--out" not in argv:
+        argv += ("--out", f"{d}/{argv[0]}.out")
+    code = cli.main(list(argv))
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+
+
+run("gen-graph", "--kind", "grid", "--rows", "3", "--cols", "3", "--out", f"{d}/g.gr")
+run("gen-cnf", "--graph", f"{d}/g.gr")
+run("mw", "--graph", f"{d}/g.gr")
+run("mw", "--graph", f"{d}/g.gr", "--order", seq)
+run("pd-from-order", "--graph", f"{d}/g.gr", "--order", seq, "--out", f"{d}/g.td")
+run("order-from-pd", "--graph", f"{d}/g.gr", "--pd", f"{d}/g.td")
+run("td-ctree", "--r", "2", "--k", "2", "--extended")
+run("check-cnsobdd", "--bp", f"{d}/and.bp", "--c", "1")
+print("numpy" in sys.modules)
+run("pw", "--graph", f"{d}/g.gr")
+print("numpy" in sys.modules)
+"""
+
+# x0 AND x1 as an OBDD: nodes 1 and 2 test x0 and x1, 3 accepts, 4 rejects.
+AND_BP = "bp 4 1 3\n1 2 1\n1 4 -1\n2 3 2\n2 4 -2\n"
+
+
+def test_only_the_table_kernels_load_numpy(tmp_path):
+    (tmp_path / "and.bp").write_text(AND_BP)
+    src = str(Path(widthlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_CHILD, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    assert proc.stdout == "False\nTrue\n"
