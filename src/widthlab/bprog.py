@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .errors import CapacityError, FormatError, InputError, int_token
+from .errors import CapacityError, FormatError, InputError, int_token, read_records
 from .graph import prefix_set_dp, sets_by_size
 from .instances import Cnf, Literal
 
@@ -245,13 +245,13 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     no numpy call runs per node.  Nodes are numbered level by level in the
     order they are first reached; the two terminals come last.
     """
-    import numpy as np
-
     m = f.num_vars
     if m > cap:
         raise CapacityError(f"OBDD build: {m} variables exceeds cap {cap}")
     if sorted(order) != list(range(m)):
         raise InputError("order is not a permutation of the CNF's variables")
+    import numpy as np
+
     order = tuple(order)
     tbl = _truth_table(f, order)
     if tbl.all():
@@ -378,11 +378,11 @@ def min_obdd_size_over_orders(f: Cnf, cap: int = DEFAULT_MIN_SIZE_CAP) -> MinObd
     adjacent levels of id tables in memory); `prefix_set_dp` with addition
     then minimises the sum over the 2^m sets.
     """
-    import numpy as np
-
     m = f.num_vars
     if m > cap:
         raise CapacityError(f"order minimization: {m} variables exceeds cap {cap}")
+    import numpy as np
+
     count = subfunction_counts(f)
     value, order = prefix_set_dp(count, np.add)
     return MinObddResult(2 + count[0] + value, order)
@@ -554,40 +554,24 @@ def format_bp(z: BranchingProgram) -> str:
 
 
 def parse_bp(text: str) -> BranchingProgram:
-    header = None
+    _, (num_nodes, root, leaf), records = read_records(text, "bp", "<nodes> <root> <leaf>")
     edges: list[Edge] = []
     seen: set[tuple[int, int, int]] = set()  # (tail, head, signed literal or 0)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "bp":
-            if header is not None:
-                raise FormatError(f"line {lineno}: duplicate header")
-            if len(parts) != 4:
-                raise FormatError(f"line {lineno}: expected 'bp <nodes> <root> <leaf>'")
-            header = tuple(int_token(p, f"line {lineno}") for p in parts[1:])
-        else:
-            if header is None:
-                raise FormatError(f"line {lineno}: edge before header")
-            if len(parts) not in (2, 3):
-                raise FormatError(f"line {lineno}: expected 'tail head [literal]'")
-            tail, head = (int_token(p, f"line {lineno}") - 1 for p in parts[:2])
-            label, signed = None, 0
-            if len(parts) == 3:
-                signed = int_token(parts[2], f"line {lineno}")
-                try:
-                    label = Literal.from_signed(signed)
-                except InputError as exc:
-                    raise FormatError(f"line {lineno}: {exc}") from exc
-            if (tail, head, signed) in seen:
-                raise FormatError(f"line {lineno}: duplicate edge '{line}'")
-            seen.add((tail, head, signed))
-            edges.append(Edge(tail, head, label))
-    if header is None:
-        raise FormatError("missing 'bp' header line")
-    num_nodes, root, leaf = header
+    for where, parts in records:
+        if len(parts) not in (2, 3):
+            raise FormatError(f"{where}: expected 'tail head [literal]'")
+        tail, head = (int_token(p, where) - 1 for p in parts[:2])
+        label, signed = None, 0
+        if len(parts) == 3:
+            signed = int_token(parts[2], where)
+            try:
+                label = Literal.from_signed(signed)
+            except InputError as exc:
+                raise FormatError(f"{where}: {exc}") from exc
+        if (tail, head, signed) in seen:
+            raise FormatError(f"{where}: duplicate edge '{' '.join(parts)}'")
+        seen.add((tail, head, signed))
+        edges.append(Edge(tail, head, label))
     z = BranchingProgram(num_nodes, tuple(edges), root - 1, leaf - 1)
     try:
         z.validate()

@@ -40,8 +40,25 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _write_result(args, payload: dict, text: str) -> None:
+    """Write the command's result to --out or stdout: `payload`, tagged with
+    the command's name, as JSON under --json, else the line `text`."""
+    if args.json:
+        _write_out(_dump_json({"command": args.command, **payload}), args.out)
+    else:
+        _write_out(text + "\n", args.out)
+
+
+def _read_input(path: str) -> str:
+    """The text of an input file, decoded as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_graph(path: str) -> graph.Graph:
-    return graph.parse_dimacs_graph(Path(path).read_text())
+    return graph.parse_dimacs_graph(_read_input(path))
 
 
 def _parse_order(spec: str, n: int) -> tuple[int, ...]:
@@ -82,30 +99,22 @@ def cmd_mw(args) -> int:
     else:
         report = width.matching_width_exact(g, cap=args.cap)
         mode = "exact"
-    if args.json:
-        _write_out(_dump_json({
-            "command": "mw",
-            "mode": mode,
-            "value": report.value,
-            "witness_ordering": list(report.witness_ordering.seq),
-            "witness_prefix": report.witness_prefix,
-        }), args.out)
-    else:
-        _write_out(f"{report.value}\n", args.out)
+    _write_result(args, {
+        "mode": mode,
+        "value": report.value,
+        "witness_ordering": list(report.witness_ordering.seq),
+        "witness_prefix": report.witness_prefix,
+    }, str(report.value))
     return EXIT_OK
 
 
 def cmd_pw(args) -> int:
     g = _load_graph(args.graph)
     report = width.pathwidth_exact(g, cap=args.cap)
-    if args.json:
-        _write_out(_dump_json({
-            "command": "pw",
-            "value": report.value,
-            "witness_ordering": list(report.witness_ordering.seq),
-        }), args.out)
-    else:
-        _write_out(f"{report.value}\n", args.out)
+    _write_result(args, {
+        "value": report.value,
+        "witness_ordering": list(report.witness_ordering.seq),
+    }, str(report.value))
     return EXIT_OK
 
 
@@ -123,21 +132,17 @@ def cmd_td_ctree(args) -> int:
 
 def cmd_order_from_pd(args) -> int:
     g = _load_graph(args.graph)
-    td, n = decomposition.parse_pace(Path(args.pd).read_text())
+    td, n = decomposition.parse_pace(_read_input(args.pd))
     if n != g.n:
         raise InputError(f"decomposition declares {n} vertices, but the graph has {g.n}")
     pd = decomposition.as_path_decomposition(td)
     ordering = decomposition.ordering_from_path_decomposition(g, pd)
     value = width.mw_of_ordering(g, ordering).value
-    if args.json:
-        _write_out(_dump_json({
-            "command": "order-from-pd",
-            "ordering": list(ordering.seq),
-            "mw_of_ordering": value,
-            "pd_width": pd.width,
-        }), args.out)
-    else:
-        _write_out(" ".join(str(v) for v in ordering.seq) + "\n", args.out)
+    _write_result(args, {
+        "ordering": list(ordering.seq),
+        "mw_of_ordering": value,
+        "pd_width": pd.width,
+    }, " ".join(str(v) for v in ordering.seq))
     return EXIT_OK
 
 
@@ -155,7 +160,7 @@ def cmd_pd_from_order(args) -> int:
 
 
 def cmd_obdd_build(args) -> int:
-    f = instances.parse_dimacs_cnf(Path(args.cnf).read_text())
+    f = instances.parse_dimacs_cnf(_read_input(args.cnf))
     order = (
         _parse_order(args.order, f.num_vars)
         if args.order is not None
@@ -176,39 +181,26 @@ def cmd_obdd_build(args) -> int:
 
 
 def cmd_obdd_min(args) -> int:
-    f = instances.parse_dimacs_cnf(Path(args.cnf).read_text())
+    f = instances.parse_dimacs_cnf(_read_input(args.cnf))
     result = bprog.min_obdd_size_over_orders(f, cap=args.cap)
-    if args.json:
-        _write_out(_dump_json({
-            "command": "obdd-min",
-            "size": result.size,
-            "order": list(result.order),
-        }), args.out)
-    else:
-        _write_out(f"{result.size} {' '.join(str(v) for v in result.order)}\n", args.out)
+    _write_result(args, {"size": result.size, "order": list(result.order)},
+                  f"{result.size} {' '.join(str(v) for v in result.order)}")
     return EXIT_OK
 
 
 def cmd_check_cnsobdd(args) -> int:
-    z = bprog.parse_bp(Path(args.bp).read_text())
+    z = bprog.parse_bp(_read_input(args.bp))
     order = (
         _parse_order(args.order, z.num_vars)
         if args.order is not None
         else tuple(sorted(z.variables))
     )
     verdict = bprog.check_c_nsobdd(z, order, args.c, path_cap=args.path_cap)
-    payload = {
-        "command": "check-cnsobdd",
+    _write_result(args, {
         "c": args.c,
         "pass": verdict.ok,
         "segments_needed": verdict.segments_needed,
-    }
-    if args.json:
-        _write_out(_dump_json(payload), args.out)
-    else:
-        _write_out(("pass" if verdict.ok else
-                    f"fail: a path needs {verdict.segments_needed} segments") + "\n",
-                   args.out)
+    }, "pass" if verdict.ok else f"fail: a path needs {verdict.segments_needed} segments")
     return EXIT_OK if verdict.ok else EXIT_FALSIFIED
 
 

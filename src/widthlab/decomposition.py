@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import FormatError, InputError, int_token
+from .errors import FormatError, InputError, int_token, read_records
 from .graph import Graph, Ordering, adjacency_masks, iter_bits
 from .instances import ct_graph, cnf_of_graph, primal_graph
 from .width import (
@@ -230,42 +230,26 @@ def parse_pace(text: str) -> tuple[TreeDecomposition, int]:
     The `s td` line's sizes are checked: the bag ids must be 1..<bags>, every
     bag vertex must lie in 1..<n>, and <width+1> must be the largest bag's
     size."""
-    header = None
+    _, (num_bags, width_plus_1, n), records = read_records(
+        text, "s td", "<bags> <width+1> <n>"
+    )
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "s":
-            if header is not None:
-                raise FormatError(f"line {lineno}: duplicate solution line")
-            if len(parts) != 5 or parts[1] != "td":
-                raise FormatError(f"line {lineno}: expected 's td <bags> <width+1> <n>'")
-            header = tuple(int_token(p, f"line {lineno}") for p in parts[2:])
-        elif parts[0] == "b":
-            if header is None:
-                raise FormatError(f"line {lineno}: bag before solution line")
+    for where, parts in records:
+        if parts[0] == "b":
             if len(parts) < 2:
-                raise FormatError(f"line {lineno}: expected 'b <bag id> <vertices>'")
-            bid = int_token(parts[1], f"line {lineno}") - 1
+                raise FormatError(f"{where}: expected 'b <bag id> <vertices>'")
+            bid = int_token(parts[1], where) - 1
             if bid in bags:
-                raise FormatError(f"line {lineno}: duplicate bag {bid + 1}")
-            bag = frozenset(int_token(p, f"line {lineno}") - 1 for p in parts[2:])
-            if bag and not (min(bag) >= 0 and max(bag) < header[2]):
-                raise FormatError(
-                    f"line {lineno}: bag {bid + 1} has a vertex outside 1..{header[2]}"
-                )
+                raise FormatError(f"{where}: duplicate bag {bid + 1}")
+            bag = frozenset(int_token(p, where) - 1 for p in parts[2:])
+            if bag and not (min(bag) >= 0 and max(bag) < n):
+                raise FormatError(f"{where}: bag {bid + 1} has a vertex outside 1..{n}")
             bags[bid] = bag
+        elif len(parts) == 2:
+            edges.append((int_token(parts[0], where) - 1, int_token(parts[1], where) - 1))
         else:
-            if header is None or len(parts) != 2:
-                raise FormatError(f"line {lineno}: unrecognized line {line!r}")
-            edges.append((int_token(parts[0], f"line {lineno}") - 1,
-                          int_token(parts[1], f"line {lineno}") - 1))
-    if header is None:
-        raise FormatError("missing 's td' solution line")
-    num_bags, width_plus_1, n = header
+            raise FormatError(f"{where}: unrecognized line {' '.join(parts)!r}")
     if len(bags) != num_bags or sorted(bags) != list(range(num_bags)):
         raise FormatError("bag ids do not cover 1..<declared bag count>")
     largest = max(map(len, bags.values()), default=0)

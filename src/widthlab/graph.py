@@ -25,7 +25,7 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import FormatError, InputError, InvariantViolationError, int_token
+from .errors import FormatError, InputError, InvariantViolationError, int_token, read_records
 
 if TYPE_CHECKING:
     import numpy as np
@@ -236,39 +236,22 @@ def format_dimacs_graph(g: Graph, comments: Iterable[str] = ()) -> str:
 
 
 def parse_dimacs_graph(text: str) -> Graph:
-    n = None
+    p_line, (n, declared), records = read_records(text, "p edge", "n m")
+    if declared < 0:
+        raise FormatError(f"{p_line}: negative edge count {declared}")
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise FormatError(f"line {lineno}: duplicate problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise FormatError(f"line {lineno}: expected 'p edge n m'")
-            n = int_token(parts[2], f"line {lineno}")
-            declared, p_line = int_token(parts[3], f"line {lineno}"), lineno
-            if declared < 0:
-                raise FormatError(f"line {lineno}: negative edge count {declared}")
-        elif parts[0] == "e":
-            if n is None:
-                raise FormatError(f"line {lineno}: edge before problem line")
-            if len(parts) != 3:
-                raise FormatError(f"line {lineno}: expected 'e u v'")
-            edges.append((int_token(parts[1], f"line {lineno}") - 1,
-                          int_token(parts[2], f"line {lineno}") - 1))
-        else:
-            raise FormatError(f"line {lineno}: unrecognized line {line!r}")
-    if n is None:
-        raise FormatError("missing 'p edge' problem line")
+    for where, parts in records:
+        if parts[0] != "e":
+            raise FormatError(f"{where}: unrecognized line {' '.join(parts)!r}")
+        if len(parts) != 3:
+            raise FormatError(f"{where}: expected 'e u v'")
+        edges.append((int_token(parts[1], where) - 1, int_token(parts[2], where) - 1))
     try:
         g = Graph.make(n, edges)
     except InputError as exc:
         raise FormatError(str(exc)) from exc
     if len(edges) != declared:
-        raise FormatError(f"line {p_line}: declares {declared} edges, found {len(edges)}")
+        raise FormatError(f"{p_line}: declares {declared} edges, found {len(edges)}")
     return g
 
 

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FormatError, InputError, int_token
+from .errors import FormatError, InputError, int_token, read_records
 from .graph import Graph
 
 # --- literals and CNFs ---
@@ -225,42 +225,26 @@ def format_dimacs_cnf(f: Cnf, names: Sequence[str] = ()) -> str:
 
 
 def parse_dimacs_cnf(text: str) -> Cnf:
-    num_vars = None
+    p_line, (num_vars, declared), records = read_records(text, "p cnf", "vars clauses")
+    if num_vars < 0:
+        raise FormatError(f"{p_line}: negative variable count {num_vars}")
+    if declared < 0:
+        raise FormatError(f"{p_line}: negative clause count {declared}")
     clauses: list[tuple[Literal, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if num_vars is not None:
-                raise FormatError(f"line {lineno}: duplicate problem line")
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise FormatError(f"line {lineno}: expected 'p cnf vars clauses'")
-            num_vars = int_token(parts[2], f"line {lineno}")
-            if num_vars < 0:
-                raise FormatError(f"line {lineno}: negative variable count {num_vars}")
-            declared, p_line = int_token(parts[3], f"line {lineno}"), lineno
-            if declared < 0:
-                raise FormatError(f"line {lineno}: negative clause count {declared}")
-        else:
-            if num_vars is None:
-                raise FormatError(f"line {lineno}: clause before problem line")
-            ints = [int_token(p, f"line {lineno}") for p in parts]
-            if ints[-1] != 0:
-                raise FormatError(f"line {lineno}: clause must end with 0")
-            signed = ints[:-1]
-            present = set(signed)
-            for s in signed:
-                if s == 0:
-                    raise FormatError(f"line {lineno}: 0 before the end of the clause")
-                if abs(s) > num_vars:
-                    raise FormatError(f"line {lineno}: variable {abs(s)} outside 1..{num_vars}")
-                if -s in present:
-                    raise FormatError(f"line {lineno}: clause holds both {s} and {-s}")
-            clauses.append(tuple(Literal.from_signed(s) for s in signed))
-    if num_vars is None:
-        raise FormatError("missing 'p cnf' problem line")
+    for where, parts in records:
+        ints = [int_token(p, where) for p in parts]
+        if ints[-1] != 0:
+            raise FormatError(f"{where}: clause must end with 0")
+        signed = ints[:-1]
+        present = set(signed)
+        for s in signed:
+            if s == 0:
+                raise FormatError(f"{where}: 0 before the end of the clause")
+            if abs(s) > num_vars:
+                raise FormatError(f"{where}: variable {abs(s)} outside 1..{num_vars}")
+            if -s in present:
+                raise FormatError(f"{where}: clause holds both {s} and {-s}")
+        clauses.append(tuple(Literal.from_signed(s) for s in signed))
     if len(clauses) != declared:
-        raise FormatError(f"line {p_line}: declares {declared} clauses, found {len(clauses)}")
+        raise FormatError(f"{p_line}: declares {declared} clauses, found {len(clauses)}")
     return Cnf.make(num_vars, clauses)

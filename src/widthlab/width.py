@@ -290,11 +290,11 @@ def pathwidth_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:
     costs feeds `prefix_set_dp`, whose witness is the lexicographically
     smallest optimal ordering; the witness prefix is its first prefix whose
     cost attains the value."""
-    import numpy as np
-
     n = g.n
     if n > cap:
         raise CapacityError(f"pathwidth: n={n} exceeds subset DP cap {cap}")
+    import numpy as np
+
     cost = _separation_costs(adjacency_masks(g))
     value, seq = prefix_set_dp(cost, np.maximum)
     prefix = None

@@ -434,6 +434,34 @@ class TestMalformedIntegers:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestUndecodableInput:
+    """Every input file is read as UTF-8; a byte that does not decode is a
+    usage error naming the file, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, data",
+        [
+            (["mw", "--graph", "{in}"], b"p edge 2 1\ne 1 \xff\n"),
+            (["order-from-pd", "--graph", "{p10}", "--pd", "{in}"],
+             b"s td 1 1 10\nb 1 \xff\n"),
+            (["obdd-build", "--cnf", "{in}"], b"p cnf 1 1\n\xff 0\n"),
+            (["obdd-min", "--cnf", "{in}"], b"p cnf 1 1\n\xff 0\n"),
+            (["check-cnsobdd", "--bp", "{in}", "--c", "1"], b"bp 2 1 2\n1 \xff\n"),
+        ],
+        ids=["mw-graph", "order-from-pd-pd", "obdd-build-cnf", "obdd-min-cnf",
+             "check-cnsobdd-bp"],
+    )
+    def test_usage_error_with_one_line(self, capsys, tmp_path, p10_file, argv, data):
+        in_file = tmp_path / "input"
+        in_file.write_bytes(data)
+        code = main([a.format(**{"in": str(in_file), "p10": p10_file}) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {in_file}: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestOrderFlag:
     """Every command with --order reads it as one permutation format and
     reports each fault with the same line."""

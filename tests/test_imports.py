@@ -64,8 +64,10 @@ def test_every_import_is_used(path):
     assert sorted(imported_names(tree) - used_names(tree)) == []
 
 
-# A fresh interpreter runs every command that builds no numpy table, then
-# reports whether numpy is loaded, runs `pw` and reports again.
+# A fresh interpreter runs every command that builds no numpy table, and
+# `pw`, `obdd-build` and `obdd-min` on inputs above their caps, which they
+# must reject before loading numpy; then it reports whether numpy is loaded,
+# runs `pw` and reports again.
 NUMPY_CHILD = r"""
 import sys
 from widthlab import cli
@@ -73,11 +75,11 @@ from widthlab import cli
 d, seq = sys.argv[1], ",".join(map(str, range(9)))
 
 
-def run(*argv):
+def run(*argv, expect=0):
     if "--out" not in argv:
         argv += ("--out", f"{d}/{argv[0]}.out")
     code = cli.main(list(argv))
-    if code != 0:
+    if code != expect:
         sys.exit(f"{argv[0]} exited {code}")
 
 
@@ -89,6 +91,9 @@ run("pd-from-order", "--graph", f"{d}/g.gr", "--order", seq, "--out", f"{d}/g.td
 run("order-from-pd", "--graph", f"{d}/g.gr", "--pd", f"{d}/g.td")
 run("td-ctree", "--r", "2", "--k", "2", "--extended")
 run("check-cnsobdd", "--bp", f"{d}/and.bp", "--c", "1")
+run("pw", "--graph", f"{d}/big.gr", expect=2)
+run("obdd-build", "--cnf", f"{d}/big.cnf", expect=2)
+run("obdd-min", "--cnf", f"{d}/big.cnf", expect=2)
 print("numpy" in sys.modules)
 run("pw", "--graph", f"{d}/g.gr")
 print("numpy" in sys.modules)
@@ -100,12 +105,18 @@ AND_BP = "bp 4 1 3\n1 2 1\n1 4 -1\n2 3 2\n2 4 -2\n"
 
 def test_only_the_table_kernels_load_numpy(tmp_path):
     (tmp_path / "and.bp").write_text(AND_BP)
+    (tmp_path / "big.gr").write_text("p edge 21 0\n")  # pw's cap is 20 vertices
+    (tmp_path / "big.cnf").write_text("p cnf 25 0\n")  # caps: build 24, min 16
     src = str(Path(widthlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_CHILD, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.stderr == ""
+    assert proc.stderr == (
+        "error: pathwidth: n=21 exceeds subset DP cap 20\n"
+        "error: OBDD build: 25 variables exceeds cap 24\n"
+        "error: order minimization: 25 variables exceeds cap 16\n"
+    )
     assert proc.returncode == 0
     assert proc.stdout == "False\nTrue\n"
