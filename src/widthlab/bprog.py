@@ -375,16 +375,14 @@ def min_obdd_size_over_orders(f: Cnf, cap: int = DEFAULT_MIN_SIZE_CAP) -> MinObd
     placed before it, so an order's size is the two terminals plus the sum
     of its prefix sets' node counts.  Those counts all come first, from one
     Friedman–Supowit compaction (`subfunction_counts`, O(m·3^m) time, two
-    adjacent levels of id tables in memory); `prefix_set_dp` with addition
-    then minimises the sum over the 2^m sets.
+    adjacent levels of id tables in memory); `prefix_set_dp` then
+    minimises the sum over the 2^m sets.
     """
     m = f.num_vars
     if m > cap:
         raise CapacityError(f"order minimization: {m} variables exceeds cap {cap}")
-    import numpy as np
-
     count = subfunction_counts(f)
-    value, order = prefix_set_dp(count, np.add)
+    value, order = prefix_set_dp(count)
     return MinObddResult(2 + count[0] + value, order)
 
 

@@ -50,9 +50,9 @@ def _write_result(args, payload: dict, text: str) -> None:
 
 
 def _read_input(path: str) -> str:
-    """The text of an input file, decoded as UTF-8."""
+    """The text of an input file, decoded as UTF-8 after any byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 

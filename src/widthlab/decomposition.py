@@ -12,7 +12,7 @@ from .graph import Graph, Ordering, adjacency_masks, iter_bits
 from .instances import ct_graph, cnf_of_graph, primal_graph
 from .width import (
     DEFAULT_SUBSET_DP_CAP,
-    _separation_boundary,
+    _boundary,
     pathwidth_exact,
     settled_vertex_covers,
 )
@@ -200,11 +200,11 @@ def optimal_path_decomposition(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> Pa
     separation layout: bag i holds the i-th vertex plus the earlier
     vertices that still have a neighbor outside the first i-1."""
     report = pathwidth_exact(g, cap=cap)
-    adj = adjacency_masks(g)
+    boundary = _boundary(adjacency_masks(g))
     bags = []
     prefix = 0
     for v in report.witness_ordering.seq:
-        bags.append(frozenset(iter_bits(_separation_boundary(adj, prefix) | 1 << v)))
+        bags.append(frozenset(iter_bits(boundary(prefix) | 1 << v)))
         prefix |= 1 << v
     return PathDecomposition(tuple(bags))
 

@@ -11,9 +11,9 @@ as each vertex crosses the cut, `matching_width_exact` sizes each cut it
 reaches from scratch with `_CutMatching.size_of`, and pathwidth uses no
 matching at all.
 
-`prefix_set_dp` minimises a fold (max or +, given as a numpy ufunc) of
-prefix-set costs over all orderings.  Its table is filled one popcount level
-at a time, from the largest sets down, each level by one vectorised pass per
+`prefix_set_dp` minimises the sum of prefix-set costs over all orderings,
+for the minimum OBDD size.  Its table is filled one popcount level at a
+time, from the largest sets down, each level by one vectorised pass per
 item; only the witness walk is a Python loop, and it returns Python ints.
 It and `sets_by_size` import numpy when called, so the rest of the package
 runs without loading it.
@@ -275,19 +275,17 @@ def sets_by_size(n: int) -> tuple[np.ndarray, np.ndarray]:
     return sets, np.searchsorted(size[sets], np.arange(n + 2))
 
 
-def prefix_set_dp(cost: Sequence[int], combine: np.ufunc) -> tuple[int, tuple[int, ...]]:
-    """Min over orderings of n items of their prefix sets' costs folded by the
-    ufunc combine (np.maximum or np.add), and the lexicographically smallest
-    optimal ordering.
+def prefix_set_dp(cost: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Min over orderings of n items of the sum of their prefix sets' costs,
+    and the lexicographically smallest optimal ordering.
 
     cost[s] is the cost of prefix set s (bit v set iff item v is in it), with
     len(cost) == 2^n and cost[2^n - 1] == 0.  h[s] = min over v outside s of
-    combine(cost[s|v], h[s|v]) (Bodlaender, Fomin, Koster, Kratsch & Thilikos,
-    ToCS 2012).  Every s|v has one more item than s, so h is filled one
-    popcount level at a time, from n-1 down to 0, each level by n vectorised
-    passes (one per item v).  The witness adds, from the empty set, the
-    smallest v that still completes, with the cost acc spent so far, to the
-    optimum h[0].
+    cost[s|v] + h[s|v] (Bodlaender, Fomin, Koster, Kratsch & Thilikos, ToCS
+    2012).  Every s|v has one more item than s, so h is filled one popcount
+    level at a time, from n-1 down to 0, each level by n vectorised passes
+    (one per item v).  The witness adds, from the empty set, the smallest v
+    whose set t attains h[s] = cost[t] + h[t].
     """
     import numpy as np
 
@@ -302,17 +300,15 @@ def prefix_set_dp(cost: Sequence[int], combine: np.ufunc) -> tuple[int, tuple[in
         for v in range(n):
             outside = (sets >> v & 1) == 0
             t = sets[outside] | 1 << v
-            best[outside] = np.minimum(best[outside], combine(cost[t], h[t]))
+            best[outside] = np.minimum(best[outside], cost[t] + h[t])
         h[sets] = best
-    value = int(h[0])
     order: list[int] = []
-    s = acc = 0
+    s = 0
     while s != full:
         for v in iter_bits(full ^ s):
             t = s | (1 << v)
-            if combine(acc, combine(cost[t], h[t])) <= value:
+            if cost[t] + h[t] == h[s]:
                 order.append(v)
-                acc = combine(acc, cost[t])
                 s = t
                 break
-    return value, tuple(order)
+    return int(h[0]), tuple(order)

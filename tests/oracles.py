@@ -1,8 +1,9 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here is deliberately naive: enumeration over edge subsets,
-vertex subsets, whole permutations or all root-leaf edge sequences, and
-OBDD levels keyed by whole truth-table rows.  None of it shares code with
+vertex subsets, whole permutations or all root-leaf edge sequences, a
+minimax table DP over all 2^n prefix-set costs, and OBDD levels keyed by
+whole truth-table rows.  None of it shares code with
 the library beyond the Graph and BranchingProgram containers,
 Cnf.evaluate and the edge order Edge.sort_key, except `matching_costs`: it
 fills the table of all cut sizes by walking `width._CutMatching.move` along
@@ -78,6 +79,15 @@ def matching_costs(g: Graph) -> list[int]:
         mask ^= 1 << v
         cost[mask] = cost[full ^ mask] = cut.move(v)
     return cost
+
+
+def separation_costs(g: Graph) -> list[int]:
+    """Number of vertices of s with a neighbour outside s, for all 2^n masks
+    s, by a scan over s's vertices."""
+    nbrs = [sum(1 << w for w in neighbours(g, v)) for v in range(g.n)]
+    return [
+        sum(1 for v in range(g.n) if s >> v & 1 and nbrs[v] & ~s) for s in range(1 << g.n)
+    ]
 
 
 def brute_matching_width(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -156,6 +166,36 @@ def brute_prefix_set_dp(cost, combine) -> tuple[int, tuple[int, ...]]:
         if best is None or total < best[0]:
             best = (total, perm)
     return best
+
+
+def table_minimax(cost) -> tuple[int, tuple[int, ...]]:
+    """min over orderings of the max cost over their prefix sets, by the table
+    DP over all 2^n sets (Bodlaender, Fomin, Koster, Kratsch & Thilikos, ToCS
+    2012), with the lexicographically smallest optimal ordering; len(cost) ==
+    2^n and cost[2^n - 1] == 0.
+
+    h[s] = min over v outside s of max(cost[s|v], h[s|v]), filled for s
+    descending, as s|v > s.  The witness adds, from the empty set, the
+    smallest v whose set t keeps max(acc, cost[t], h[t]) at the optimum.
+    """
+    full = len(cost) - 1
+    n = full.bit_length()
+    h = [0] * (full + 1)
+    for s in range(full - 1, -1, -1):
+        h[s] = min(
+            max(cost[s | 1 << v], h[s | 1 << v]) for v in range(n) if not s >> v & 1
+        )
+    order: list[int] = []
+    s = acc = 0
+    while s != full:
+        v = next(
+            v for v in range(n)
+            if not s >> v & 1 and max(acc, cost[s | 1 << v], h[s | 1 << v]) <= h[0]
+        )
+        order.append(v)
+        s |= 1 << v
+        acc = max(acc, cost[s])
+    return h[0], tuple(order)
 
 
 def brute_min_segments(positions) -> int:

@@ -462,6 +462,35 @@ class TestUndecodableInput:
         assert captured.err.count("\n") == 1
 
 
+class TestByteOrderMark:
+    """An input file may start with a UTF-8 byte-order mark; the file then
+    reads as it does without one."""
+
+    @pytest.mark.parametrize(
+        "argv, data",
+        [
+            (["mw", "--graph", "{in}"], b"p edge 2 1\ne 1 2\n"),
+            (["order-from-pd", "--graph", "{p10}", "--pd", "{in}"],
+             b"s td 1 10 10\nb 1 1 2 3 4 5 6 7 8 9 10\n"),
+            (["obdd-build", "--cnf", "{in}"], b"p cnf 1 1\n1 0\n"),
+            (["obdd-min", "--cnf", "{in}"], b"p cnf 1 1\n1 0\n"),
+            (["check-cnsobdd", "--bp", "{in}", "--c", "1"], b"bp 2 1 2\n1 2 1\n"),
+        ],
+        ids=["mw-graph", "order-from-pd-pd", "obdd-build-cnf", "obdd-min-cnf",
+             "check-cnsobdd-bp"],
+    )
+    def test_reads_as_without_it(self, capsys, tmp_path, p10_file, argv, data):
+        outs = []
+        for name, raw in [("plain", data), ("bom", b"\xef\xbb\xbf" + data)]:
+            in_file = tmp_path / name
+            in_file.write_bytes(raw)
+            code = main([a.format(**{"in": str(in_file), "p10": p10_file}) for a in argv])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            outs.append(captured.out)
+        assert outs[0] == outs[1]
+
+
 class TestOrderFlag:
     """Every command with --order reads it as one permutation format and
     reports each fault with the same line."""

@@ -64,10 +64,10 @@ def test_every_import_is_used(path):
     assert sorted(imported_names(tree) - used_names(tree)) == []
 
 
-# A fresh interpreter runs every command that builds no numpy table, and
-# `pw`, `obdd-build` and `obdd-min` on inputs above their caps, which they
-# must reject before loading numpy; then it reports whether numpy is loaded,
-# runs `pw` and reports again.
+# A fresh interpreter runs every command that builds no numpy table, `pw`
+# among them, and `obdd-build` and `obdd-min` on inputs above their caps,
+# which they must reject before loading numpy; then it reports whether numpy
+# is loaded, runs `obdd-min` on a small CNF and reports again.
 NUMPY_CHILD = r"""
 import sys
 from widthlab import cli
@@ -87,6 +87,7 @@ run("gen-graph", "--kind", "grid", "--rows", "3", "--cols", "3", "--out", f"{d}/
 run("gen-cnf", "--graph", f"{d}/g.gr")
 run("mw", "--graph", f"{d}/g.gr")
 run("mw", "--graph", f"{d}/g.gr", "--order", seq)
+run("pw", "--graph", f"{d}/g.gr")
 run("pd-from-order", "--graph", f"{d}/g.gr", "--order", seq, "--out", f"{d}/g.td")
 run("order-from-pd", "--graph", f"{d}/g.gr", "--pd", f"{d}/g.td")
 run("td-ctree", "--r", "2", "--k", "2", "--extended")
@@ -95,7 +96,7 @@ run("pw", "--graph", f"{d}/big.gr", expect=2)
 run("obdd-build", "--cnf", f"{d}/big.cnf", expect=2)
 run("obdd-min", "--cnf", f"{d}/big.cnf", expect=2)
 print("numpy" in sys.modules)
-run("pw", "--graph", f"{d}/g.gr")
+run("obdd-min", "--cnf", f"{d}/and.cnf")
 print("numpy" in sys.modules)
 """
 
@@ -105,6 +106,7 @@ AND_BP = "bp 4 1 3\n1 2 1\n1 4 -1\n2 3 2\n2 4 -2\n"
 
 def test_only_the_table_kernels_load_numpy(tmp_path):
     (tmp_path / "and.bp").write_text(AND_BP)
+    (tmp_path / "and.cnf").write_text("p cnf 2 2\n1 0\n2 0\n")
     (tmp_path / "big.gr").write_text("p edge 21 0\n")  # pw's cap is 20 vertices
     (tmp_path / "big.cnf").write_text("p cnf 25 0\n")  # caps: build 24, min 16
     src = str(Path(widthlab.__file__).resolve().parents[1])

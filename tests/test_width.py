@@ -1,6 +1,5 @@
 from itertools import permutations
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,11 +11,11 @@ from widthlab.graph import (
     cut_graph,
     iter_bits,
     max_bipartite_matching,
-    prefix_set_dp,
 )
 from widthlab.instances import ct_graph, cycle_graph, grid_graph, path_graph, random_graph
 from widthlab.width import (
     _CutMatching,
+    _boundary,
     matching_width_exact,
     min_vc_containing,
     mw_of_ordering,
@@ -30,6 +29,9 @@ from oracles import (
     brute_pathwidth,
     crossing_edges,
     matching_costs,
+    neighbours,
+    separation_costs,
+    table_minimax,
 )
 
 
@@ -65,19 +67,39 @@ def brute_cut_sizes(g):
     return sizes
 
 
-def table_dp_report(g):
-    """matching_width_exact's report, recomputed by the table DP over the
-    Gray-walk cut sizes: the value, the lexicographically smallest optimal
-    ordering, and its first prefix whose cut attains the value."""
-    cost = matching_costs(g)
-    value, seq = prefix_set_dp(cost, np.maximum)
+def table_dp_report(cost):
+    """An exact width's report, recomputed by the table DP over every prefix
+    set's cost: the value, the lexicographically smallest optimal ordering,
+    and its first prefix whose set attains the value."""
+    value, seq = table_minimax(cost)
     mask, prefix = 0, None
-    for i, v in enumerate(seq[: g.n - 1], 1):
+    for i, v in enumerate(seq[:-1], 1):
         mask |= 1 << v
         if cost[mask] == value:
             prefix = i
             break
     return value, seq, prefix
+
+
+def report_tuple(report):
+    return report.value, report.witness_ordering.seq, report.witness_prefix
+
+
+LARGER_GRAPHS = pytest.mark.parametrize(
+    "g",
+    [
+        random_graph(14, 0.2, 0),
+        random_graph(14, 0.5, 0),
+        grid_graph(2, 7),
+        cycle_graph(14),
+        random_graph(13, 0.3, 0),
+        ct_graph(3, 1),
+        ct_graph(2, 2),
+        grid_graph(4, 4),
+    ],
+    ids=["random14_p0.2", "random14_p0.5", "grid2x7", "cycle14", "random13_p0.3",
+         "ct_3_1", "ct_2_2", "grid4x4"],
+)
 
 
 class TestCutMatchingCosts:
@@ -168,29 +190,11 @@ class TestMatchingWidthExact:
     @example(Graph.make(0, []))
     @example(Graph.make(1, []))
     def test_matches_table_dp(self, g):
-        report = matching_width_exact(g)
-        got = (report.value, report.witness_ordering.seq, report.witness_prefix)
-        assert got == table_dp_report(g)
+        assert report_tuple(matching_width_exact(g)) == table_dp_report(matching_costs(g))
 
-    @pytest.mark.parametrize(
-        "g",
-        [
-            random_graph(14, 0.2, 0),
-            random_graph(14, 0.5, 0),
-            grid_graph(2, 7),
-            cycle_graph(14),
-            random_graph(13, 0.3, 0),
-            ct_graph(3, 1),
-            ct_graph(2, 2),
-            grid_graph(4, 4),
-        ],
-        ids=["random14_p0.2", "random14_p0.5", "grid2x7", "cycle14", "random13_p0.3",
-             "ct_3_1", "ct_2_2", "grid4x4"],
-    )
+    @LARGER_GRAPHS
     def test_matches_table_dp_on_larger_graphs(self, g):
-        report = matching_width_exact(g)
-        got = (report.value, report.witness_ordering.seq, report.witness_prefix)
-        assert got == table_dp_report(g)
+        assert report_tuple(matching_width_exact(g)) == table_dp_report(matching_costs(g))
 
 
 class TestPathwidthExact:
@@ -214,6 +218,27 @@ class TestPathwidthExact:
     def test_matches_permutation_enumeration(self, g):
         report = pathwidth_exact(g)
         assert (report.value, report.witness_ordering.seq) == brute_pathwidth(g)
+
+    @settings(deadline=None, max_examples=60)
+    @given(graphs(max_n=10))
+    @example(Graph.make(0, []))
+    @example(Graph.make(1, []))
+    def test_matches_table_dp(self, g):
+        assert report_tuple(pathwidth_exact(g)) == table_dp_report(separation_costs(g))
+
+    @LARGER_GRAPHS
+    def test_matches_table_dp_on_larger_graphs(self, g):
+        assert report_tuple(pathwidth_exact(g)) == table_dp_report(separation_costs(g))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_boundary_equals_per_vertex_scan(n):
+    g = random_graph(n, 0.4, n)
+    boundary = _boundary(adjacency_masks(g))
+    for s in range(1 << n):
+        scan = sum(1 << v for v in range(n)
+                   if s >> v & 1 and any(not s >> w & 1 for w in neighbours(g, v)))
+        assert boundary(s) == scan
 
 
 class TestSandwich:
