@@ -40,7 +40,6 @@ from .instances import (
 )
 from .bprog import (
     BranchingProgram,
-    ComputationalPath,
     build_obdd,
     check_c_nsobdd,
     enumerate_computational_paths,

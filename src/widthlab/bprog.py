@@ -6,8 +6,9 @@ carry a literal, and a program stores them sorted by `Edge.sort_key`, so
 programs with the same edges are equal and walks and `format_bp` follow
 that order.  An assignment is accepted when some consistent
 root-leaf path's literal set is contained in it.  A computational path is
-its edge tuple alone: it reads no variable with both signs, so its literal
-set is the set of its edge labels.  OBDDs are built from
+a tuple of edges: it reads no variable with both signs, so its literal
+set is the set of its edge labels.  Path enumeration seeded with an
+assignment walks only the paths that accept it.  OBDDs are built from
 the truth table (one strided write per clause) level by level over a
 variable order, one node per distinct residual row (a row packed into one
 int), numbered when first reached; constant residuals go to two shared
@@ -141,24 +142,6 @@ class BranchingProgram:
         if leaf_out:
             raise InputError("leaf has outgoing edges")
         self.topological_order  # raises on a cycle
-
-
-@dataclass(frozen=True)
-class ComputationalPath:
-    """A consistent root-leaf path, given by its edges alone; it reads no
-    variable with both signs, so its literal set is its edges' labels."""
-
-    edges: tuple[Edge, ...]
-
-    @functools.cached_property
-    def literals(self) -> frozenset[Literal]:
-        """The labels of the path's edges; built on first use."""
-        return frozenset(e.label for e in self.edges if e.label is not None)
-
-    def nodes(self, root: int) -> tuple[int, ...]:
-        seq = [root]
-        seq.extend(e.head for e in self.edges)
-        return tuple(seq)
 
 
 def evaluate(z: BranchingProgram, assignment: Sequence[bool]) -> bool:
@@ -390,24 +373,33 @@ def min_obdd_size_over_orders(f: Cnf, cap: int = DEFAULT_MIN_SIZE_CAP) -> MinObd
 
 
 def enumerate_computational_paths(
-    z: BranchingProgram, cap: int = DEFAULT_PATH_CAP
-) -> Iterator[ComputationalPath]:
-    """All consistent root-leaf paths, in lexicographic edge-sequence order.
+    z: BranchingProgram,
+    cap: int = DEFAULT_PATH_CAP,
+    assignment: Sequence[bool] | None = None,
+) -> Iterator[tuple[Edge, ...]]:
+    """All consistent root-leaf paths, each as its edge tuple, in
+    lexicographic edge-sequence order.
+
+    Given an assignment (entry v the value of variable v, covering
+    z.num_vars as for `evaluate`), only the paths whose labels agree with
+    it: those that accept it, in the same order.
 
     The first step reads `z.topological_order`, so a cyclic program raises
     InputError instead of being walked forever.  Depth-first with an
     explicit stack of out-edge iterators, one per node on the current path,
     so path length is not bounded by recursion depth.  One var -> sign dict
-    holds the signs the path has read; each path edge records the variable
-    it added (None if it added none), so popping the edge deletes exactly
-    that entry.
+    holds the signs the path has read, seeded with the assignment; each
+    path edge records the variable it added (None if it added none), so
+    popping the edge deletes exactly that entry.
     """
     z.topological_order  # raises on a cycle
+    if assignment is not None and len(assignment) < z.num_vars:
+        raise InputError(f"assignment does not cover variable {z.num_vars - 1}")
     out = z.out_edges
     count = 0
     path: list[Edge] = []
     added: list[int | None] = []  # added[i]: the variable path[i] put in signs
-    signs: dict[int, bool] = {}
+    signs: dict[int, bool] = {} if assignment is None else dict(enumerate(assignment))
     # stack[i] iterates the out-edges of the node that path[:i] reaches.
     stack: list[Iterator[Edge]] = []
     reached: int | None = z.root  # the node the last step reached, if any
@@ -416,7 +408,7 @@ def enumerate_computational_paths(
             count += 1
             if count > cap:
                 raise CapacityError(f"more than {cap} computational paths")
-            yield ComputationalPath(tuple(path))
+            yield tuple(path)
             stack.append(iter(()))  # the walk stops at the leaf
         elif reached is not None:
             stack.append(iter(out[reached]))
@@ -497,7 +489,7 @@ def _max_segments(z: BranchingProgram, pos: Mapping[int, int]) -> int:
 @dataclass(frozen=True)
 class SegmentationVerdict:
     ok: bool
-    violating_path: ComputationalPath | None = None
+    violating_path: tuple[Edge, ...] | None = None
     segments_needed: int | None = None
 
 
@@ -528,7 +520,7 @@ def check_c_nsobdd(
     if _max_segments(z, pos) <= c:
         return SegmentationVerdict(True)
     for p in enumerate_computational_paths(z, cap=path_cap):
-        positions = [pos[e.label.var] for e in p.edges if e.label is not None]
+        positions = [pos[e.label.var] for e in p if e.label is not None]
         k = min_segments(positions)
         if k > c:
             return SegmentationVerdict(False, p, k)

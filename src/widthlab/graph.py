@@ -65,7 +65,9 @@ class Graph:
         return sorted(self.edges)
 
 
-@functools.lru_cache(maxsize=None)
+# Every CLI command works on one graph, so a few entries serve it; a bound
+# keeps a long-lived process that sees many graphs from holding them all.
+@functools.lru_cache(maxsize=8)
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
     """Per-vertex neighbor bitmasks (bit v set iff v adjacent)."""
     adj = [0] * g.n

@@ -106,7 +106,9 @@ def vertex_variable(g: Graph, u: int) -> int:
     return u
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded for the same reason as `graph.adjacency_masks`: a CLI command
+# works on one graph, and a long-lived process must not keep every graph.
+@functools.lru_cache(maxsize=8)
 def _edge_index(g: Graph) -> dict[tuple[int, int], int]:
     """Position of each edge in lexicographic endpoint order."""
     return {e: i for i, e in enumerate(g.sorted_edges())}

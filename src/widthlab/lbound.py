@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .bprog import (
     BranchingProgram,
-    ComputationalPath,
+    Edge,
     build_obdd,
     enumerate_computational_paths,
     min_obdd_size_over_orders,
@@ -81,14 +81,15 @@ def assignment_family(f: Cnf, w: WitnessCut) -> tuple[tuple[bool, ...], ...]:
 
 
 def separation_vector(
-    p: ComputationalPath,
+    path: tuple[Edge, ...],
     root: int,
     sv_star: Sequence[int],
     svp_vars: frozenset[int],
     c: int,
     suffix_vars: frozenset[int],
 ) -> tuple[int, ...]:
-    """The (2c-1)-tuple of segment-boundary nodes of a computational path.
+    """The (2c-1)-tuple of segment-boundary nodes of a computational path,
+    given by its edges from the root.
 
     The path is split greedily into order-respecting segments: a new one
     starts at each labelled edge whose variable does not follow the
@@ -108,7 +109,7 @@ def separation_vector(
     # [first edge, last prefix-side edge or None, reads a suffix-side variable]
     segments: list[list] = [[0, None, False]]
     last = None
-    for j, e in enumerate(p.edges):
+    for j, e in enumerate(path):
         if e.label is None:
             continue
         v = e.label.var
@@ -123,12 +124,12 @@ def separation_vector(
             segments[-1][2] = True
     if len(segments) > c:
         raise InputError(f"path needs {len(segments)} segments, budget is {c}")
-    segments += [[len(p.edges), None, False]] * (c - len(segments))
+    segments += [[len(path), None, False]] * (c - len(segments))
 
-    nodes = p.nodes(root)
+    nodes = [root, *(e.head for e in path)]
     vector: list[int] = []
     for i, (a, prefix_edge, has_suffix) in enumerate(segments):
-        b = segments[i + 1][0] if i + 1 < c else len(p.edges)
+        b = segments[i + 1][0] if i + 1 < c else len(path)
         if prefix_edge is not None and has_suffix:
             vector.append(nodes[prefix_edge + 1])
         elif has_suffix:
@@ -160,22 +161,17 @@ def check_distinctness(
     prefix-side svp_vars and suffix-side suffix_vars); reports any vector
     collision.
 
-    Paths are enumerated once, in that order, until every member has one,
-    at most DEFAULT_PATH_CAP of them.  A missing accepting path means the
-    program rejects a required satisfying assignment and is an error, not a
-    falsification.
+    A member's path is the first one the path enumeration yields when
+    seeded with that member, so the walk follows only edges that agree
+    with it.  A missing accepting path means the program rejects a
+    required satisfying assignment and is an error, not a falsification.
     """
-    chosen: dict[int, ComputationalPath] = {}
-    paths = enumerate_computational_paths(z)
-    while len(chosen) < len(family) and (p := next(paths, None)) is not None:
-        for idx, s in enumerate(family):
-            if idx not in chosen and all(s[l.var] == l.positive for l in p.literals):
-                chosen[idx] = p
     vectors: list[tuple[int, ...]] = []
-    for idx in range(len(family)):
-        if idx not in chosen:
+    for idx, s in enumerate(family):
+        path = next(enumerate_computational_paths(z, assignment=s), None)
+        if path is None:
             raise ProgramIncorrectError(f"no accepting path for family member {idx}")
-        vectors.append(separation_vector(chosen[idx], z.root, sv_star, svp_vars, c, suffix_vars))
+        vectors.append(separation_vector(path, z.root, sv_star, svp_vars, c, suffix_vars))
     collisions = tuple(
         (i, j)
         for i in range(len(vectors))

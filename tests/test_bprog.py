@@ -2,7 +2,7 @@ import itertools
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from widthlab.errors import CapacityError, FormatError, InputError
 from widthlab.instances import Cnf, Literal, cnf_of_graph, path_graph
@@ -77,6 +77,20 @@ def dag_programs(draw, max_nodes=7, max_vars=3):
     edges = list(dict.fromkeys(edges))
     leaf = draw(st.integers(min_value=0, max_value=n - 1))
     return BranchingProgram(n, tuple(edges), 0, leaf)
+
+
+@st.composite
+def programs_with_assignments(draw):
+    """A `dag_programs` program and a full assignment of its variables,
+    sometimes one entry longer than it needs."""
+    z = draw(dag_programs())
+    s = draw(st.lists(st.booleans(), min_size=z.num_vars, max_size=z.num_vars + 1))
+    return z, tuple(s)
+
+
+def labels(path):
+    """The literal set of a computational path: its edges' labels."""
+    return frozenset(e.label for e in path if e.label is not None)
 
 
 def cyclic_program():
@@ -205,7 +219,7 @@ class TestBuildObdd:
         z = build_obdd(f, order)
         pos = {v: i for i, v in enumerate(order)}
         for p in enumerate_computational_paths(z):
-            positions = [pos[e.label.var] for e in p.edges if e.label is not None]
+            positions = [pos[e.label.var] for e in p if e.label is not None]
             assert positions == sorted(positions)
             assert len(set(positions)) == len(positions)
 
@@ -375,9 +389,9 @@ class TestPathEnumeration:
             2,
         )
         paths = list(enumerate_computational_paths(z))
-        assert [tuple(e.head for e in p.edges) for p in paths] == [(1, 2), (2,)]
-        assert paths[0].literals == frozenset({Literal(1, False), Literal(2)})
-        assert paths[0].nodes(z.root) == (0, 1, 2)
+        assert [tuple(e.head for e in p) for p in paths] == [(1, 2), (2,)]
+        assert labels(paths[0]) == frozenset({Literal(1, False), Literal(2)})
+        assert paths[0] == (Edge(0, 1, Literal(1, False)), Edge(1, 2, Literal(2)))
 
     def test_inconsistent_paths_are_skipped(self):
         z = BranchingProgram(
@@ -387,8 +401,7 @@ class TestPathEnumeration:
             2,
         )
         paths = list(enumerate_computational_paths(z))
-        assert len(paths) == 1
-        assert paths[0].literals == frozenset()
+        assert paths == [(Edge(0, 2),)]
 
     def test_repeated_same_sign_reads_allowed(self):
         z = BranchingProgram(
@@ -396,7 +409,7 @@ class TestPathEnumeration:
         )
         paths = list(enumerate_computational_paths(z))
         assert len(paths) == 1
-        assert paths[0].literals == frozenset({Literal(0)})
+        assert labels(paths[0]) == frozenset({Literal(0)})
 
     def test_cap(self):
         f = cnf_of_graph(path_graph(3))
@@ -411,13 +424,37 @@ class TestPathEnumeration:
         got = []
         try:
             for p in enumerate_computational_paths(z, cap=cap):
-                got.append((p.edges, p.literals))
+                got.append((p, labels(p)))
         except CapacityError:
             assert len(expected) > cap
             assert got == expected[:cap]
         else:
             assert len(expected) <= cap
             assert got == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(programs_with_assignments())
+    # The root is the leaf: the one path is empty, whatever the assignment.
+    @example((BranchingProgram(2, (Edge(0, 1, Literal(0)),), 0, 0), (False,)))
+    # The leaf has out-edges: the walk stops there.
+    @example((BranchingProgram(3, (Edge(0, 1, Literal(0)), Edge(1, 2, Literal(1, False))),
+                               0, 1), (True, True)))
+    def test_seeded_walk_yields_the_assignments_accepting_paths(self, case):
+        z, s = case
+        expected = [
+            edges for edges, lits in brute_computational_paths(z)
+            if all(s[l.var] == l.positive for l in lits)
+        ]
+        assert list(enumerate_computational_paths(z, assignment=s)) == expected
+        assert bool(expected) == evaluate(z, s)
+
+    def test_seeded_walk_rejects_a_short_assignment(self):
+        z = chain_program(3)  # reads x0, then x1
+        with pytest.raises(InputError) as from_evaluate:
+            evaluate(z, (True,))
+        with pytest.raises(InputError, match="^assignment does not cover variable 1$") as got:
+            next(enumerate_computational_paths(z, assignment=(True,)))
+        assert str(got.value) == str(from_evaluate.value)
 
 
 class TestLongChains:
@@ -431,8 +468,9 @@ class TestLongChains:
     def test_enumerate_computational_paths(self):
         z = chain_program(3000)
         (path,) = enumerate_computational_paths(z)
-        assert path.edges == z.edges
-        assert path.literals == frozenset(Literal(i) for i in range(2999))
+        assert path == z.edges
+        assert labels(path) == frozenset(Literal(i) for i in range(2999))
+        assert list(enumerate_computational_paths(z, assignment=[True] * 2999)) == [z.edges]
         assert check_c_nsobdd(z, range(2999), 1).ok
 
 
@@ -492,8 +530,7 @@ class TestCheckCNsobdd:
     @given(dag_programs(), st.permutations(range(3)), st.integers(min_value=1, max_value=3))
     def test_equals_the_brute_force_oracle(self, z, sv, c):
         verdict = check_c_nsobdd(z, sv, c)
-        path = verdict.violating_path
-        got = (verdict.ok, path.edges if path else None, verdict.segments_needed)
+        got = (verdict.ok, verdict.violating_path, verdict.segments_needed)
         assert got == brute_check_c_nsobdd(z, sv, c)
 
     def test_path_cap_bounds_only_the_witness_search(self):
@@ -512,7 +549,7 @@ class TestCheckCNsobdd:
             check_c_nsobdd(z, range(11), 1, path_cap=4)
         verdict = check_c_nsobdd(z, range(11), 1)
         assert not verdict.ok and verdict.segments_needed == 2
-        assert verdict.violating_path.edges[0].label == Literal(0)
+        assert verdict.violating_path[0].label == Literal(0)
 
     def test_rereading_a_variable_starts_a_segment(self):
         z = BranchingProgram(
@@ -584,8 +621,7 @@ class TestBpFormat:
         assert y == z
         assert y.out_edges == z.out_edges
         assert format_bp(y) == format_bp(z)
-        paths = [p.edges for p in enumerate_computational_paths(y)]
-        assert paths == [p.edges for p in enumerate_computational_paths(z)]
+        assert list(enumerate_computational_paths(y)) == list(enumerate_computational_paths(z))
 
     @pytest.mark.parametrize(
         "text",

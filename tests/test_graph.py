@@ -8,6 +8,7 @@ from widthlab.graph import (
     CutGraph,
     Graph,
     Ordering,
+    adjacency_masks,
     cut_graph,
     format_dimacs_graph,
     iter_bits,
@@ -264,3 +265,11 @@ def test_sets_by_size(n):
 def test_iter_bits():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b10110)) == [1, 2, 4]
+
+
+def test_adjacency_cache_stays_bounded_over_many_graphs():
+    for n in range(2, 66):
+        adjacency_masks(Graph.make(n, [(0, n - 1)]))
+    info = adjacency_masks.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize < 64

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from widthlab.errors import FormatError, InputError
+from widthlab import instances
 from widthlab.graph import Graph
 from widthlab.instances import (
     Cnf,
@@ -107,6 +108,13 @@ class TestGraphCnf:
         assert edge_variable(g, 2, 1) == 4
         with pytest.raises(InputError):
             edge_variable(g, 0, 2)
+
+    def test_edge_index_cache_stays_bounded_over_many_graphs(self):
+        for n in range(2, 66):
+            assert edge_variable(path_graph(n), n - 2, n - 1) == 2 * n - 2
+        info = instances._edge_index.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize < 64
 
     def test_one_clause_per_edge_all_positive(self):
         g = cycle_graph(4)

@@ -1,11 +1,11 @@
 import pytest
 
+from widthlab import lbound
 from widthlab.errors import InputError, WitnessNotFoundError
 from widthlab.graph import Graph, Ordering
-from widthlab.instances import Literal, cnf_of_graph, path_graph
+from widthlab.instances import Literal, cnf_of_graph, cycle_graph, grid_graph, path_graph
 from widthlab.bprog import (
     BranchingProgram,
-    ComputationalPath,
     Edge,
     build_obdd,
     enumerate_computational_paths,
@@ -107,7 +107,7 @@ def chain_program(*labels):
 
 
 def only_path(z):
-    return ComputationalPath(z.edges)
+    return z.edges
 
 
 class TestSeparationVector:
@@ -233,10 +233,40 @@ class TestCheckDistinctness:
         assert report.collisions == ((0, 2),)
         paths = list(enumerate_computational_paths(z))
         for s, vector in zip(family, report.vectors):
-            accepting = [p for p in paths if all(s[l.var] == l.positive for l in p.literals)]
-            smallest = min(accepting, key=lambda p: [e.sort_key() for e in p.edges])
+            accepting = [p for p in paths
+                         if all(s[e.label.var] == e.label.positive for e in p if e.label is not None)]
+            smallest = min(accepting, key=lambda p: [e.sort_key() for e in p])
             assert vector == separation_vector(smallest, z.root, (0, 1), frozenset({0}), 1,
                                                frozenset({1}))
+
+    def test_a_member_shorter_than_the_program_is_an_input_error(self):
+        z = chain_program(Literal(0), Literal(1))
+        with pytest.raises(InputError, match="^assignment does not cover variable 1$"):
+            check_distinctness(z, [(True,)], (0, 1), frozenset({0}), 1, frozenset({1}))
+
+    @pytest.mark.parametrize(
+        "g,seq",
+        [(path_graph(4), [0, 2, 1, 3]), (cycle_graph(4), range(4)), (grid_graph(2, 3), range(6))],
+        ids=["path4", "cycle4", "grid2x3"],
+    )
+    def test_draws_one_path_per_member(self, g, seq, monkeypatch):
+        drawn = []
+
+        def counting(*args, **kwargs):
+            for p in enumerate_computational_paths(*args, **kwargs):
+                drawn.append(p)
+                yield p
+
+        monkeypatch.setattr(lbound, "enumerate_computational_paths", counting)
+        f = cnf_of_graph(g)
+        order = tuple(range(f.num_vars))
+        z = build_obdd(f, order)
+        sv = Ordering.make(seq)
+        w = witness_cut(g, sv, 2)
+        family = assignment_family(f, w)
+        svp_vars = frozenset(sv.seq[:w.prefix_len])
+        report = check_distinctness(z, family, order, svp_vars, 1, frozenset(sv.seq[w.prefix_len:]))
+        assert len(drawn) == len(family) == len(report.vectors) == 4
 
 
 class TestVerifySizeBound:
