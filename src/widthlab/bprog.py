@@ -9,8 +9,9 @@ root-leaf path's literal set is contained in it.  A computational path is
 a tuple of edges: it reads no variable with both signs, so its literal
 set is the set of its edge labels.  Path enumeration seeded with an
 assignment walks only the paths that accept it.  OBDDs are built from
-the truth table (one strided write per clause) level by level over a
-variable order, one node per distinct residual row (a row packed into one
+the truth table, one int with one bit per assignment that each clause's
+periodic falsifying pattern is cleared from, level by level over a
+variable order, one node per distinct residual row (a slice of that
 int), numbered when first reached; constant residuals go to two shared
 terminals, numbered last, and the rejecting one counts as a node though no
 accepting path reaches it.
@@ -38,14 +39,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import CapacityError, FormatError, InputError, int_token, read_records
 from .graph import prefix_set_dp, sets_by_size
 from .instances import Cnf, Literal
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_BUILD_CAP = 24
 DEFAULT_EQUIV_CAP = 20
@@ -184,9 +182,10 @@ def equivalence_vs_cnf(z: BranchingProgram, f: Cnf) -> EquivalenceVerdict:
         raise CapacityError(f"equivalence check: {m} variables exceeds cap {DEFAULT_EQUIV_CAP}")
     if not z.variables <= set(range(m)):
         raise InputError("program tests variables outside the CNF")
-    table = _truth_table(f, range(m)).tolist()
-    for s, value in zip(itertools.product((False, True), repeat=m), table):
-        if evaluate(z, s) != value:
+    # Character i from the end is bit i of the table.
+    bits = format(_truth_table(f, range(m)), f"0{1 << m}b")
+    for s, value in zip(itertools.product((False, True), repeat=m), reversed(bits)):
+        if evaluate(z, s) != (value == "1"):
             return EquivalenceVerdict(False, s)
     return EquivalenceVerdict(True)
 
@@ -194,24 +193,43 @@ def equivalence_vs_cnf(z: BranchingProgram, f: Cnf) -> EquivalenceVerdict:
 # --- OBDD construction ---
 
 
-def _truth_table(f: Cnf, order: Sequence[int]) -> np.ndarray:
-    """Flat truth table of f; index bit j (most significant first) is the
-    value of order[j].  Each clause writes False once, into the subcube of the
-    (2,)*m table where its literals are all false; other axes stay whole."""
-    import numpy as np
+def _truth_table(f: Cnf, order: Sequence[int]) -> int:
+    """Truth table of f as one int: bit k is f at assignment k, where index
+    bit j, counted from the most significant of m, is the value of order[j].
 
+    f is false exactly on its clauses' falsifying subcubes.  A clause's
+    subcube is a bit pattern that repeats with period 2^(h+1), h the highest
+    index bit its literals fix: it is built by doubling a one-bit pattern
+    h+1 times, keeping one half at a fixed bit and both at a free one.
+    Patterns of one period are ORed together, one running OR widens through
+    the periods in ascending order to all 2^m bits, and the table is its
+    complement.  A table too large for an int raises CapacityError.
+    """
     m = f.num_vars
-    pos = {v: j for j, v in enumerate(order)}
+    bit = {v: m - 1 - j for j, v in enumerate(order)}  # v's index bit, from the least
     try:
-        table = np.ones((2,) * m, dtype=bool)
-    except ValueError as exc:  # beyond numpy's array rank or size
-        raise CapacityError(f"truth table of {m} variables: {exc}") from None
-    for clause in f.clauses:
-        cube: list[int | slice] = [slice(None)] * m
-        for lit in clause:
-            cube[pos[lit.var]] = 0 if lit.positive else 1
-        table[tuple(cube)] = False
-    return table.reshape(-1)
+        full = (1 << (1 << m)) - 1
+        falsified: dict[int, int] = {}  # h+1 -> OR of the patterns of period 2^(h+1)
+        for clause in f.clauses:
+            fixed = {bit[lit.var]: lit.positive for lit in clause}
+            top = max(fixed, default=-1) + 1
+            pattern = 1
+            for b in range(top):
+                positive = fixed.get(b)
+                if positive is None:
+                    pattern |= pattern << (1 << b)
+                elif not positive:  # a negative literal is false where the bit is 1
+                    pattern <<= 1 << b
+            falsified[top] = falsified.get(top, 0) | pattern
+        acc, period = 0, 0  # acc repeats every 2^period bits
+        for top in sorted(falsified) + [m]:
+            for b in range(period, top):
+                acc |= acc << (1 << b)
+            acc |= falsified.pop(top, 0)
+            period = top
+        return full ^ acc
+    except (MemoryError, OverflowError):
+        raise CapacityError(f"truth table of {m} variables does not fit in memory") from None
 
 
 def _constant_program(value: bool) -> BranchingProgram:
@@ -222,24 +240,24 @@ def _constant_program(value: bool) -> BranchingProgram:
 def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> BranchingProgram:
     """Deterministic reduced OBDD of f, levelized by the variable order.
 
-    Size is the node count: decision nodes plus both terminals.  Each level
-    keys its nodes by their residual truth-table rows, packed into Python
-    ints, so a node's two children are a mask and a shift of its row and
-    no numpy call runs per node.  Nodes are numbered level by level in the
-    order they are first reached; the two terminals come last.
+    Size is the node count: decision nodes plus both terminals.  The root's
+    row is the truth table along the order (`_truth_table`, one bit per
+    assignment), and each level keys its nodes by their residual rows, also
+    ints, so a node's two children are a mask and a shift of its row.
+    Nodes are numbered level by level in the order they are first reached;
+    the two terminals come last.
     """
     m = f.num_vars
     if m > cap:
         raise CapacityError(f"OBDD build: {m} variables exceeds cap {cap}")
     if sorted(order) != list(range(m)):
         raise InputError("order is not a permutation of the CNF's variables")
-    import numpy as np
-
     order = tuple(order)
-    tbl = _truth_table(f, order)
-    if tbl.all():
+    table = _truth_table(f, order)
+    width = 1 << m
+    if table.bit_count() == width:
         return _constant_program(True)
-    if not tbl.any():
+    if not table:
         return _constant_program(False)
 
     # A row is one int: bit k is entry k of the residual's table, so the
@@ -247,9 +265,8 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     # false terminals are the last two nodes; until the node count is known,
     # edges name them -2 and -1, counting from the end.
     raw_edges: list[tuple[int, int, Literal]] = []
-    rows = [int.from_bytes(np.packbits(tbl, bitorder="little").tobytes(), "little")]
-    first, width = 0, len(tbl)  # rows[j] is node first + j, of width bits
-    del tbl  # the rows are ints, so free the table after packing it
+    rows, first = [table], 0  # rows[j] is node first + j, of width bits
+    del table  # so the root's row is freed once its level is done
     for var in order:
         width >>= 1
         ones = (1 << width) - 1
@@ -286,7 +303,9 @@ def subfunction_counts(f: Cnf) -> list[int]:
     of the index is the i-th smallest variable of S), an id of the
     residual function: 0 is constant false, 1 constant true, and two
     entries of one table have equal ids exactly when their residuals are
-    equal.  The table of the full set is the truth table.  The table of S
+    equal.  The table of the full set is the truth table, unpacked once
+    from `_truth_table`'s int into int32 ids; this and the compaction are
+    the only numpy work here.  The table of S
     comes from that of its parent S | {v}, v the lowest variable outside
     S: the residual under an assignment of S is the pair of residuals with
     v=0 and v=1, so deduplicating the id pairs gives S's ids.
@@ -306,7 +325,10 @@ def subfunction_counts(f: Cnf) -> list[int]:
     row[by_level] = np.arange(1 << m) - np.repeat(starts[:-1], np.diff(starts))
     counts = np.zeros(1 << m, dtype=np.int64)
 
-    parent = _truth_table(f, tuple(reversed(range(m)))).astype(np.int32)
+    # The truth table with variable i on index bit i, one int32 per entry.
+    table = _truth_table(f, tuple(reversed(range(m))))
+    packed = np.frombuffer(table.to_bytes(((1 << m) + 7) // 8, "little"), dtype=np.uint8)
+    parent = np.unpackbits(packed, count=1 << m, bitorder="little").astype(np.int32)
     base = 2  # every parent id is below base
     for k in range(m - 1, -1, -1):
         level_sets = by_level[starts[k]:starts[k + 1]]

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import bprog, decomposition, graph, instances, lbound, width
 from .errors import (
@@ -211,13 +212,21 @@ def cmd_lb_experiment(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_FALSIFIED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a malformed command line as the one
+    line `error: <message>` on stderr, without the usage block, and exits 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="widthlab",
         description="Width parameters, path decompositions, graph CNFs and "
                     "decision-diagram size experiments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen-graph", help="generate a test graph (DIMACS)")
     p.add_argument("--kind", required=True, choices=["path", "cycle", "grid", "random"])

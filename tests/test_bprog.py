@@ -1,11 +1,14 @@
 import itertools
+import random
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from widthlab.errors import CapacityError, FormatError, InputError
-from widthlab.instances import Cnf, Literal, cnf_of_graph, path_graph
+from widthlab.instances import (
+    Cnf, Literal, cnf_of_graph, cycle_graph, grid_graph, path_graph,
+)
 from widthlab.bprog import (
     BranchingProgram,
     Edge,
@@ -48,6 +51,19 @@ def cnfs(draw, max_vars=5, max_clauses=4):
     )
     clauses = draw(st.lists(clause, max_size=max_clauses))
     return Cnf.make(m, clauses)
+
+
+@st.composite
+def ordered_cnfs(draw, max_vars=10):
+    """A CNF of clauses of 0-4 literals and a random variable order, so any
+    index bit, the top and the bottom ones included, may be fixed."""
+    m = draw(st.integers(min_value=1, max_value=max_vars))
+    clause = st.lists(
+        st.builds(Literal, st.integers(min_value=0, max_value=m - 1), st.booleans()),
+        max_size=4, unique_by=lambda l: l.var,
+    )
+    f = Cnf.make(m, draw(st.lists(clause, max_size=6)))
+    return f, tuple(draw(st.permutations(range(m))))
 
 
 def single_clause(*signed):
@@ -258,7 +274,7 @@ class TestBuildObdd:
 
     @pytest.mark.parametrize("m", [64, 65])
     def test_raised_cap_beyond_numpy_arrays(self, m):
-        # 64 variables exceed numpy's array size, 65 its rank (on numpy 2).
+        # A table of 2^64 or 2^65 bits is too large for a Python int.
         with pytest.raises(CapacityError):
             build_obdd(Cnf.make(m, [[Literal(0)]]), range(m), cap=m)
 
@@ -288,6 +304,21 @@ class TestBuildObdd:
         rng.shuffle(order)
         assert build_obdd(f, order) == row_keyed_obdd(f, order)
 
+    @pytest.mark.parametrize(
+        "g", [cycle_graph(7), cycle_graph(8), grid_graph(2, 3)], ids=["C7", "C8", "grid2x3"])
+    def test_graph_cnfs_match_the_row_keyed_oracle_bytes(self, g):
+        # Ascending and three shuffled orders, compared as `format_bp` text.
+        f, rng = cnf_of_graph(g), random.Random(g.n)
+        m = f.num_vars
+        for order in [list(range(m))] + [rng.sample(range(m), m) for _ in range(3)]:
+            assert format_bp(build_obdd(f, order)) == format_bp(row_keyed_obdd(f, order))
+
+
+def table_bits(f, order) -> list[bool]:
+    """`_truth_table(f, order)` read bit by bit, least significant first."""
+    table = _truth_table(f, order)
+    return [bool(table >> k & 1) for k in range(1 << f.num_vars)]
+
 
 class TestTruthTable:
     @settings(deadline=None, max_examples=60)
@@ -295,7 +326,17 @@ class TestTruthTable:
     def test_matches_the_oracle(self, f, rng):
         order = list(range(f.num_vars))
         rng.shuffle(order)
-        assert _truth_table(f, order).tolist() == brute_truth_table(f, order)
+        assert table_bits(f, order) == brute_truth_table(f, order)
+
+    @settings(deadline=None, max_examples=80)
+    @given(ordered_cnfs())
+    # With order (0, 1, 2), variable 0 is the top index bit, 2 the bottom.
+    @example((Cnf.make(3, [[Literal(0, False)]]), (0, 1, 2)))
+    @example((Cnf.make(3, [[Literal(2)]]), (0, 1, 2)))
+    @example((Cnf.make(3, [[Literal(1)], []]), (0, 1, 2)))
+    def test_fixed_bits_anywhere(self, case):
+        f, order = case
+        assert table_bits(f, order) == brute_truth_table(f, order)
 
     @pytest.mark.parametrize(
         "f",
@@ -310,7 +351,7 @@ class TestTruthTable:
     )
     def test_corner_cases(self, f):
         order = list(reversed(range(f.num_vars)))
-        assert _truth_table(f, order).tolist() == brute_truth_table(f, order)
+        assert table_bits(f, order) == brute_truth_table(f, order)
 
 
 class TestMinObddSize:

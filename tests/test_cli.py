@@ -312,6 +312,24 @@ class TestExitCodes:
     def test_help_exits_cleanly(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mw", "--graph"],
+            ["mw", "--graph", "g.gr", "--bogus"],
+            ["lb-experiment", "--graph", "g.gr", "--c", "x"],
+            ["bogus"],
+        ],
+        ids=["missing-value", "unknown-flag", "non-integer", "unknown-command"],
+    )
+    def test_malformed_command_line_is_one_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     def test_invariant_violation_has_its_own_code(self, capsys, monkeypatch, p10_file):
         monkeypatch.setattr(
             decomposition, "validate_decomposition",

@@ -4,8 +4,9 @@ Every name a library module imports is used in that module.  A name counts
 as used when the module's code loads it, including inside annotations,
 whether written as expressions or as strings.
 
-numpy is imported only inside the table kernels, so the commands that build
-no table never load it.
+numpy is imported only inside the numpy table kernels, so the commands
+that run none of them never load it: `obdd-build` among them, whose truth
+table is one Python int.  `obdd-min` must load it.
 """
 
 import ast
@@ -65,12 +66,13 @@ def test_every_import_is_used(path):
 
 
 # A fresh interpreter runs every command that builds no numpy table, `pw`
-# among them, and `obdd-build` and `obdd-min` on inputs above their caps,
+# and `obdd-build` (with --json and --out) among them, `equivalence_vs_cnf`
+# in-process, and `obdd-build` and `obdd-min` on inputs above their caps,
 # which they must reject before loading numpy; then it reports whether numpy
 # is loaded, runs `obdd-min` on a small CNF and reports again.
 NUMPY_CHILD = r"""
 import sys
-from widthlab import cli
+from widthlab import bprog, cli, instances
 
 d, seq = sys.argv[1], ",".join(map(str, range(9)))
 
@@ -92,6 +94,11 @@ run("pd-from-order", "--graph", f"{d}/g.gr", "--order", seq, "--out", f"{d}/g.td
 run("order-from-pd", "--graph", f"{d}/g.gr", "--pd", f"{d}/g.td")
 run("td-ctree", "--r", "2", "--k", "2", "--extended")
 run("check-cnsobdd", "--bp", f"{d}/and.bp", "--c", "1")
+run("obdd-build", "--cnf", f"{d}/and.cnf", "--json")
+with open(f"{d}/and.bp") as bp, open(f"{d}/and.cnf") as cnf:
+    z, f = bprog.parse_bp(bp.read()), instances.parse_dimacs_cnf(cnf.read())
+if not bprog.equivalence_vs_cnf(z, f).equivalent:
+    sys.exit("equivalence_vs_cnf: AND program differs from its CNF")
 run("pw", "--graph", f"{d}/big.gr", expect=2)
 run("obdd-build", "--cnf", f"{d}/big.cnf", expect=2)
 run("obdd-min", "--cnf", f"{d}/big.cnf", expect=2)
@@ -121,4 +128,8 @@ def test_only_the_table_kernels_load_numpy(tmp_path):
         "error: order minimization: 25 variables exceeds cap 16\n"
     )
     assert proc.returncode == 0
-    assert proc.stdout == "False\nTrue\n"
+    # obdd-build writes the program to --out and its JSON to stdout.
+    build_json = ('{\n  "command": "obdd-build",\n'
+                  '  "order": [\n    0,\n    1\n  ],\n  "size": 4\n}\n')
+    assert proc.stdout == build_json + "False\nTrue\n"
+    assert (tmp_path / "obdd-build.out").read_text() == "c widthlab branching-program format v1\n" + AND_BP
