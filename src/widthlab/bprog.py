@@ -572,7 +572,10 @@ def parse_bp(text: str) -> BranchingProgram:
     for where, parts in records:
         if len(parts) not in (2, 3):
             raise FormatError(f"{where}: expected 'tail head [literal]'")
-        tail, head = (int_token(p, where) - 1 for p in parts[:2])
+        tail, head = int_token(parts[0], where), int_token(parts[1], where)
+        if not (0 < tail <= num_nodes and 0 < head <= num_nodes):
+            bad = head if 0 < tail <= num_nodes else tail
+            raise FormatError(f"{where}: node {bad} outside 1..{num_nodes}")
         label, signed = None, 0
         if len(parts) == 3:
             signed = int_token(parts[2], where)
@@ -583,7 +586,7 @@ def parse_bp(text: str) -> BranchingProgram:
         if (tail, head, signed) in seen:
             raise FormatError(f"{where}: duplicate edge '{' '.join(parts)}'")
         seen.add((tail, head, signed))
-        edges.append(Edge(tail, head, label))
+        edges.append(Edge(tail - 1, head - 1, label))
     z = BranchingProgram(num_nodes, tuple(edges), root - 1, leaf - 1)
     try:
         z.validate()

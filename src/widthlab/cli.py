@@ -15,14 +15,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import bprog, decomposition, graph, instances, lbound, width
-from .errors import (
-    CapacityError,
-    InputError,
-    InvariantViolationError,
-    WidthlabError,
-    WitnessNotFoundError,
-    int_token,
-)
+from .errors import CapacityError, InputError, InvariantViolationError, int_token
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -329,15 +322,12 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (InputError, CapacityError, WitnessNotFoundError, OSError) as exc:
+    except (InputError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
         print("error: out of memory: the input or a cap is too large", file=sys.stderr)
         return EXIT_USAGE
-    except WidthlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FALSIFIED
 
 
 if __name__ == "__main__":

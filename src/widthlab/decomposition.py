@@ -72,7 +72,7 @@ def validate_decomposition(
     foreign vertex in a bag is a malformed input, not a verdict.  One pass
     over the bags gives each vertex the ascending list of bags holding it;
     the checks then read only those lists: vertices in ascending order for
-    union and connectedness, edges in `sorted_edges` order for containment.
+    union and connectedness, edges in `g.edges` order for containment.
     """
     td = d.as_tree() if isinstance(d, PathDecomposition) else d
     holding: list[list[int]] = [[] for _ in range(g.n)]
@@ -99,7 +99,7 @@ def validate_decomposition(
     for v in g.vertices():
         if not holding[v]:
             return ValidationResult(False, "union", (v,))
-    for u, v in g.sorted_edges():
+    for u, v in g.edges:
         if set(holding[u]).isdisjoint(holding[v]):
             return ValidationResult(False, "containment", (u, v))
     for v in g.vertices():
@@ -148,7 +148,7 @@ def ctree_decomposition(r: int, k: int) -> CtreeDecompositions:
 
     ext_bags = list(bags)
     ext_edges = list(tree_edges)
-    for idx, (u, v) in enumerate(g.sorted_edges()):
+    for idx, (u, v) in enumerate(g.edges):
         evar = g.n + idx
         a, b = u // k, v // k
         attach = a if a == b else max(a, b)  # the child holds both cliques

@@ -2,6 +2,9 @@
 malformed numbers in files and flags into them, and the record reader that
 all four text formats share.
 
+The CLI exits 2 on an InputError (FormatError for file content) or a
+CapacityError, and 3 on an InvariantViolationError.
+
 Every format (DIMACS graph and CNF, PACE decompositions, branching-program
 text) has one layout.  Blank lines, and lines whose first non-blank
 character is `c`, are skipped wherever they appear; any line end that
@@ -34,14 +37,6 @@ class CapacityError(WidthlabError, ValueError):
 
 class InvariantViolationError(WidthlabError, RuntimeError):
     """An internal self-check failed; indicates an implementation bug."""
-
-
-class WitnessNotFoundError(WidthlabError, LookupError):
-    """No prefix cut with the requested matching size exists."""
-
-
-class ProgramIncorrectError(WidthlabError, RuntimeError):
-    """A branching program rejects an assignment it is required to accept."""
 
 
 def int_token(token: str, where: str, error: type[InputError] = FormatError) -> int:

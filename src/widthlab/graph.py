@@ -1,15 +1,17 @@
 """Undirected graphs, orderings, prefix cuts, matching, covers and the prefix-set DP.
 
-Vertices are dense integer ids 0..n-1.  Cut graphs are bipartite by
-construction (prefix side vs. suffix side of an ordering), so maximum
-matching and minimum vertex cover are computed with augmenting paths and
-the alternating-reachability construction.  All tie-breaking is by
-ascending vertex id so results are reproducible.  This matching serves
-the settled covers and `lbound.witness_cut`; the width values use none of
-it.  `mw_of_ordering` repairs one bitmask matching (`width._CutMatching`)
-as each vertex crosses the cut, `matching_width_exact` sizes each cut it
-reaches from scratch with `_CutMatching.size_of`, and pathwidth uses no
-matching at all.
+Vertices are dense integer ids 0..n-1.  A graph stores each edge once, as
+(u, v) with u < v, in one ascending tuple: the edge order that the DIMACS
+writer, the CNF's edge variables and the decompositions all follow.  Cut
+graphs are bipartite by construction (prefix side vs. suffix side of an
+ordering), so maximum matching and minimum vertex cover are computed with
+augmenting paths and the alternating-reachability construction.  All
+tie-breaking is by ascending vertex id so results are reproducible.  This
+matching serves the settled covers and `lbound.witness_cut`; the width
+values use none of it.  `mw_of_ordering` repairs one bitmask matching
+(`width._CutMatching`) as each vertex crosses the cut,
+`matching_width_exact` sizes each cut it reaches from scratch with
+`_CutMatching.size_of`, and pathwidth uses no matching at all.
 
 `prefix_set_dp` minimises the sum of prefix-set costs over all orderings,
 for the minimum OBDD size.  Its table is filled one popcount level at a
@@ -31,38 +33,32 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1; `edges` holds each edge
+    as (u, v) with u < v, sorted ascending."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edges: tuple[tuple[int, int], ...]
 
     @staticmethod
     def make(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
-        normed = set()
+        normed = {}  # insertion-ordered, so already sorted input sorts in one pass
         for u, v in edges:
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-            e = _norm_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in normed:
                 raise InputError(f"duplicate edge {e}")
-            normed.add(e)
-        return Graph(n, frozenset(normed))
+            normed[e] = None
+        return Graph(n, tuple(sorted(normed)))
 
     def vertices(self) -> range:
         return range(self.n)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
 
 
 # Every CLI command works on one graph, so a few entries serve it; a bound
@@ -233,28 +229,34 @@ def format_dimacs_graph(g: Graph, comments: Iterable[str] = ()) -> str:
     lines = [DIMACS_GRAPH_HEADER]
     lines.extend(f"c {c}" for c in comments)
     lines.append(f"p edge {g.n} {len(g.edges)}")
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.sorted_edges())
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
 
 
 def parse_dimacs_graph(text: str) -> Graph:
     p_line, (n, declared), records = read_records(text, "p edge", "n m")
+    if n < 0:
+        raise FormatError(f"{p_line}: negative vertex count {n}")
     if declared < 0:
         raise FormatError(f"{p_line}: negative edge count {declared}")
-    edges: list[tuple[int, int]] = []
+    edges: dict[tuple[int, int], None] = {}  # in file order, which `Graph.make` sorts
     for where, parts in records:
         if parts[0] != "e":
             raise FormatError(f"{where}: unrecognized line {' '.join(parts)!r}")
         if len(parts) != 3:
             raise FormatError(f"{where}: expected 'e u v'")
-        edges.append((int_token(parts[1], where) - 1, int_token(parts[2], where) - 1))
-    try:
-        g = Graph.make(n, edges)
-    except InputError as exc:
-        raise FormatError(str(exc)) from exc
+        u, v = int_token(parts[1], where), int_token(parts[2], where)
+        if not (0 < u <= n and 0 < v <= n):
+            raise FormatError(f"{where}: vertex {v if 0 < u <= n else u} outside 1..{n}")
+        if u == v:
+            raise FormatError(f"{where}: self-loop at vertex {u}")
+        e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+        if e in edges:
+            raise FormatError(f"{where}: duplicate edge '{u} {v}'")
+        edges[e] = None
     if len(edges) != declared:
         raise FormatError(f"{p_line}: declares {declared} edges, found {len(edges)}")
-    return g
+    return Graph.make(n, edges)
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -2,9 +2,9 @@
 graphs and the small test-graph corpus.
 
 The CNF of a graph has one all-positive 3-clause per edge over a vertex
-variable per vertex and an edge variable per edge.  Variable numbering is
-canonical (vertex variables first, by id, then edge variables in
-lexicographic endpoint order) so serialized output is reproducible.
+variable per vertex and an edge variable per edge.  Vertex u is variable
+u, and an edge's variable is `g.n` plus the edge's position in `g.edges`,
+the graph's one sorted edge order, so serialized output is reproducible.
 
 A `Cnf` is its variable count and clauses.  Variable names live only in
 the DIMACS writer, as `c var` comments (`graph_cnf_names` gives a graph
@@ -14,8 +14,8 @@ declared variable.
 
 from __future__ import annotations
 
-import functools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -95,7 +95,7 @@ def ct_graph(r: int, k: int) -> Graph:
     for a in range(nodes):
         base = a * k
         edges.extend((base + i, base + j) for i in range(k) for j in range(i + 1, k))
-    for a, b in tree.sorted_edges():
+    for a, b in tree.edges:
         edges.extend((a * k + i, b * k + j) for i in range(k) for j in range(k))
     return Graph.make(nodes * k, edges)
 
@@ -106,27 +106,19 @@ def vertex_variable(g: Graph, u: int) -> int:
     return u
 
 
-# Bounded for the same reason as `graph.adjacency_masks`: a CLI command
-# works on one graph, and a long-lived process must not keep every graph.
-@functools.lru_cache(maxsize=8)
-def _edge_index(g: Graph) -> dict[tuple[int, int], int]:
-    """Position of each edge in lexicographic endpoint order."""
-    return {e: i for i, e in enumerate(g.sorted_edges())}
-
-
 def edge_variable(g: Graph, u: int, v: int) -> int:
     e = (u, v) if u < v else (v, u)
-    try:
-        return g.n + _edge_index(g)[e]
-    except KeyError:
-        raise InputError(f"{e} is not an edge of the graph") from None
+    i = bisect_left(g.edges, e)
+    if i == len(g.edges) or g.edges[i] != e:
+        raise InputError(f"{e} is not an edge of the graph")
+    return g.n + i
 
 
 def cnf_of_graph(g: Graph) -> Cnf:
     """One clause (X_u or X_uv or X_v) per edge, all positive."""
     clauses = [
         (Literal(u), Literal(g.n + idx), Literal(v))
-        for idx, (u, v) in enumerate(g.sorted_edges())
+        for idx, (u, v) in enumerate(g.edges)
     ]
     return Cnf.make(g.n + len(g.edges), clauses)
 
@@ -134,7 +126,7 @@ def cnf_of_graph(g: Graph) -> Cnf:
 def graph_cnf_names(g: Graph) -> list[str]:
     """Names of `cnf_of_graph(g)`'s variables, for `format_dimacs_cnf`."""
     names = [f"vertex {u}" for u in range(g.n)]
-    names.extend(f"edge {{{u},{v}}}" for u, v in g.sorted_edges())
+    names.extend(f"edge {{{u},{v}}}" for u, v in g.edges)
     return names
 
 

@@ -15,13 +15,7 @@ from .bprog import (
     min_obdd_size_over_orders,
     DEFAULT_MIN_SIZE_CAP,
 )
-from .errors import (
-    CapacityError,
-    InputError,
-    InvariantViolationError,
-    ProgramIncorrectError,
-    WitnessNotFoundError,
-)
+from .errors import CapacityError, InputError, InvariantViolationError
 from .graph import Graph, Ordering, cut_graph, max_bipartite_matching
 from .instances import Cnf, cnf_of_graph, edge_variable, vertex_variable
 from .width import matching_width_exact
@@ -50,9 +44,7 @@ def witness_cut(g: Graph, sv: Ordering, t: int) -> WitnessCut:
         if len(m) >= t:
             pairs = tuple(sorted(m.pairs))[:t]
             return WitnessCut(g, sv, i, pairs)
-    raise WitnessNotFoundError(
-        f"no prefix cut of the ordering has a matching of size {t}"
-    )
+    raise InputError(f"no prefix cut of the ordering has a matching of size {t}")
 
 
 def assignment_family(f: Cnf, w: WitnessCut) -> tuple[tuple[bool, ...], ...]:
@@ -164,13 +156,13 @@ def check_distinctness(
     A member's path is the first one the path enumeration yields when
     seeded with that member, so the walk follows only edges that agree
     with it.  A missing accepting path means the program rejects a
-    required satisfying assignment and is an error, not a falsification.
+    required satisfying assignment: an InputError, not a falsification.
     """
     vectors: list[tuple[int, ...]] = []
     for idx, s in enumerate(family):
         path = next(enumerate_computational_paths(z, assignment=s), None)
         if path is None:
-            raise ProgramIncorrectError(f"no accepting path for family member {idx}")
+            raise InputError(f"no accepting path for family member {idx}")
         vectors.append(separation_vector(path, z.root, sv_star, svp_vars, c, suffix_vars))
     collisions = tuple(
         (i, j)
@@ -202,8 +194,9 @@ def run_lb_experiment(
     width, and verifies the assignment family and separation-vector
     distinctness on the size-minimal OBDD.  The minimum size comes from the
     compaction and the OBDD from `build_obdd`, so a size mismatch between
-    the two engines raises InvariantViolationError.  The OBDD is
-    read-once, so no path needs more segments than there are variables.
+    the two engines raises InvariantViolationError, as does that OBDD
+    rejecting a family member.  The OBDD is read-once, so no path needs
+    more segments than there are variables.
     The CNF has one variable per vertex and per edge, so c is checked
     against that limit, t against 0..n // 2 (no cut matching has more
     edges) and the variable count against min_size_cap before the CNF is
@@ -238,7 +231,10 @@ def run_lb_experiment(
     member_sat = [f.evaluate(s) for s in family]
     svp_vars = frozenset(sv.seq[: w.prefix_len])
     suffix_vars = frozenset(sv.seq[w.prefix_len :])
-    distinct = check_distinctness(z, family, best.order, svp_vars, c, suffix_vars)
+    try:
+        distinct = check_distinctness(z, family, best.order, svp_vars, c, suffix_vars)
+    except InputError as exc:  # every argument was built here, from our own OBDD
+        raise InvariantViolationError(str(exc)) from exc
 
     ok = (
         holds

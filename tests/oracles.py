@@ -56,7 +56,7 @@ def brute_min_vertex_cover(edges) -> int:
 
 
 def crossing_edges(g: Graph, left: set[int]) -> list[tuple[int, int]]:
-    return [e for e in g.sorted_edges() if (e[0] in left) != (e[1] in left)]
+    return [e for e in g.edges if (e[0] in left) != (e[1] in left)]
 
 
 def matching_costs(g: Graph) -> list[int]:
@@ -316,7 +316,7 @@ def brute_validate_decomposition(g: Graph, bags, tree_edges) -> tuple:
     for v in g.vertices():
         if v not in covered:
             return (False, "union", (v,))
-    for u, v in g.sorted_edges():
+    for u, v in g.edges:
         if not any(u in bag and v in bag for bag in bags):
             return (False, "containment", (u, v))
     for v in g.vertices():

@@ -679,6 +679,18 @@ class TestBpFormat:
         with pytest.raises(FormatError):
             parse_bp(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("bp 3 1 3\n2 5\n", "line 2: node 5 outside 1..3"),
+            ("bp 3 1 3\n1 2\nc\n0 3 1\n", "line 4: node 0 outside 1..3"),
+        ],
+    )
+    def test_node_range_errors_name_the_line(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            parse_bp(text)
+        assert str(exc.value) == message
+
     def test_duplicate_edge(self):
         text = "bp 3 1 3\n1 2\n1 2\n2 3\n2 3 -1\n"
         with pytest.raises(FormatError, match="^line 3: duplicate edge '1 2'$"):

@@ -359,6 +359,29 @@ class TestExitCodes:
         assert captured.err.startswith("error: OBDD along the best order has ")
         assert captured.err.count("\n") == 1
 
+    def test_own_obdd_rejecting_a_family_member_is_an_invariant_violation(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(lbound, "enumerate_computational_paths", lambda z, **kw: iter(()))
+        g_file = tmp_path / "c5.gr"
+        g_file.write_text(format_dimacs_graph(cycle_graph(5)))
+        code = main(["lb-experiment", "--graph", str(g_file), "--c", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: no accepting path for family member 0\n"
+
+    def test_missing_witness_cut_is_an_input_error(self, capsys, tmp_path):
+        g_file = tmp_path / "empty4.gr"
+        g_file.write_text("p edge 4 0\n")
+        code = main(["lb-experiment", "--graph", str(g_file), "--c", "1", "--t", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no prefix cut of the ordering has a matching of size 1\n"
+        )
+
 
 class TestHugeDeclaredSizes:
     """Huge declared sizes exit 2 with one line: a named error when a cap or

@@ -87,7 +87,7 @@ def decompositions(draw):
         x = draw(st.sampled_from(range(g.n)))
         bags = [bag - {x} for bag in bags]
     elif damage == "uncover" and g.edges:
-        u, v = draw(st.sampled_from(g.sorted_edges()))
+        u, v = draw(st.sampled_from(g.edges))
         bags = [bag - {v} if u in bag else bag for bag in bags]
     elif damage == "split":
         x = draw(st.sampled_from(range(g.n)))

@@ -216,6 +216,11 @@ class TestDimacs:
             ("c hi\np edge 3 0\ne 1 2\n", "line 2: declares 0 edges, found 1"),
             ("p edge 3 -1\n", "line 1: negative edge count -1"),
             ("p edge 3 x\n", "line 1: expected an integer, got 'x'"),
+            ("p edge -1 0\n", "line 1: negative vertex count -1"),
+            ("p edge 4 2\ne 1 6\n", "line 2: vertex 6 outside 1..4"),
+            ("p edge 4 2\ne 0 1\n", "line 2: vertex 0 outside 1..4"),
+            ("p edge 4 2\ne 1 1\n", "line 2: self-loop at vertex 1"),
+            ("p edge 4 2\ne 1 2\nc\ne 2 1\n", "line 4: duplicate edge '2 1'"),
         ],
     )
     def test_parse_error_names_the_line(self, text, message):

@@ -2,7 +2,8 @@
 
 Every name a library module imports is used in that module.  A name counts
 as used when the module's code loads it, including inside annotations,
-whether written as expressions or as strings.
+whether written as expressions or as strings.  A name imported under
+`if TYPE_CHECKING:` counts as used only where an annotation names it.
 
 numpy is imported only inside the numpy table kernels, so the commands
 that run none of them never load it: `obdd-build` among them, whose truth
@@ -24,9 +25,9 @@ MODULES = sorted(
 )
 
 
-def imported_names(tree: ast.Module) -> set[str]:
+def imported_names(nodes) -> set[str]:
     names = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             names.update(a.asname or a.name.partition(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -47,22 +48,63 @@ def annotations(tree: ast.Module):
             yield node.annotation
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    used = {
-        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-    }
+def annotation_names(tree: ast.Module) -> set[str]:
+    """Names the annotations load, written as expressions or as strings."""
+    used = set()
     for ann in annotations(tree):
         for c in ast.walk(ann):
-            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+            if isinstance(c, ast.Name):
+                used.add(c.id)
+            elif isinstance(c, ast.Constant) and isinstance(c.value, str):
                 expr = ast.parse(c.value, mode="eval")
                 used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
     return used
 
 
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names imported but never used.  An import under `if TYPE_CHECKING:`
+    exists only for annotations, so only an annotation can use its name."""
+    guarded = {
+        node
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and isinstance(block.test, ast.Name)
+        and block.test.id == "TYPE_CHECKING"
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+    in_annotations = annotation_names(tree)
+    loaded = in_annotations | {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    unguarded = [node for node in ast.walk(tree) if node not in guarded]
+    return sorted(
+        (imported_names(unguarded) - loaded) | (imported_names(guarded) - in_annotations)
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_import_is_used(path):
-    tree = ast.parse(path.read_text())
-    assert sorted(imported_names(tree) - used_names(tree)) == []
+    assert unused_imports(ast.parse(path.read_text())) == []
+
+
+# numpy imported for the type checker, and again, for running, in a function.
+GUARDED_NUMPY = """
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def zeros():
+    import numpy as np
+    return np.zeros(1)
+"""
+
+
+def test_a_type_checking_import_is_used_only_by_an_annotation():
+    assert unused_imports(ast.parse(GUARDED_NUMPY)) == ["np"]
+    annotated = GUARDED_NUMPY.replace("def zeros():", "def zeros() -> np.ndarray:")
+    assert unused_imports(ast.parse(annotated)) == []
 
 
 # A fresh interpreter runs every command that builds no numpy table, `pw`

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from widthlab.errors import FormatError, InputError
-from widthlab import instances
 from widthlab.graph import Graph
 from widthlab.instances import (
     Cnf,
@@ -69,9 +68,7 @@ class TestTreeGenerators:
     def test_complete_binary_tree_shape(self):
         t = complete_binary_tree(2)
         assert t.n == 7
-        assert t.edges == frozenset(
-            {(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)}
-        )
+        assert t.edges == ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6))
 
     def test_height_zero(self):
         t = complete_binary_tree(0)
@@ -100,6 +97,18 @@ class TestTreeGenerators:
             assert (min(i, j), max(i, j)) not in g.edges
 
 
+@st.composite
+def shuffled_edge_lists(draw, max_n=8):
+    """A vertex count and an edge set listed in any order, each edge with its
+    endpoints in either order."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    flip = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    listed = [(v, u) if f else (u, v) for (u, v), k, f in zip(pairs, keep, flip) if k]
+    return n, draw(st.permutations(listed))
+
+
 class TestGraphCnf:
     def test_variable_numbering(self):
         g = path_graph(3)
@@ -109,12 +118,22 @@ class TestGraphCnf:
         with pytest.raises(InputError):
             edge_variable(g, 0, 2)
 
-    def test_edge_index_cache_stays_bounded_over_many_graphs(self):
-        for n in range(2, 66):
-            assert edge_variable(path_graph(n), n - 2, n - 1) == 2 * n - 2
-        info = instances._edge_index.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize <= info.maxsize < 64
+    @given(shuffled_edge_lists())
+    def test_edge_variable_is_n_plus_the_position_in_the_sorted_edges(self, drawn):
+        n, listed = drawn
+        g = Graph.make(n, listed)
+        assert all(u < v for u, v in g.edges)
+        assert all(a < b for a, b in zip(g.edges, g.edges[1:]))
+        assert set(g.edges) == {(min(e), max(e)) for e in listed}
+        clauses = cnf_of_graph(g).clauses
+        for i, (u, v) in enumerate(g.edges):
+            assert edge_variable(g, u, v) == edge_variable(g, v, u) == g.n + i
+            assert Literal(g.n + i) in clauses[i]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) not in g.edges:
+                    with pytest.raises(InputError):
+                        edge_variable(g, v, u)
 
     def test_one_clause_per_edge_all_positive(self):
         g = cycle_graph(4)
@@ -146,7 +165,7 @@ class TestGraphCnf:
         f = cnf_of_graph(path_graph(2))
         p = primal_graph(f)
         assert p.n == 3
-        assert p.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert p.edges == ((0, 1), (0, 2), (1, 2))
 
 
 class TestFrkCounts:
