@@ -22,10 +22,10 @@ budget does it enumerate consistent paths, to find the first violating
 one.
 
 The minimum size over all variable orders counts each level's nodes
-without building any OBDD: the Friedman–Supowit compaction derives the
-residual-function ids of every prefix set from those of a set one
-variable larger, level by level from the truth table down, and
-`graph.prefix_set_dp` sums them along the best order.
+without building any OBDD, in one walk down the prefix sets' levels: the
+Friedman–Supowit compaction derives the residual-function ids of every
+prefix set from those of a set one variable larger, and the prefix-set DP
+finds the fewest nodes any order can place after each set.
 
 Each program computes its topological order once, by Kahn's algorithm
 (`BranchingProgram.topological_order`); validation, the segment DP and
@@ -41,8 +41,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .errors import CapacityError, FormatError, InputError, int_token, read_records
-from .graph import prefix_set_dp, sets_by_size
+from .errors import (
+    CapacityError, FormatError, InputError, InvariantViolationError, int_token, read_records,
+)
 from .instances import Cnf, Literal
 
 DEFAULT_BUILD_CAP = 24
@@ -283,7 +284,10 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     edges = tuple(Edge(tail, head % size, label) for tail, head, label in raw_edges)
     del raw_edges  # free the triples before the constructor sorts the edges
     z = BranchingProgram(size, edges, root=0, leaf=size - 2)
-    z.validate()
+    try:
+        z.validate()
+    except InputError as exc:  # the program was built here, so this is a bug
+        raise InvariantViolationError(str(exc)) from exc
     return z
 
 
@@ -293,24 +297,28 @@ def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> Br
 _COMPACTION_CHUNK = 1 << 13
 
 
-def subfunction_counts(f: Cnf) -> list[int]:
-    """For every variable set S (bit v of the index set iff v is in S), the
-    number of distinct non-constant residual functions of f over the
-    assignments of S: the nodes at the OBDD level right after prefix set S.
+def _order_tables(f: Cnf) -> tuple:
+    """Two int64 numpy arrays over the variable sets S (bit v of the index
+    set iff v is in S): counts[S], the distinct non-constant residual
+    functions of f over the assignments of S, which are the nodes at the
+    OBDD level right after prefix set S; and below[S], the fewest nodes the
+    levels after S can have, min over v outside S of counts[S|v] +
+    below[S|v] (Bodlaender et al., ToCS 2012).  Only this function imports
+    numpy.
 
-    This is the compaction of Friedman & Supowit (IEEE Trans. Computers
+    counts is the compaction of Friedman & Supowit (IEEE Trans. Computers
     39(5), 1990).  The table of S holds, for each assignment of S (bit i
     of the index is the i-th smallest variable of S), an id of the
     residual function: 0 is constant false, 1 constant true, and two
     entries of one table have equal ids exactly when their residuals are
     equal.  The table of the full set is the truth table, unpacked once
-    from `_truth_table`'s int into int32 ids; this and the compaction are
-    the only numpy work here.  The table of S
-    comes from that of its parent S | {v}, v the lowest variable outside
-    S: the residual under an assignment of S is the pair of residuals with
-    v=0 and v=1, so deduplicating the id pairs gives S's ids.
+    from `_truth_table`'s int into int32 ids.  The table of S comes from
+    that of its parent S | {v}, v the lowest variable outside S: the
+    residual under an assignment of S is the pair of residuals with v=0
+    and v=1, so deduplicating the id pairs gives S's ids.
 
-    Levels |S| = m-1, ..., 0 are derived in turn.  A level is one flat
+    One walk derives the levels |S| = m-1, ..., 0 in turn, counts and then
+    below, whose every S|v lies on the level before.  A level is one flat
     int32 array of C(m,k) tables of 2^k entries, and only two adjacent
     levels are alive at once: at m=16 the largest pair (k=11 and k=10)
     holds 17.1M ids, 65 MiB.  All levels together hold 3^m entries, each
@@ -320,10 +328,14 @@ def subfunction_counts(f: Cnf) -> list[int]:
     import numpy as np
 
     m = f.num_vars
-    by_level, starts = sets_by_size(m)
-    row = np.empty(1 << m, dtype=np.int64)  # a set's table index within its level
-    row[by_level] = np.arange(1 << m) - np.repeat(starts[:-1], np.diff(starts))
-    counts = np.zeros(1 << m, dtype=np.int64)
+    size = np.zeros(1 << m, dtype=np.int8)
+    for v in range(m):  # the sets holding v are those without it, plus v
+        size[1 << v:2 << v] = size[:1 << v] + 1
+    by_level = np.argsort(size, kind="stable")  # level k is by_level[starts[k]:starts[k + 1]]
+    starts = np.searchsorted(size[by_level], np.arange(m + 2))
+    row = np.argsort(by_level) - starts[size]  # a set's table index within its level
+    counts, below = np.zeros((2, 1 << m), dtype=np.int64)
+    below[:-1] = 1 << 62  # unset: a set's own entry never wins a min before its level sets it
 
     # The truth table with variable i on index bit i, one int32 per entry.
     table = _truth_table(f, tuple(reversed(range(m))))
@@ -363,7 +375,10 @@ def subfunction_counts(f: Cnf) -> list[int]:
             counts[s] = np.bincount(varying // span, minlength=len(s))
             next_base = max(next_base, len(uniq) + 2)
         parent, base = level, next_base
-    return counts.tolist()
+        t = level_sets[:, None] | 1 << np.arange(m)  # S|v for each v; S, still unset, if v in S
+        below[level_sets] = (counts[t] + below[t]).min(axis=1)
+        del t  # so the next level's two id tables are the peak
+    return counts, below
 
 
 @dataclass(frozen=True)
@@ -378,17 +393,23 @@ def min_obdd_size_over_orders(f: Cnf, cap: int = DEFAULT_MIN_SIZE_CAP) -> MinObd
 
     The number of nodes at a level depends only on the *set* of variables
     placed before it, so an order's size is the two terminals plus the sum
-    of its prefix sets' node counts.  Those counts all come first, from one
-    Friedman–Supowit compaction (`subfunction_counts`, O(m·3^m) time, two
-    adjacent levels of id tables in memory); `prefix_set_dp` then
-    minimises the sum over the 2^m sets.
+    of its prefix sets' node counts.  `_order_tables` gives each set's
+    count and the fewest nodes below it, in O(m·3^m) time; the order adds,
+    from the empty set, the smallest variable whose set t keeps that
+    fewest: counts[t] + below[t] == below[s].
     """
     m = f.num_vars
     if m > cap:
         raise CapacityError(f"order minimization: {m} variables exceeds cap {cap}")
-    count = subfunction_counts(f)
-    value, order = prefix_set_dp(count)
-    return MinObddResult(2 + count[0] + value, order)
+    counts, below = _order_tables(f)
+    order: list[int] = []
+    s = 0
+    for _ in range(m):
+        v = next(v for v in range(m)
+                 if not s >> v & 1 and counts[s | 1 << v] + below[s | 1 << v] == below[s])
+        order.append(v)
+        s |= 1 << v
+    return MinObddResult(int(2 + counts[0] + below[0]), tuple(order))
 
 
 # --- path enumeration and the segmentation checker ---

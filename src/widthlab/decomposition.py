@@ -9,7 +9,7 @@ from typing import Iterable
 
 from .errors import FormatError, InputError, int_token, read_records
 from .graph import Graph, Ordering, adjacency_masks, iter_bits
-from .instances import ct_graph, cnf_of_graph, primal_graph
+from .instances import ct_graph, cnf_of_graph, edge_variable, primal_graph
 from .width import (
     DEFAULT_SUBSET_DP_CAP,
     _boundary,
@@ -148,11 +148,10 @@ def ctree_decomposition(r: int, k: int) -> CtreeDecompositions:
 
     ext_bags = list(bags)
     ext_edges = list(tree_edges)
-    for idx, (u, v) in enumerate(g.edges):
-        evar = g.n + idx
+    for u, v in g.edges:
         a, b = u // k, v // k
         attach = a if a == b else max(a, b)  # the child holds both cliques
-        ext_bags.append(frozenset({evar, u, v}))
+        ext_bags.append(frozenset({edge_variable(g, u, v), u, v}))
         ext_edges.append((attach, len(ext_bags) - 1))
     extended = TreeDecomposition(tuple(ext_bags), tuple(ext_edges))
     return CtreeDecompositions(base=base, extended=extended)
@@ -227,37 +226,48 @@ def format_pace(d: TreeDecomposition | PathDecomposition, n: int) -> str:
 def parse_pace(text: str) -> tuple[TreeDecomposition, int]:
     """Returns the decomposition and the declared host-graph vertex count.
 
-    The `s td` line's sizes are checked: the bag ids must be 1..<bags>, every
-    bag vertex must lie in 1..<n>, and <width+1> must be the largest bag's
-    size."""
+    The `s td` line's sizes are checked: the bag ids, of bags and of tree
+    edges, must be in 1..<bags>, every bag vertex in 1..<n>, and <width+1>
+    must be the largest bag's size.  No tree edge is a loop or repeated."""
     _, (num_bags, width_plus_1, n), records = read_records(
         text, "s td", "<bags> <width+1> <n>"
     )
     bags: dict[int, frozenset[int]] = {}
-    edges: list[tuple[int, int]] = []
+    edges: dict[tuple[int, int], tuple[int, int]] = {}  # (low, high) -> the edge as written
     for where, parts in records:
         if parts[0] == "b":
             if len(parts) < 2:
                 raise FormatError(f"{where}: expected 'b <bag id> <vertices>'")
-            bid = int_token(parts[1], where) - 1
-            if bid in bags:
-                raise FormatError(f"{where}: duplicate bag {bid + 1}")
+            bid = int_token(parts[1], where)
+            if not 0 < bid <= num_bags:
+                raise FormatError(f"{where}: bag {bid} outside 1..{num_bags}")
+            if bid - 1 in bags:
+                raise FormatError(f"{where}: duplicate bag {bid}")
             bag = frozenset(int_token(p, where) - 1 for p in parts[2:])
             if bag and not (min(bag) >= 0 and max(bag) < n):
-                raise FormatError(f"{where}: bag {bid + 1} has a vertex outside 1..{n}")
-            bags[bid] = bag
+                raise FormatError(f"{where}: bag {bid} has a vertex outside 1..{n}")
+            bags[bid - 1] = bag
         elif len(parts) == 2:
-            edges.append((int_token(parts[0], where) - 1, int_token(parts[1], where) - 1))
+            a, b = int_token(parts[0], where), int_token(parts[1], where)
+            if not (0 < a <= num_bags and 0 < b <= num_bags):
+                bad = b if 0 < a <= num_bags else a
+                raise FormatError(f"{where}: bag {bad} outside 1..{num_bags}")
+            if a == b:
+                raise FormatError(f"{where}: self-loop at bag {a}")
+            key = (a, b) if a < b else (b, a)
+            if key in edges:
+                raise FormatError(f"{where}: duplicate tree edge '{a} {b}'")
+            edges[key] = (a - 1, b - 1)
         else:
             raise FormatError(f"{where}: unrecognized line {' '.join(parts)!r}")
-    if len(bags) != num_bags or sorted(bags) != list(range(num_bags)):
+    if len(bags) != num_bags:
         raise FormatError("bag ids do not cover 1..<declared bag count>")
     largest = max(map(len, bags.values()), default=0)
     if width_plus_1 != largest:
         raise FormatError(
             f"declared width+1 is {width_plus_1}, but the largest bag has {largest} vertices"
         )
-    td = TreeDecomposition(tuple(bags[i] for i in range(num_bags)), tuple(edges))
+    td = TreeDecomposition(tuple(bags[i] for i in range(num_bags)), tuple(edges.values()))
     return td, n
 
 

@@ -1,4 +1,4 @@
-"""Undirected graphs, orderings, prefix cuts, matching, covers and the prefix-set DP.
+"""Undirected graphs, orderings, prefix cuts, matching and covers.
 
 Vertices are dense integer ids 0..n-1.  A graph stores each edge once, as
 (u, v) with u < v, in one ascending tuple: the edge order that the DIMACS
@@ -12,25 +12,15 @@ values use none of it.  `mw_of_ordering` repairs one bitmask matching
 (`width._CutMatching`) as each vertex crosses the cut,
 `matching_width_exact` sizes each cut it reaches from scratch with
 `_CutMatching.size_of`, and pathwidth uses no matching at all.
-
-`prefix_set_dp` minimises the sum of prefix-set costs over all orderings,
-for the minimum OBDD size.  Its table is filled one popcount level at a
-time, from the largest sets down, each level by one vectorised pass per
-item; only the witness walk is a Python loop, and it returns Python ints.
-It and `sets_by_size` import numpy when called, so the rest of the package
-runs without loading it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import FormatError, InputError, InvariantViolationError, int_token, read_records
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -239,7 +229,7 @@ def parse_dimacs_graph(text: str) -> Graph:
         raise FormatError(f"{p_line}: negative vertex count {n}")
     if declared < 0:
         raise FormatError(f"{p_line}: negative edge count {declared}")
-    edges: dict[tuple[int, int], None] = {}  # in file order, which `Graph.make` sorts
+    edges: dict[tuple[int, int], None] = {}  # in file order, so a sorted file sorts in one pass
     for where, parts in records:
         if parts[0] != "e":
             raise FormatError(f"{where}: unrecognized line {' '.join(parts)!r}")
@@ -256,7 +246,7 @@ def parse_dimacs_graph(text: str) -> Graph:
         edges[e] = None
     if len(edges) != declared:
         raise FormatError(f"{p_line}: declares {declared} edges, found {len(edges)}")
-    return Graph.make(n, edges)
+    return Graph(n, tuple(sorted(edges)))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -265,54 +255,3 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def sets_by_size(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2^n subsets of n items as bitmasks grouped by size, ascending in a
-    group, and the groups' offsets: size k is sets[start[k]:start[k + 1]]."""
-    import numpy as np
-
-    size = np.zeros(1 << n, dtype=np.int8)
-    for v in range(n):  # the sets holding v are those without it, plus v
-        size[1 << v:2 << v] = size[:1 << v] + 1
-    sets = np.argsort(size, kind="stable")
-    return sets, np.searchsorted(size[sets], np.arange(n + 2))
-
-
-def prefix_set_dp(cost: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Min over orderings of n items of the sum of their prefix sets' costs,
-    and the lexicographically smallest optimal ordering.
-
-    cost[s] is the cost of prefix set s (bit v set iff item v is in it), with
-    len(cost) == 2^n and cost[2^n - 1] == 0.  h[s] = min over v outside s of
-    cost[s|v] + h[s|v] (Bodlaender, Fomin, Koster, Kratsch & Thilikos, ToCS
-    2012).  Every s|v has one more item than s, so h is filled one popcount
-    level at a time, from n-1 down to 0, each level by n vectorised passes
-    (one per item v).  The witness adds, from the empty set, the smallest v
-    whose set t attains h[s] = cost[t] + h[t].
-    """
-    import numpy as np
-
-    cost = np.asarray(cost, dtype=np.int64)
-    full = len(cost) - 1
-    n = full.bit_length()
-    by_size, start = sets_by_size(n)
-    h = np.zeros_like(cost)
-    for level in range(n - 1, -1, -1):
-        sets = by_size[start[level]:start[level + 1]]
-        best = np.full(len(sets), np.iinfo(np.int64).max)
-        for v in range(n):
-            outside = (sets >> v & 1) == 0
-            t = sets[outside] | 1 << v
-            best[outside] = np.minimum(best[outside], cost[t] + h[t])
-        h[sets] = best
-    order: list[int] = []
-    s = 0
-    while s != full:
-        for v in iter_bits(full ^ s):
-            t = s | (1 << v)
-            if cost[t] + h[t] == h[s]:
-                order.append(v)
-                s = t
-                break
-    return int(h[0]), tuple(order)

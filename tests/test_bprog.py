@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from dataclasses import FrozenInstanceError
 
@@ -12,6 +13,7 @@ from widthlab.instances import (
 from widthlab.bprog import (
     BranchingProgram,
     Edge,
+    _order_tables,
     _truth_table,
     build_obdd,
     check_c_nsobdd,
@@ -22,7 +24,6 @@ from widthlab.bprog import (
     min_obdd_size_over_orders,
     min_segments,
     parse_bp,
-    subfunction_counts,
 )
 from widthlab.lbound import check_distinctness
 
@@ -31,6 +32,7 @@ from oracles import (
     brute_computational_paths,
     brute_min_obdd,
     brute_min_segments,
+    brute_prefix_set_dp,
     brute_subfunction_count,
     brute_truth_table,
     clause_scan_satisfies,
@@ -361,6 +363,19 @@ class TestMinObddSize:
         result = min_obdd_size_over_orders(f)
         assert (result.size, result.order) == brute_min_obdd(f)
 
+    @settings(deadline=None, max_examples=30)
+    @given(cnfs(max_vars=7, max_clauses=6))
+    @example(Cnf.make(0, []))
+    @example(Cnf.make(0, [[]]))
+    def test_below_and_order_match_permutation_enumeration(self, f):
+        """below[0] is the fewest nodes over all orders' prefix sets, and
+        the order is the lexicographically smallest that attains it."""
+        counts, below = _order_tables(f)
+        result = min_obdd_size_over_orders(f)
+        assert (below[0], result.order) == brute_prefix_set_dp(counts.tolist(), operator.add)
+        assert result.size == 2 + counts[0] + below[0]
+        assert type(result.size) is int and all(type(v) is int for v in result.order)
+
     def test_best_order_achieves_the_size(self):
         f = cnf_of_graph(path_graph(4))
         result = min_obdd_size_over_orders(f)
@@ -399,7 +414,7 @@ class TestSubfunctionCounts:
     @settings(deadline=None, max_examples=30)
     @given(cnfs(max_vars=8, max_clauses=6))
     def test_every_prefix_set_matches_the_oracle(self, f):
-        assert subfunction_counts(f) == self.oracle_counts(f)
+        assert _order_tables(f)[0].tolist() == self.oracle_counts(f)
 
     @pytest.mark.parametrize(
         "f",
@@ -414,7 +429,7 @@ class TestSubfunctionCounts:
         ids=["m0-true", "m0-false", "m1", "tautology", "unsatisfiable", "unused-var"],
     )
     def test_corner_cases(self, f):
-        assert subfunction_counts(f) == self.oracle_counts(f)
+        assert _order_tables(f)[0].tolist() == self.oracle_counts(f)
 
 
 class TestPathEnumeration:

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import widthlab
 from widthlab import bprog, decomposition, lbound
 from widthlab.cli import main
+from widthlab.errors import InputError
 from widthlab.graph import Ordering, format_dimacs_graph
 from widthlab.instances import (
     cnf_of_graph,
@@ -371,6 +372,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: no accepting path for family member 0\n"
 
+    def test_obdd_build_failing_its_own_check_is_an_invariant_violation(
+        self, capsys, monkeypatch, k2_cnf_file
+    ):
+        def reject(z):
+            raise InputError("root has incoming edges")
+
+        monkeypatch.setattr(bprog.BranchingProgram, "validate", reject)
+        code = main(["obdd-build", "--cnf", k2_cnf_file])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: root has incoming edges\n"
+
     def test_missing_witness_cut_is_an_input_error(self, capsys, tmp_path):
         g_file = tmp_path / "empty4.gr"
         g_file.write_text("p edge 4 0\n")
@@ -381,6 +395,36 @@ class TestExitCodes:
         assert captured.err == (
             "error: no prefix cut of the ordering has a matching of size 1\n"
         )
+
+
+class TestPaceTreeEdges:
+    """A bad tree edge or bag id in a PACE file is reported at its line, with
+    the file's 1-based bag ids."""
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ("b 1 1\nb 2 1\n1 5\n", "line 4: bag 5 outside 1..2"),
+            ("b 1 1\nb 2 1\n0 1\n", "line 4: bag 0 outside 1..2"),
+            ("b 1 1\nb 2 1\n2 2\n", "line 4: self-loop at bag 2"),
+            ("b 1 1\nb 2 1\nb 3 1\n1 2\n2 3\n1 2\n", "line 7: duplicate tree edge '1 2'"),
+            ("b 1 1\nb 2 1\nb 3 1\n1 2\n2 3\n2 1\n", "line 7: duplicate tree edge '2 1'"),
+            ("b 1 1\nb 5 1\n", "line 3: bag 5 outside 1..2"),
+        ],
+        ids=["edge-beyond", "edge-zero", "self-loop", "duplicate", "duplicate-flipped",
+             "bag-beyond"],
+    )
+    def test_error_names_the_line(self, capsys, tmp_path, records, message):
+        bags = records.count("b ")
+        pd_file = tmp_path / "bad.td"
+        pd_file.write_text(f"s td {bags} 1 1\n" + records)
+        g_file = tmp_path / "one.gr"
+        g_file.write_text("p edge 1 0\n")
+        code = main(["order-from-pd", "--graph", str(g_file), "--pd", str(pd_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestHugeDeclaredSizes:

@@ -1,5 +1,3 @@
-import operator
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,8 +13,6 @@ from widthlab.graph import (
     max_bipartite_matching,
     min_vertex_cover_bipartite,
     parse_dimacs_graph,
-    prefix_set_dp,
-    sets_by_size,
 )
 
 from oracles import (
@@ -189,6 +185,13 @@ class TestDimacs:
     def test_round_trip(self, g):
         assert parse_dimacs_graph(format_dimacs_graph(g)) == g
 
+    @given(graphs(), st.randoms(use_true_random=False))
+    def test_shuffled_flipped_records_parse_as_make_builds(self, g, rnd):
+        pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges]
+        rnd.shuffle(pairs)
+        text = f"p edge {g.n} {len(pairs)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs)
+        assert parse_dimacs_graph(text) == Graph.make(g.n, pairs)
+
     def test_comments_survive_parsing(self):
         g = Graph.make(2, [(0, 1)])
         text = format_dimacs_graph(g, comments=["hello world"])
@@ -240,31 +243,21 @@ def cost_tables(draw, max_n=6):
 
 
 class TestPrefixSetDp:
-    """prefix_set_dp sums prefix-set costs; the max fold is the reference
-    table DP of the exact widths, checked here on the same tables."""
+    """The max fold is the reference table DP of the exact widths; the sum
+    fold runs inside the minimum OBDD's level walk, checked in test_bprog."""
 
     @settings(deadline=None, max_examples=60)
     @given(cost_tables())
-    @pytest.mark.parametrize("dp, fold", [(table_minimax, max), (prefix_set_dp, operator.add)],
-                             ids=["max", "add"])
+    @pytest.mark.parametrize("dp, fold", [(table_minimax, max)], ids=["max"])
     def test_matches_permutation_enumeration(self, dp, fold, cost):
         value, order = dp(cost)
         assert (value, order) == brute_prefix_set_dp(cost, fold)
         assert type(value) is int and all(type(v) is int for v in order)
 
-    @pytest.mark.parametrize("dp", [table_minimax, prefix_set_dp], ids=["max", "add"])
+    @pytest.mark.parametrize("dp", [table_minimax], ids=["max"])
     def test_zero_and_one_items(self, dp):
         assert dp([0]) == (0, ())
         assert dp([2, 0]) == (0, (0,))
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
-def test_sets_by_size(n):
-    sets, start = sets_by_size(n)
-    for k in range(n + 1):
-        expected = [s for s in range(1 << n) if bin(s).count("1") == k]
-        assert sets[start[k]:start[k + 1]].tolist() == expected
-    assert start[n + 1] == len(sets) == 1 << n
 
 
 def test_iter_bits():

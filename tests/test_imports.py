@@ -5,9 +5,10 @@ as used when the module's code loads it, including inside annotations,
 whether written as expressions or as strings.  A name imported under
 `if TYPE_CHECKING:` counts as used only where an annotation names it.
 
-numpy is imported only inside the numpy table kernels, so the commands
-that run none of them never load it: `obdd-build` among them, whose truth
-table is one Python int.  `obdd-min` must load it.
+numpy is imported in one function, `bprog._order_tables`, the level walk
+of the minimum OBDD, so the commands that do not run it never load it:
+`obdd-build` among them, whose truth table is one Python int.  `obdd-min`
+must load it.
 """
 
 import ast
@@ -85,6 +86,33 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def numpy_holders(tree: ast.Module) -> list[str | None]:
+    """For each import of numpy in tree, the innermost function holding it,
+    or None for one outside every function."""
+    holder = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.partition(".")[0] == "numpy" for m in modules):
+            holder[node] = None
+    for fn in ast.walk(tree):  # breadth first: an outer function before its inner ones
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if node in holder:
+                    holder[node] = fn.name
+    return list(holder.values())
+
+
+def test_numpy_is_imported_in_one_function():
+    package = sorted(Path(widthlab.__file__).parent.glob("*.py"))
+    found = {p.stem: numpy_holders(ast.parse(p.read_text())) for p in package}
+    assert {stem: fns for stem, fns in found.items() if fns} == {"bprog": ["_order_tables"]}
 
 
 # numpy imported for the type checker, and again, for running, in a function.
