@@ -590,6 +590,7 @@ def parse_bp(text: str) -> BranchingProgram:
     _, (num_nodes, root, leaf), records = read_records(text, "bp", "<nodes> <root> <leaf>")
     edges: list[Edge] = []
     seen: set[tuple[int, int, int]] = set()  # (tail, head, signed literal or 0)
+    literals: dict[int, Literal] = {}  # one Literal per distinct signed literal
     for where, parts in records:
         if len(parts) not in (2, 3):
             raise FormatError(f"{where}: expected 'tail head [literal]'")
@@ -600,10 +601,12 @@ def parse_bp(text: str) -> BranchingProgram:
         label, signed = None, 0
         if len(parts) == 3:
             signed = int_token(parts[2], where)
-            try:
-                label = Literal.from_signed(signed)
-            except InputError as exc:
-                raise FormatError(f"{where}: {exc}") from exc
+            label = literals.get(signed)
+            if label is None:
+                try:
+                    label = literals[signed] = Literal.from_signed(signed)
+                except InputError as exc:
+                    raise FormatError(f"{where}: {exc}") from exc
         if (tail, head, signed) in seen:
             raise FormatError(f"{where}: duplicate edge '{' '.join(parts)}'")
         seen.add((tail, head, signed))

@@ -706,6 +706,11 @@ class TestBpFormat:
             parse_bp(text)
         assert str(exc.value) == message
 
+    def test_zero_literal_after_good_ones_names_its_line(self):
+        text = "bp 4 1 4\n1 2 1\n2 3 -1\n2 3 1\nc\n3 4 0\n"
+        with pytest.raises(FormatError, match="^line 6: 0 is not a literal$"):
+            parse_bp(text)
+
     def test_duplicate_edge(self):
         text = "bp 3 1 3\n1 2\n1 2\n2 3\n2 3 -1\n"
         with pytest.raises(FormatError, match="^line 3: duplicate edge '1 2'$"):

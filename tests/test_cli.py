@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import widthlab
-from widthlab import bprog, decomposition, lbound
-from widthlab.cli import main
+from widthlab import bprog, cli, decomposition, lbound
+from widthlab.cli import build_parser, main
 from widthlab.errors import InputError
 from widthlab.graph import Ordering, format_dimacs_graph
 from widthlab.instances import (
@@ -395,6 +396,82 @@ class TestExitCodes:
         assert captured.err == (
             "error: no prefix cut of the ordering has a matching of size 1\n"
         )
+
+
+# A well-formed command line of each command, starting with a required flag
+# and its value where the command has one, and an int flag of the command
+# (order-from-pd and pd-from-order have none).
+WELL_FORMED = {
+    "gen-graph": (["--kind", "grid", "--rows", "2", "--cols", "3", "--seed", "5"], "--n"),
+    "gen-cnf": (["--r", "2", "--k", "3", "--out", "f.cnf"], "--r"),
+    "mw": (["--graph", "g.gr", "--order", "0 1", "--cap", "12", "--json"], "--cap"),
+    "pw": (["--graph", "g.gr", "--cap", "12", "--json", "--out", "-"], "--cap"),
+    "td-ctree": (["--r", "2", "--k", "3", "--extended"], "--k"),
+    "order-from-pd": (["--graph", "g.gr", "--pd", "g.td", "--json"], None),
+    "pd-from-order": (["--graph", "g.gr", "--order", "0 1"], None),
+    "obdd-build": (["--cnf", "f.cnf", "--order", "0 1", "--cap", "9", "--out", "f.bp"], "--cap"),
+    "obdd-min": (["--cnf", "f.cnf", "--cap", "9", "--json"], "--cap"),
+    "check-cnsobdd": (["--bp", "f.bp", "--c", "2", "--path-cap", "7", "--json"], "--path-cap"),
+    "lb-experiment": (["--graph", "g.gr", "--c", "1", "--t", "2", "--cap", "9"], "--t"),
+}
+
+
+def _command_lines():
+    for command, (argv, int_flag) in WELL_FORMED.items():
+        yield [command, "--help"]
+        yield [command, *argv[2:]]  # a required flag left out (gen-cnf has none)
+        yield [command, *argv, "--bogus"]
+        if int_flag is not None:
+            yield [command, *argv, int_flag, "x"]
+        yield [command, *argv]
+
+
+class TestOneCommandParser:
+    def test_every_command_has_a_well_formed_line(self, capsys):
+        assert main(["--help"]) == 0
+        listed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert listed.split(",") == list(WELL_FORMED)
+
+    @pytest.mark.parametrize("argv", list(_command_lines()), ids=" ".join)
+    def test_parses_as_the_full_parser(self, capsys, argv):
+        outcomes = []
+        for parser in (build_parser(argv[0]), build_parser()):
+            try:
+                outcome = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                outcome = exc.code
+            outcomes.append((outcome, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestParsersBuilt:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The number of argument parsers made so far."""
+        count = [0]
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        return count
+
+    def test_a_command_builds_its_own_parser_only(self, capsys, built, p10_file):
+        assert main(["mw", "--graph", p10_file]) == 0
+        assert built[0] == 2
+
+    def test_the_console_script_path_too(self, capsys, built, monkeypatch, p10_file):
+        monkeypatch.setattr(sys, "argv", ["widthlab", "pw", "--graph", p10_file])
+        assert main() == 0
+        assert capsys.readouterr().out == "1\n"
+        assert built[0] == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["frobnicate"]])
+    def test_otherwise_every_parser(self, capsys, built, argv):
+        main(argv)
+        assert built[0] == 1 + len(WELL_FORMED)
 
 
 class TestPaceTreeEdges:
