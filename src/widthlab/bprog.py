@@ -1,37 +1,37 @@
 """Nondeterministic branching programs, OBDD construction and the
 order-segmentation checker.
 
-Programs are DAGs with one root and one accepting leaf; edges optionally
-carry a literal, and a program stores them sorted by `Edge.sort_key`, so
-programs with the same edges are equal and walks and `format_bp` follow
-that order.  An assignment is accepted when some consistent
-root-leaf path's literal set is contained in it.  A computational path is
-a tuple of edges: it reads no variable with both signs, so its literal
-set is the set of its edge labels.  Path enumeration seeded with an
-assignment walks only the paths that accept it.  OBDDs are built from
-the truth table, one int with one bit per assignment that each clause's
-periodic falsifying pattern is cleared from, level by level over a
-variable order, one node per distinct residual row (a slice of that
-int), numbered when first reached; constant residuals go to two shared
-terminals, numbered last, and the rejecting one counts as a node though no
-accepting path reaches it.
+A program is a DAG with one root and one accepting leaf.  Its edges are
+three int tuples in canonical order, (tail, head, variable, sign) with
+unlabelled edges first: tails, heads and signed literals, 0 for no
+label; each node's out-edges are one index range, from the CSR offsets
+of that order.  `Edge` objects are made only at the API boundary: by the
+public constructor, for `BranchingProgram.edges` and for the paths that
+enumeration yields.  An assignment is accepted when some consistent
+root-leaf path's literal set is contained in it.  A computational path
+is a tuple of edges: it reads no variable with both signs, so its
+literal set is the set of its edge labels.  Path enumeration seeded with
+an assignment walks only the paths that accept it.
+
+OBDDs are built from the truth table (`tables.truth_table`, one int),
+level by level over a variable order, one node per distinct residual row
+(a slice of that int), numbered when first reached; constant residuals
+go to two shared terminals, numbered last, and the rejecting one counts
+as a node though no accepting path reaches it.  Each node's two edges
+come out in canonical order, so a built program is never sorted, and
+`parse_bp` sorts only a file whose edge lines are out of that order.
+The minimum size over all variable orders is read from
+`tables.order_tables` without building any OBDD.
 
 The segmentation checker first bounds the segments of every root-leaf
 path with a DP over the DAG, O(E·m); only when that bound exceeds the
 budget does it enumerate consistent paths, to find the first violating
 one.
 
-The minimum size over all variable orders counts each level's nodes
-without building any OBDD, in one walk down the prefix sets' levels: the
-Friedman–Supowit compaction derives the residual-function ids of every
-prefix set from those of a set one variable larger, and the prefix-set DP
-finds the fewest nodes any order can place after each set.
-
-Each program computes its topological order once, by Kahn's algorithm
-(`BranchingProgram.topological_order`); validation, the segment DP and
-path enumeration read it, so a cyclic program raises instead of hanging.
-Evaluation and path enumeration use explicit stacks, so program depth is
-not bounded by the recursion limit.
+Each program computes its topological order once, by Kahn's algorithm;
+validation, the segment DP and path enumeration read it, so a cyclic
+program raises instead of hanging.  Walks use explicit stacks, so
+program depth is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -39,12 +39,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapacityError, FormatError, InputError, InvariantViolationError, int_token, read_records,
 )
 from .instances import Cnf, Literal
+from .tables import order_tables, truth_table
 
 DEFAULT_BUILD_CAP = 24
 DEFAULT_EQUIV_CAP = 20
@@ -64,35 +65,51 @@ class Edge:
         return (self.tail, self.head, self.label.var, self.label.positive)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BranchingProgram:
-    """The constructor stores the edges sorted by `Edge.sort_key`, whatever
-    order they come in: the one place that order is applied."""
+    """The edges are `tails`, `heads` and `lits` (each label's
+    `Literal.signed`, or 0) in canonical order, the order of
+    `Edge.sort_key`; node v's out-edges are the indices in out_ranges[v].
+    The constructor sorts the `Edge`s it is given, whatever their order."""
 
     num_nodes: int
-    edges: tuple[Edge, ...]
     root: int
     leaf: int
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    lits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=Edge.sort_key)))
+    def __init__(self, num_nodes: int, edges: Iterable[Edge], root: int, leaf: int) -> None:
+        edges = tuple(sorted(edges, key=Edge.sort_key))
+        vars(self).update(
+            num_nodes=num_nodes, root=root, leaf=leaf, edges=edges,
+            tails=tuple(e.tail for e in edges), heads=tuple(e.head for e in edges),
+            lits=tuple(0 if e.label is None else e.label.signed() for e in edges))
 
     @property
     def size(self) -> int:
         return self.num_nodes
 
     @functools.cached_property
-    def out_edges(self) -> tuple[tuple[Edge, ...], ...]:
-        """Each node's out-edges, in stored order; built once."""
-        out: list[list[Edge]] = [[] for _ in range(self.num_nodes)]
-        for e in self.edges:
-            out[e.tail].append(e)
-        return tuple(map(tuple, out))
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as `Edge`s, in stored order; built on first use."""
+        labels: dict[int, Literal | None] = {}
+        return tuple(_edge(self, i, labels) for i in range(len(self.lits)))
+
+    @functools.cached_property
+    def out_ranges(self) -> tuple[range, ...]:
+        """range(offsets[v], offsets[v + 1]) for each node v, the CSR
+        offsets; built once, since walks iterate them faster than new ones."""
+        off = [0] * (self.num_nodes + 1)
+        for t in self.tails:
+            off[t + 1] += 1
+        off = list(itertools.accumulate(off))
+        return tuple(map(range, off, off[1:]))
 
     @functools.cached_property
     def variables(self) -> frozenset[int]:
         """The variables some edge tests; built once."""
-        return frozenset(e.label.var for e in self.edges if e.label is not None)
+        return frozenset(abs(s) - 1 for s in set(self.lits) if s)
 
     @functools.cached_property
     def num_vars(self) -> int:
@@ -102,16 +119,15 @@ class BranchingProgram:
     @functools.cached_property
     def topological_order(self) -> tuple[int, ...]:
         """The nodes with every edge's tail before its head, by Kahn's
-        algorithm on int adjacency lists built from `edges`; built once.
-        Raises InputError on a cycle."""
+        algorithm; built once.  Raises InputError on a cycle."""
         indeg = [0] * self.num_nodes
-        succ: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for e in self.edges:
-            indeg[e.head] += 1
-            succ[e.tail].append(e.head)
+        for h in self.heads:
+            indeg[h] += 1
         order = [v for v in range(self.num_nodes) if indeg[v] == 0]
+        heads, out = self.heads, self.out_ranges
         for v in order:  # a FIFO queue: nodes are appended as they become ready
-            for w in succ[v]:
+            for i in out[v]:
+                w = heads[i]
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     order.append(w)
@@ -125,22 +141,33 @@ class BranchingProgram:
         is a DAG (`topological_order`).  A node need not lie on a root-leaf
         path: an OBDD keeps a rejecting terminal that no path to the leaf
         reaches."""
-        n, root, leaf = self.num_nodes, self.root, self.leaf
-        if not (0 <= root < n and 0 <= leaf < n):
+        n, tails, heads = self.num_nodes, self.tails, self.heads
+        if not (0 <= self.root < n and 0 <= self.leaf < n):
             raise InputError("root or leaf outside node range")
-        root_in = leaf_out = False
-        for e in self.edges:
-            if not (0 <= e.tail < n and 0 <= e.head < n):
-                raise InputError(f"edge ({e.tail},{e.head}) outside node range")
-            if e.head == root:
-                root_in = True
-            if e.tail == leaf:
-                leaf_out = True
-        if root_in:
+        if tails and not (0 <= tails[0] and tails[-1] < n and 0 <= min(heads) and max(heads) < n):
+            t, h = next((t, h) for t, h in zip(tails, heads) if not (0 <= t < n and 0 <= h < n))
+            raise InputError(f"edge ({t},{h}) outside node range")
+        if self.root in heads:
             raise InputError("root has incoming edges")
-        if leaf_out:
+        if self.leaf in tails:
             raise InputError("leaf has outgoing edges")
         self.topological_order  # raises on a cycle
+
+
+def _program(num_nodes: int, root: int, leaf: int, tails, heads, lits) -> BranchingProgram:
+    """The program of int tuples already in canonical order; no `Edge` is made."""
+    z = object.__new__(BranchingProgram)
+    vars(z).update(num_nodes=num_nodes, root=root, leaf=leaf, tails=tails, heads=heads, lits=lits)
+    return z
+
+
+def _edge(z: BranchingProgram, i: int, labels: dict[int, Literal | None]) -> Edge:
+    """Edge i of z as an `Edge`.  labels maps each signed literal met so far
+    to its label (0 to None), so one Literal serves every edge with it."""
+    s = z.lits[i]
+    if s not in labels:
+        labels[s] = Literal.from_signed(s) if s else None
+    return Edge(z.tails[i], z.heads[i], labels[s])
 
 
 def evaluate(z: BranchingProgram, assignment: Sequence[bool]) -> bool:
@@ -149,21 +176,28 @@ def evaluate(z: BranchingProgram, assignment: Sequence[bool]) -> bool:
     must cover every variable z tests, so it is no shorter than z.num_vars."""
     if len(assignment) < z.num_vars:
         raise InputError(f"assignment does not cover variable {z.num_vars - 1}")
-    # Containment in a full assignment forces consistency, so this reduces
-    # to reachability through agreeing edges.
-    out = z.out_edges
-    seen = {z.root}
-    stack = [z.root]
+    # Containment in a full assignment forces consistency, so this reduces to
+    # reachability through agreeing edges.  Literal s reads variable s - 1 if
+    # positive, ~s if negative.
+    heads, lits, out, root, leaf = z.heads, z.lits, z.out_ranges, z.root, z.leaf
+    if root == leaf:
+        return True
+    seen = {root}
+    stack = [root]
     while stack:
-        node = stack.pop()
-        if node == z.leaf:
-            return True
-        for e in out[node]:
-            if e.label is not None and assignment[e.label.var] != e.label.positive:
+        for i in out[stack.pop()]:
+            s = lits[i]
+            if s > 0:
+                if not assignment[s - 1]:
+                    continue
+            elif s and assignment[~s]:
                 continue
-            if e.head not in seen:
-                seen.add(e.head)
-                stack.append(e.head)
+            head = heads[i]
+            if head not in seen:
+                if head == leaf:
+                    return True
+                seen.add(head)
+                stack.append(head)
     return False
 
 
@@ -184,9 +218,10 @@ def equivalence_vs_cnf(z: BranchingProgram, f: Cnf) -> EquivalenceVerdict:
     if not z.variables <= set(range(m)):
         raise InputError("program tests variables outside the CNF")
     # Character i from the end is bit i of the table.
-    bits = format(_truth_table(f, range(m)), f"0{1 << m}b")
-    for s, value in zip(itertools.product((False, True), repeat=m), reversed(bits)):
-        if evaluate(z, s) != (value == "1"):
+    bits = format(truth_table(f, range(m)), f"0{1 << m}b")
+    values = map("1".__eq__, reversed(bits))
+    for s, value in zip(itertools.product((False, True), repeat=m), values):
+        if evaluate(z, s) != value:
             return EquivalenceVerdict(False, s)
     return EquivalenceVerdict(True)
 
@@ -194,191 +229,67 @@ def equivalence_vs_cnf(z: BranchingProgram, f: Cnf) -> EquivalenceVerdict:
 # --- OBDD construction ---
 
 
-def _truth_table(f: Cnf, order: Sequence[int]) -> int:
-    """Truth table of f as one int: bit k is f at assignment k, where index
-    bit j, counted from the most significant of m, is the value of order[j].
-
-    f is false exactly on its clauses' falsifying subcubes.  A clause's
-    subcube is a bit pattern that repeats with period 2^(h+1), h the highest
-    index bit its literals fix: it is built by doubling a one-bit pattern
-    h+1 times, keeping one half at a fixed bit and both at a free one.
-    Patterns of one period are ORed together, one running OR widens through
-    the periods in ascending order to all 2^m bits, and the table is its
-    complement.  A table too large for an int raises CapacityError.
-    """
-    m = f.num_vars
-    bit = {v: m - 1 - j for j, v in enumerate(order)}  # v's index bit, from the least
-    try:
-        full = (1 << (1 << m)) - 1
-        falsified: dict[int, int] = {}  # h+1 -> OR of the patterns of period 2^(h+1)
-        for clause in f.clauses:
-            fixed = {bit[lit.var]: lit.positive for lit in clause}
-            top = max(fixed, default=-1) + 1
-            pattern = 1
-            for b in range(top):
-                positive = fixed.get(b)
-                if positive is None:
-                    pattern |= pattern << (1 << b)
-                elif not positive:  # a negative literal is false where the bit is 1
-                    pattern <<= 1 << b
-            falsified[top] = falsified.get(top, 0) | pattern
-        acc, period = 0, 0  # acc repeats every 2^period bits
-        for top in sorted(falsified) + [m]:
-            for b in range(period, top):
-                acc |= acc << (1 << b)
-            acc |= falsified.pop(top, 0)
-            period = top
-        return full ^ acc
-    except (MemoryError, OverflowError):
-        raise CapacityError(f"truth table of {m} variables does not fit in memory") from None
-
-
-def _constant_program(value: bool) -> BranchingProgram:
-    edges = (Edge(0, 1),) if value else ()
-    return BranchingProgram(2, edges, root=0, leaf=1)
-
-
-def build_obdd(f: Cnf, order: Sequence[int], cap: int = DEFAULT_BUILD_CAP) -> BranchingProgram:
+def build_obdd(f: Cnf, order: Iterable[int], cap: int = DEFAULT_BUILD_CAP) -> BranchingProgram:
     """Deterministic reduced OBDD of f, levelized by the variable order.
 
     Size is the node count: decision nodes plus both terminals.  The root's
-    row is the truth table along the order (`_truth_table`, one bit per
+    row is the truth table along the order (`truth_table`, one bit per
     assignment), and each level keys its nodes by their residual rows, also
     ints, so a node's two children are a mask and a shift of its row.
     Nodes are numbered level by level in the order they are first reached;
-    the two terminals come last.
+    the two terminals come last.  Each node's two edges are emitted in
+    canonical order, so nothing is sorted.
     """
     m = f.num_vars
     if m > cap:
         raise CapacityError(f"OBDD build: {m} variables exceeds cap {cap}")
+    order = tuple(order)
     if sorted(order) != list(range(m)):
         raise InputError("order is not a permutation of the CNF's variables")
-    order = tuple(order)
-    table = _truth_table(f, order)
+    table = truth_table(f, order)
     width = 1 << m
-    if table.bit_count() == width:
-        return _constant_program(True)
-    if not table:
-        return _constant_program(False)
+    if not table or table.bit_count() == width:  # constant: one unlabelled edge if true
+        return _program(2, 0, 1, *(((0,), (1,), (0,)) if table else ((), (), ())))
 
     # A row is one int: bit k is entry k of the residual's table, so the
     # low half is the branch where the level's variable is 0.  The true and
     # false terminals are the last two nodes; until the node count is known,
-    # edges name them -2 and -1, counting from the end.
-    raw_edges: list[tuple[int, int, Literal]] = []
+    # heads name them top and top + 1, above the id of any of the fewer
+    # than 2^m decision nodes, so a node's lower head goes first by plain
+    # comparison; on equal heads the negative literal goes first.
+    top = width
+    heads: list[int] = []
+    lits: list[int] = []
+    nodes = [0]  # the node ids, the very int objects that heads hold
     rows, first = [table], 0  # rows[j] is node first + j, of width bits
     del table  # so the root's row is freed once its level is done
     for var in order:
         width >>= 1
         ones = (1 << width) - 1
-        index = {ones: -2, 0: -1}  # then the next level's rows, in id order
+        index = {ones: top, 0: top + 1}  # then the next level's rows, in id order
         next_id = first + len(rows) - 2  # plus len(index): the next new id
-        low, high = Literal(var, False), Literal(var, True)
-        for tail, row in enumerate(rows, first):
-            for label, child in ((low, row & ones), (high, row >> width)):
-                head = index.setdefault(child, next_id + len(index))
-                raw_edges.append((tail, head, label))
+        low_first, high_first = (-var - 1, var + 1), (var + 1, -var - 1)
+        for row in rows:
+            low = index.setdefault(row & ones, next_id + len(index))
+            high = index.setdefault(row >> width, next_id + len(index))
+            if high < low:
+                heads += high, low
+                lits += high_first
+            else:
+                heads += low, high
+                lits += low_first
         rows, first = list(index)[2:], first + len(rows)
+        nodes += itertools.islice(index.values(), 2, None)
 
-    size = first + 2
-    edges = tuple(Edge(tail, head % size, label) for tail, head, label in raw_edges)
-    del raw_edges  # free the triples before the constructor sorts the edges
-    z = BranchingProgram(size, edges, root=0, leaf=size - 2)
+    ends = {top: first, top + 1: first + 1}  # the terminals' ids, now that they are known
+    z = _program(first + 2, 0, first, tuple(itertools.chain.from_iterable(zip(nodes, nodes))),
+                 tuple(map(ends.get, heads, heads)), tuple(lits))
+    del heads, lits, nodes  # free the lists before the check
     try:
         z.validate()
     except InputError as exc:  # the program was built here, so this is a bug
         raise InvariantViolationError(str(exc)) from exc
     return z
-
-
-# Entries of one level derived per vectorised step.  This bounds the int64
-# keys, gather indices and np.unique's sort to a few hundred KiB whatever
-# the level's size, so peak memory is the two adjacent levels' id tables.
-_COMPACTION_CHUNK = 1 << 13
-
-
-def _order_tables(f: Cnf) -> tuple:
-    """Two int64 numpy arrays over the variable sets S (bit v of the index
-    set iff v is in S): counts[S], the distinct non-constant residual
-    functions of f over the assignments of S, which are the nodes at the
-    OBDD level right after prefix set S; and below[S], the fewest nodes the
-    levels after S can have, min over v outside S of counts[S|v] +
-    below[S|v] (Bodlaender et al., ToCS 2012).  Only this function imports
-    numpy.
-
-    counts is the compaction of Friedman & Supowit (IEEE Trans. Computers
-    39(5), 1990).  The table of S holds, for each assignment of S (bit i
-    of the index is the i-th smallest variable of S), an id of the
-    residual function: 0 is constant false, 1 constant true, and two
-    entries of one table have equal ids exactly when their residuals are
-    equal.  The table of the full set is the truth table, unpacked once
-    from `_truth_table`'s int into int32 ids.  The table of S comes from
-    that of its parent S | {v}, v the lowest variable outside S: the
-    residual under an assignment of S is the pair of residuals with v=0
-    and v=1, so deduplicating the id pairs gives S's ids.
-
-    One walk derives the levels |S| = m-1, ..., 0 in turn, counts and then
-    below, whose every S|v lies on the level before.  A level is one flat
-    int32 array of C(m,k) tables of 2^k entries, and only two adjacent
-    levels are alive at once: at m=16 the largest pair (k=11 and k=10)
-    holds 17.1M ids, 65 MiB.  All levels together hold 3^m entries, each
-    deduplicated by a sort over a chunk of about _COMPACTION_CHUNK entries
-    (one table, when a table is larger), so the time is O(m·3^m).
-    """
-    import numpy as np
-
-    m = f.num_vars
-    size = np.zeros(1 << m, dtype=np.int8)
-    for v in range(m):  # the sets holding v are those without it, plus v
-        size[1 << v:2 << v] = size[:1 << v] + 1
-    by_level = np.argsort(size, kind="stable")  # level k is by_level[starts[k]:starts[k + 1]]
-    starts = np.searchsorted(size[by_level], np.arange(m + 2))
-    row = np.argsort(by_level) - starts[size]  # a set's table index within its level
-    counts, below = np.zeros((2, 1 << m), dtype=np.int64)
-    below[:-1] = 1 << 62  # unset: a set's own entry never wins a min before its level sets it
-
-    # The truth table with variable i on index bit i, one int32 per entry.
-    table = _truth_table(f, tuple(reversed(range(m))))
-    packed = np.frombuffer(table.to_bytes(((1 << m) + 7) // 8, "little"), dtype=np.uint8)
-    parent = np.unpackbits(packed, count=1 << m, bitorder="little").astype(np.int32)
-    base = 2  # every parent id is below base
-    for k in range(m - 1, -1, -1):
-        level_sets = by_level[starts[k]:starts[k + 1]]
-        width = 1 << k
-        level = np.empty(len(level_sets) * width, dtype=np.int32)
-        a = np.arange(width, dtype=np.int64)
-        rows_per_chunk = max(1, _COMPACTION_CHUNK >> k)
-        next_base = 2
-        for r0 in range(0, len(level_sets), rows_per_chunk):
-            s = level_sets[r0:r0 + rows_per_chunk]
-            bit = (~s & (s + 1))[:, None]  # the lowest variable outside s
-            # Parent index of assignment a with v=0: the bits of a at and
-            # above v's rank move up one place to make room for v.
-            at = a & -bit
-            at += a
-            at += (row[s | bit[:, 0]] << (k + 1))[:, None]
-            pair = parent[at].astype(np.int64)
-            pair *= base
-            at += bit
-            pair += parent[at]
-            false, true = pair == 0, pair == base + 1
-            # Tagging each pair with its row lets one sort dedupe every row.
-            span = base * base
-            pair += (np.arange(len(s), dtype=np.int64) * span)[:, None]
-            uniq, inv = np.unique(pair.ravel(), return_inverse=True)
-            ids = level[r0 * width:(r0 + len(s)) * width].reshape(len(s), width)
-            np.add(inv.reshape(len(s), width), 2, out=ids, casting="unsafe")
-            ids[false] = 0
-            ids[true] = 1
-            residue = uniq % span
-            varying = uniq[(residue != 0) & (residue != base + 1)]
-            counts[s] = np.bincount(varying // span, minlength=len(s))
-            next_base = max(next_base, len(uniq) + 2)
-        parent, base = level, next_base
-        t = level_sets[:, None] | 1 << np.arange(m)  # S|v for each v; S, still unset, if v in S
-        below[level_sets] = (counts[t] + below[t]).min(axis=1)
-        del t  # so the next level's two id tables are the peak
-    return counts, below
 
 
 @dataclass(frozen=True)
@@ -393,7 +304,7 @@ def min_obdd_size_over_orders(f: Cnf, cap: int = DEFAULT_MIN_SIZE_CAP) -> MinObd
 
     The number of nodes at a level depends only on the *set* of variables
     placed before it, so an order's size is the two terminals plus the sum
-    of its prefix sets' node counts.  `_order_tables` gives each set's
+    of its prefix sets' node counts.  `order_tables` gives each set's
     count and the fewest nodes below it, in O(m·3^m) time; the order adds,
     from the empty set, the smallest variable whose set t keeps that
     fewest: counts[t] + below[t] == below[s].
@@ -401,7 +312,7 @@ def min_obdd_size_over_orders(f: Cnf, cap: int = DEFAULT_MIN_SIZE_CAP) -> MinObd
     m = f.num_vars
     if m > cap:
         raise CapacityError(f"order minimization: {m} variables exceeds cap {cap}")
-    counts, below = _order_tables(f)
+    counts, below = order_tables(f)
     order: list[int] = []
     s = 0
     for _ in range(m):
@@ -429,22 +340,26 @@ def enumerate_computational_paths(
 
     The first step reads `z.topological_order`, so a cyclic program raises
     InputError instead of being walked forever.  Depth-first with an
-    explicit stack of out-edge iterators, one per node on the current path,
-    so path length is not bounded by recursion depth.  One var -> sign dict
-    holds the signs the path has read, seeded with the assignment; each
-    path edge records the variable it added (None if it added none), so
-    popping the edge deletes exactly that entry.
+    explicit stack of out-edge index iterators, one per node on the current
+    path, so path length is not bounded by recursion depth.  One set holds
+    the signed literals the path has read, seeded with the assignment's;
+    each path edge records the literal it added (0 if it added none), so
+    popping the edge removes exactly that one.  An edge becomes an `Edge`
+    when a path first takes it.
     """
     z.topological_order  # raises on a cycle
     if assignment is not None and len(assignment) < z.num_vars:
         raise InputError(f"assignment does not cover variable {z.num_vars - 1}")
-    out = z.out_edges
+    heads, lits, out = z.heads, z.lits, z.out_ranges
+    made: dict[int, Edge] = {}  # the `Edge` of each edge index a path has taken
+    labels: dict[int, Literal | None] = {}
     count = 0
     path: list[Edge] = []
-    added: list[int | None] = []  # added[i]: the variable path[i] put in signs
-    signs: dict[int, bool] = {} if assignment is None else dict(enumerate(assignment))
-    # stack[i] iterates the out-edges of the node that path[:i] reaches.
-    stack: list[Iterator[Edge]] = []
+    added: list[int] = []  # added[i]: the literal path[i] put in read, or 0
+    read = set() if assignment is None else {
+        v + 1 if a else -v - 1 for v, a in enumerate(assignment)}
+    # stack[i] iterates the out-edge indices of the node that path[:i] reaches.
+    stack: list[Iterator[int]] = []
     reached: int | None = z.root  # the node the last step reached, if any
     while True:
         if reached == z.leaf:
@@ -458,26 +373,25 @@ def enumerate_computational_paths(
         elif not stack:
             return
         reached = None
-        for e in stack[-1]:
-            var = None
-            if e.label is not None:
-                sign = signs.get(e.label.var)
-                if sign is None:
-                    var = e.label.var
-                    signs[var] = e.label.positive
-                elif sign != e.label.positive:
-                    continue  # inconsistent continuation
-            path.append(e)
-            added.append(var)
-            reached = e.head
+        for i in stack[-1]:
+            s = lits[i]
+            if -s in read:
+                continue  # inconsistent continuation
+            if s in read:
+                s = 0  # read before, so the edge adds nothing
+            elif s:
+                read.add(s)
+            if i not in made:
+                made[i] = _edge(z, i, labels)
+            path.append(made[i])
+            added.append(s)
+            reached = heads[i]
             break
         else:
             stack.pop()
             if path:
                 path.pop()
-                var = added.pop()
-                if var is not None:
-                    del signs[var]
+                read.discard(added.pop())
 
 
 def min_segments(positions: Sequence[int]) -> int:
@@ -508,21 +422,22 @@ def _max_segments(z: BranchingProgram, pos: Mapping[int, int]) -> int:
     that position, so the map is exact.  Paths stop at the leaf, but what
     the leaf passes on never comes back to it.  O(E·m) time.
     """
-    out = z.out_edges
+    heads, lits, out = z.heads, z.lits, z.out_ranges
+    at = {s: pos[abs(s) - 1] for s in set(lits) if s}  # each signed literal's position
     most: list[dict[int, int]] = [{} for _ in range(z.num_nodes)]
     most[z.root][-1] = 1
     for v in z.topological_order:
         states = most[v]
         if not states:
             continue
-        for e in out[v]:
-            target = most[e.head]
-            if e.label is None:
+        for i in out[v]:
+            target = most[heads[i]]
+            if not lits[i]:
                 for last, k in states.items():
                     if target.get(last, 0) < k:
                         target[last] = k
             else:
-                q = pos[e.label.var]
+                q = at[lits[i]]
                 need = max(k + (q <= last) for last, k in states.items())
                 if target.get(q, 0) < need:
                     target[q] = need
@@ -578,19 +493,19 @@ BP_HEADER = "c widthlab branching-program format v1"
 def format_bp(z: BranchingProgram) -> str:
     """One line per edge in stored order; `parse_bp` reads back an equal program."""
     lines = [BP_HEADER, f"bp {z.num_nodes} {z.root + 1} {z.leaf + 1}"]
-    for e in z.edges:
-        if e.label is None:
-            lines.append(f"{e.tail + 1} {e.head + 1}")
-        else:
-            lines.append(f"{e.tail + 1} {e.head + 1} {e.label.signed()}")
+    lines += [f"{t + 1} {h + 1} {s}" if s else f"{t + 1} {h + 1}"
+              for t, h, s in zip(z.tails, z.heads, z.lits)]
     return "\n".join(lines) + "\n"
 
 
 def parse_bp(text: str) -> BranchingProgram:
+    """The program of a `format_bp` text.  Edge lines may come in any order:
+    one comparison per line checks canonical order, and only a file out of
+    that order is sorted."""
     _, (num_nodes, root, leaf), records = read_records(text, "bp", "<nodes> <root> <leaf>")
-    edges: list[Edge] = []
-    seen: set[tuple[int, int, int]] = set()  # (tail, head, signed literal or 0)
-    literals: dict[int, Literal] = {}  # one Literal per distinct signed literal
+    tails, heads, lits = [], [], []
+    seen: set[tuple[int, int, int]] = set()  # (tail, head, rank) of each edge
+    last, ordered = (0, 0, 0), True
     for where, parts in records:
         if len(parts) not in (2, 3):
             raise FormatError(f"{where}: expected 'tail head [literal]'")
@@ -598,20 +513,27 @@ def parse_bp(text: str) -> BranchingProgram:
         if not (0 < tail <= num_nodes and 0 < head <= num_nodes):
             bad = head if 0 < tail <= num_nodes else tail
             raise FormatError(f"{where}: node {bad} outside 1..{num_nodes}")
-        label, signed = None, 0
+        signed = 0
         if len(parts) == 3:
             signed = int_token(parts[2], where)
-            label = literals.get(signed)
-            if label is None:
-                try:
-                    label = literals[signed] = Literal.from_signed(signed)
-                except InputError as exc:
-                    raise FormatError(f"{where}: {exc}") from exc
-        if (tail, head, signed) in seen:
+            if not signed:
+                raise FormatError(f"{where}: 0 is not a literal")
+        # The rank orders labels canonically: none, then by variable, negative first.
+        key = (tail, head, 2 * abs(signed) + (signed > 0))
+        if key in seen:
             raise FormatError(f"{where}: duplicate edge '{' '.join(parts)}'")
-        seen.add((tail, head, signed))
-        edges.append(Edge(tail - 1, head - 1, label))
-    z = BranchingProgram(num_nodes, tuple(edges), root - 1, leaf - 1)
+        seen.add(key)
+        ordered = ordered and last < key
+        last = key
+        tails.append(tail - 1)
+        heads.append(head - 1)
+        lits.append(signed)
+    ids: dict[int, int] = {}  # one int object per node id, for tails and heads alike
+    arrays = (tuple(map(ids.setdefault, tails, tails)),
+              tuple(map(ids.setdefault, heads, heads)), lits)
+    if not ordered:
+        arrays = zip(*sorted(zip(*arrays), key=lambda e: (e[0], e[1], 2 * abs(e[2]) + (e[2] > 0))))
+    z = _program(num_nodes, root - 1, leaf - 1, *map(tuple, arrays))
     try:
         z.validate()
     except InputError as exc:

@@ -1,11 +1,13 @@
 import itertools
 import operator
 import random
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from widthlab import bprog
 from widthlab.errors import CapacityError, FormatError, InputError
 from widthlab.instances import (
     Cnf, Literal, cnf_of_graph, cycle_graph, grid_graph, path_graph,
@@ -13,8 +15,6 @@ from widthlab.instances import (
 from widthlab.bprog import (
     BranchingProgram,
     Edge,
-    _order_tables,
-    _truth_table,
     build_obdd,
     check_c_nsobdd,
     enumerate_computational_paths,
@@ -26,6 +26,7 @@ from widthlab.bprog import (
     parse_bp,
 )
 from widthlab.lbound import check_distinctness
+from widthlab.tables import order_tables, truth_table
 
 from oracles import (
     brute_check_c_nsobdd,
@@ -144,6 +145,18 @@ class TestValidate:
         z = BranchingProgram(3, (Edge(0, 1),), 0, 1)
         z.validate()
 
+    @pytest.mark.parametrize(
+        "edges, leaf, message",
+        [
+            ((Edge(0, 1), Edge(2, 5), Edge(1, 3)), 2, "edge (1,3) outside node range"),
+            ((Edge(0, 1), Edge(-1, 2)), 2, "edge (-1,2) outside node range"),
+            ((Edge(0, 1),), 3, "root or leaf outside node range"),
+        ],
+    )
+    def test_range_errors_name_the_first_edge_in_stored_order(self, edges, leaf, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            BranchingProgram(3, edges, 0, leaf).validate()
+
 
 class TestTopologicalOrder:
     @given(dag_programs())
@@ -225,6 +238,12 @@ class TestBuildObdd:
         f = single_clause(1, 2)
         with pytest.raises(InputError):
             build_obdd(f, (0, 0))
+
+    def test_an_iterator_order_builds_as_its_tuple(self):
+        f = cnf_of_graph(path_graph(3))
+        order = (4, 2, 0, 3, 1)
+        assert build_obdd(f, iter(order)) == build_obdd(f, order)
+        assert build_obdd(f, (v for v in range(5))) == build_obdd(f, tuple(range(5)))
 
     def test_cap(self):
         f = cnf_of_graph(path_graph(4))
@@ -317,8 +336,8 @@ class TestBuildObdd:
 
 
 def table_bits(f, order) -> list[bool]:
-    """`_truth_table(f, order)` read bit by bit, least significant first."""
-    table = _truth_table(f, order)
+    """`truth_table(f, order)` read bit by bit, least significant first."""
+    table = truth_table(f, order)
     return [bool(table >> k & 1) for k in range(1 << f.num_vars)]
 
 
@@ -370,7 +389,7 @@ class TestMinObddSize:
     def test_below_and_order_match_permutation_enumeration(self, f):
         """below[0] is the fewest nodes over all orders' prefix sets, and
         the order is the lexicographically smallest that attains it."""
-        counts, below = _order_tables(f)
+        counts, below = order_tables(f)
         result = min_obdd_size_over_orders(f)
         assert (below[0], result.order) == brute_prefix_set_dp(counts.tolist(), operator.add)
         assert result.size == 2 + counts[0] + below[0]
@@ -414,7 +433,7 @@ class TestSubfunctionCounts:
     @settings(deadline=None, max_examples=30)
     @given(cnfs(max_vars=8, max_clauses=6))
     def test_every_prefix_set_matches_the_oracle(self, f):
-        assert _order_tables(f)[0].tolist() == self.oracle_counts(f)
+        assert order_tables(f)[0].tolist() == self.oracle_counts(f)
 
     @pytest.mark.parametrize(
         "f",
@@ -429,7 +448,7 @@ class TestSubfunctionCounts:
         ids=["m0-true", "m0-false", "m1", "tautology", "unsatisfiable", "unused-var"],
     )
     def test_corner_cases(self, f):
-        assert _order_tables(f)[0].tolist() == self.oracle_counts(f)
+        assert order_tables(f)[0].tolist() == self.oracle_counts(f)
 
 
 class TestPathEnumeration:
@@ -675,9 +694,26 @@ class TestBpFormat:
         rng.shuffle(edges)
         y = BranchingProgram(z.num_nodes, tuple(edges), z.root, z.leaf)
         assert y == z
-        assert y.out_edges == z.out_edges
+        assert (y.tails, y.heads, y.lits) == (z.tails, z.heads, z.lits)
+        assert y.out_ranges == z.out_ranges
         assert format_bp(y) == format_bp(z)
         assert list(enumerate_computational_paths(y)) == list(enumerate_computational_paths(z))
+
+    @settings(deadline=None, max_examples=100)
+    @given(dag_programs().filter(lambda z: z.leaf not in z.tails),  # files hold valid programs
+           st.randoms(use_true_random=False))
+    def test_shuffled_edge_lines_parse_as_the_canonical_file(self, z, rng):
+        text = format_bp(z)
+        lines = text.splitlines(keepends=True)
+        edge_lines = lines[2:]
+        rng.shuffle(edge_lines)
+        y = parse_bp("".join(lines[:2] + edge_lines))
+        assert y == z
+        assert format_bp(y) == text
+        assert list(enumerate_computational_paths(y)) == list(enumerate_computational_paths(z))
+        with pytest.MonkeyPatch.context() as mp:  # a canonical file is never sorted
+            mp.setattr(bprog, "sorted", None, raising=False)
+            assert parse_bp(text) == z
 
     @pytest.mark.parametrize(
         "text",

@@ -474,6 +474,52 @@ class TestParsersBuilt:
         assert built[0] == 1 + len(WELL_FORMED)
 
 
+class TestEdgesMade:
+    """A program is three int arrays: `obdd-build` and a check that its DP
+    bound settles make no `Edge`, and a witness search makes one for each
+    edge its paths take, not for the whole program."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The number of `Edge`s made so far."""
+        count = [0]
+        init = bprog.Edge.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(bprog.Edge, "__init__", counting_init)
+        return count
+
+    @pytest.fixture
+    def c9_cnf(self, tmp_path):
+        path = tmp_path / "c9.cnf"
+        path.write_text(format_dimacs_cnf(cnf_of_graph(cycle_graph(9))))
+        return str(path)
+
+    @pytest.fixture
+    def c9_bp(self, tmp_path, capsys, c9_cnf):
+        path = str(tmp_path / "c9.bp")
+        assert run(capsys, "obdd-build", "--cnf", c9_cnf, "--out", path) == (0, "675\n")
+        return path
+
+    def test_obdd_build_makes_none(self, tmp_path, capsys, made, c9_cnf):
+        out = str(tmp_path / "c9.bp")
+        assert run(capsys, "obdd-build", "--cnf", c9_cnf, "--out", out) == (0, "675\n")
+        assert made[0] == 0
+
+    def test_a_passing_check_makes_none(self, capsys, c9_bp, made):
+        assert run(capsys, "check-cnsobdd", "--bp", c9_bp, "--c", "1") == (0, "pass\n")
+        assert made[0] == 0
+
+    def test_a_witness_search_makes_only_the_edges_its_paths_take(self, capsys, c9_bp, made):
+        order = ",".join(map(str, reversed(range(18))))
+        code, out = run(capsys, "check-cnsobdd", "--bp", c9_bp, "--c", "2", "--order", order)
+        assert (code, out) == (1, "fail: a path needs 18 segments\n")
+        assert 0 < made[0] < len(bprog.parse_bp(Path(c9_bp).read_text()).tails)
+
+
 class TestPaceTreeEdges:
     """A bad tree edge or bag id in a PACE file is reported at its line, with
     the file's 1-based bag ids."""

@@ -5,7 +5,7 @@ as used when the module's code loads it, including inside annotations,
 whether written as expressions or as strings.  A name imported under
 `if TYPE_CHECKING:` counts as used only where an annotation names it.
 
-numpy is imported in one function, `bprog._order_tables`, the level walk
+numpy is imported in one function, `tables.order_tables`, the level walk
 of the minimum OBDD, so the commands that do not run it never load it:
 `obdd-build` among them, whose truth table is one Python int.  `obdd-min`
 must load it.
@@ -112,7 +112,7 @@ def numpy_holders(tree: ast.Module) -> list[str | None]:
 def test_numpy_is_imported_in_one_function():
     package = sorted(Path(widthlab.__file__).parent.glob("*.py"))
     found = {p.stem: numpy_holders(ast.parse(p.read_text())) for p in package}
-    assert {stem: fns for stem, fns in found.items() if fns} == {"bprog": ["_order_tables"]}
+    assert {stem: fns for stem, fns in found.items() if fns} == {"tables": ["order_tables"]}
 
 
 # numpy imported for the type checker, and again, for running, in a function.
