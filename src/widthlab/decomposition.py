@@ -70,9 +70,10 @@ def validate_decomposition(
 
     Returns the first violated property with a witness vertex or edge; a
     foreign vertex in a bag is a malformed input, not a verdict.  One pass
-    over the bags gives each vertex the ascending list of bags holding it;
-    the checks then read only those lists: vertices in ascending order for
-    union and connectedness, edges in `g.edges` order for containment.
+    over the bags gives each vertex the ascending list of bags holding it,
+    and one over the tree edges counts, per vertex, the edges whose two bags
+    both hold it.  The checks read only those: vertices in ascending order
+    for union and connectedness, edges in `g.edges` order for containment.
     """
     td = d.as_tree() if isinstance(d, PathDecomposition) else d
     holding: list[list[int]] = [[] for _ in range(g.n)]
@@ -102,16 +103,15 @@ def validate_decomposition(
     for u, v in g.edges:
         if set(holding[u]).isdisjoint(holding[v]):
             return ValidationResult(False, "containment", (u, v))
+    # The tree is connected and acyclic, so the bags holding v, with the
+    # inner[v] tree edges between two of them, form a forest of
+    # len(holding[v]) - inner[v] trees.
+    inner = [0] * g.n
+    for a, b in td.tree_edges:
+        for v in td.bags[a] & td.bags[b]:
+            inner[v] += 1
     for v in g.vertices():
-        held = set(holding[v])
-        seen = {holding[v][0]}
-        stack = [holding[v][0]]
-        while stack:
-            for b in nbrs[stack.pop()]:
-                if b in held and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        if seen != held:
+        if len(holding[v]) - inner[v] != 1:
             return ValidationResult(False, "connectedness", (v,))
     return ValidationResult(True)
 

@@ -4,19 +4,22 @@ Vertices are dense integer ids 0..n-1.  A graph stores each edge once, as
 (u, v) with u < v, in one ascending tuple: the edge order that the DIMACS
 writer, the CNF's edge variables and the decompositions all follow.  Cut
 graphs are bipartite by construction (prefix side vs. suffix side of an
-ordering), so maximum matching and minimum vertex cover are computed with
-augmenting paths and the alternating-reachability construction.  All
-tie-breaking is by ascending vertex id so results are reproducible.  This
-matching serves the settled covers and `lbound.witness_cut`; the width
-values use none of it.  `mw_of_ordering` repairs one bitmask matching
-(`width._CutMatching`) as each vertex crosses the cut,
-`matching_width_exact` sizes each cut it reaches from scratch with
-`_CutMatching.size_of`, and pathwidth uses no matching at all.
+ordering), so maximum matching and minimum vertex cover run on one
+neighbour bitmask per left vertex: Kuhn's augmenting paths, then König's
+alternating reachability.  All tie-breaking is by ascending vertex id
+(lowest bit first) so results are reproducible.  This matching covers the
+residual cuts of the settled covers and serves `lbound.witness_cut`; no
+cut size is read from it.  `mw_of_ordering` and `settled_vertex_covers`
+take each cut's size from one bitmask matching (`width._CutMatching`)
+repaired as each vertex crosses the cut, `matching_width_exact` sizes each
+cut it reaches from scratch with `_CutMatching.size_of`, and pathwidth
+uses no matching at all.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -129,48 +132,48 @@ def cut_graph(g: Graph, sv: Ordering, i: int) -> CutGraph:
     return CutGraph(left, right, frozenset(crossing))
 
 
-def _left_adjacency(c: CutGraph) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
+def _neighbour_masks(c: CutGraph) -> dict[int, int]:
+    """Each left vertex with a crossing edge -> its right neighbours' bitmask."""
+    adj: dict[int, int] = {}
     for u, v in c.edges:
-        adj.setdefault(u, []).append(v)
-    for nbrs in adj.values():
-        nbrs.sort()
+        adj[u] = adj.get(u, 0) | 1 << v
     return adj
 
 
 def max_bipartite_matching(c: CutGraph) -> Matching:
     """Maximum matching of a cut graph.
 
-    Augmenting paths are explored depth-first in ascending vertex-id order,
-    with an explicit stack, so the result is deterministic for a fixed input
-    and path length is not bounded by the recursion limit.  A failed search
-    changes nothing and its visited right vertices reach no free one, so they
-    stay visited until the next augmentation.
+    Kuhn's augmenting paths from the left vertices in ascending order, each
+    explored depth-first with an explicit stack, so the result is
+    deterministic for a fixed input and path length is not bounded by the
+    recursion limit.  A path vertex tries its lowest unvisited neighbour bit
+    next; every tried neighbour is marked visited, so that is the next one
+    in ascending order.  A failed search changes nothing and its visited
+    right vertices reach no free one, so they stay visited until the next
+    augmentation.
     """
-    adj = _left_adjacency(c)
+    adj = _neighbour_masks(c)
+    everything = unvisited = functools.reduce(operator.or_, adj.values(), 0)
     match_right: dict[int, int] = {}
-    visited: set[int] = set()
     for u in sorted(adj):
-        # Each path left vertex's untried neighbours, and the right ones between.
-        untried, via = [iter(adj[u])], []
-        while untried:
-            for v in untried[-1]:
-                if v not in visited:
-                    break
-            else:
-                untried.pop()
+        # The path's left vertices, and the right ones between and after them.
+        path, via = [u], []
+        while path:
+            free = adj[path[-1]] & unvisited
+            if not free:
+                path.pop()
                 del via[-1:]
                 continue
-            visited.add(v)
+            low = free & -free
+            unvisited ^= low
+            v = low.bit_length() - 1
             via.append(v)
             x = match_right.get(v)
-            if x is None:  # augment: shift each via vertex to the left one before it
-                x = u
-                for w in via:
-                    match_right[w], x = x, match_right.get(w)
-                visited.clear()
+            if x is None:  # augment: each via vertex takes the left one before it
+                match_right.update(zip(via, path))
+                unvisited = everything
                 break
-            untried.append(iter(adj[x]))
+            path.append(x)
     return Matching(frozenset((u, v) for v, u in match_right.items()))
 
 
@@ -179,30 +182,31 @@ def min_vertex_cover_bipartite(c: CutGraph, m: Matching) -> VertexCover:
 
     Starts from unmatched left vertices, walks non-matching edges left to
     right and matching edges right to left; the cover is the unreached
-    left vertices plus the reached right vertices.
+    left vertices plus the reached right vertices.  A reached left vertex
+    is free or was entered through its matching edge, whose right end is
+    already reached, so each step adds its unreached neighbour bits whole.
     """
-    adj = _left_adjacency(c)
-    match_left = {u: v for u, v in m.pairs}
+    adj = _neighbour_masks(c)
     match_right = {v: u for u, v in m.pairs}
-    reach_left = {u for u in adj if u not in match_left}
-    reach_right: set[int] = set()
-    frontier = sorted(reach_left)
+    matched_left = set(match_right.values())
+    frontier = [u for u in adj if u not in matched_left]
+    reach_left = set(frontier)
+    reach_right = 0
     while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj.get(u, ()):
-                if match_left.get(u) == v or v in reach_right:
-                    continue
-                reach_right.add(v)
-                w = match_right.get(v)
-                if w is not None and w not in reach_left:
-                    reach_left.add(w)
-                    nxt.append(w)
-        frontier = sorted(nxt)
-    cover = frozenset(u for u in adj if u not in reach_left) | frozenset(reach_right)
-    for u, v in c.edges:
-        if u not in cover and v not in cover:
-            raise InvariantViolationError(f"edge ({u},{v}) left uncovered")
+        fresh = adj[frontier.pop()] & ~reach_right
+        reach_right |= fresh
+        for v in iter_bits(fresh):
+            w = match_right.get(v)
+            if w is not None and w not in reach_left:
+                reach_left.add(w)
+                frontier.append(w)
+    cover = frozenset(u for u in adj if u not in reach_left) | frozenset(iter_bits(reach_right))
+    for u, nbrs in adj.items():
+        bare = nbrs & ~reach_right
+        if bare and u not in cover:
+            raise InvariantViolationError(
+                f"edge ({u},{(bare & -bare).bit_length() - 1}) left uncovered"
+            )
     if len(cover) != len(m):
         raise InvariantViolationError(
             f"cover size {len(cover)} != matching size {len(m)}; matching not maximum?"

@@ -15,8 +15,9 @@ Cut matchings live on bitmasks in one class, `_CutMatching`.  It keeps one
 maximum matching while vertices cross the cut one at a time, repairing it
 after each move with at most two iterative alternating searches, so its size
 moves by at most 1 per step; `mw_of_ordering` moves the ordering's vertices
-in turn.  It also sizes a given cut from scratch, which is how
-`matching_width_exact` reads its costs.
+in turn, and so does `settled_vertex_covers`, which reads each cut's minimum
+cover size τ from it and checks its cover against τ.  It also sizes a given
+cut from scratch, which is how `matching_width_exact` reads its costs.
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ class SettledChain:
     where each cover's suffix-side vertices carry over into the next cover."""
 
     covers: tuple[VertexCover, ...]
-
-
-@dataclass(frozen=True)
-class MinVcResult:
-    cover: VertexCover
-    is_minimum: bool
 
 
 class _CutMatching:
@@ -304,44 +299,41 @@ def _drop_vertices(c: CutGraph, x: frozenset[int]) -> CutGraph:
     )
 
 
-def min_vc_containing(c: CutGraph, x: frozenset[int]) -> MinVcResult:
+def min_vc_containing(c: CutGraph, x: frozenset[int]) -> VertexCover:
     """x united with a minimum cover of the cut minus x.
 
     The result is a cover of c; it is a *minimum* one exactly when its size
-    equals the cut's maximum matching size, reported via is_minimum.
+    equals the cut's maximum matching size, which the caller knows.
     """
-    if not x <= (c.left | c.right):
+    if not x - c.left <= c.right:
         raise InputError("required set contains vertices outside the cut graph")
     residual = _drop_vertices(c, x)
     sub_cover = min_vertex_cover_bipartite(residual, max_bipartite_matching(residual))
-    cover = VertexCover(x | sub_cover.verts)
-    tau = len(max_bipartite_matching(c))
-    return MinVcResult(cover=cover, is_minimum=len(cover) == tau)
+    return VertexCover(x | sub_cover.verts)
 
 
 def settled_vertex_covers(g: Graph, sv: Ordering) -> SettledChain:
     """Chain of minimum covers of the successive cuts in which each cover's
     suffix-side part is carried into the next cover.
 
-    Each step extends the carried-over set to a minimum cover of the next
-    cut; extendability is guaranteed, so a failed minimality check is an
-    implementation bug.
+    One `_CutMatching` walks the ordering, as in `mw_of_ordering`, and gives
+    each cut's minimum cover size τ.  Each step extends the carried-over set
+    to a cover of the next cut; extendability to a minimum one is
+    guaranteed, so a cover larger than τ is an implementation bug.
     """
     if len(sv) != g.n:
         raise InputError("ordering length does not match graph")
-    n = g.n
+    # Uncached masks are freed before the caller builds its bags, so they
+    # add nothing to the peak memory of `path_decomposition_from_ordering`.
+    cut = _CutMatching(adjacency_masks.__wrapped__(g))
     covers: list[VertexCover] = []
-    for i in range(1, n):
+    for i, v in enumerate(sv.seq[: g.n - 1], 1):
+        tau = cut.move(v)
         ci = cut_graph(g, sv, i)
-        if i == 1:
-            vc = min_vertex_cover_bipartite(ci, max_bipartite_matching(ci))
-        else:
-            carry = covers[-1].verts & frozenset(sv.seq[i:])
-            res = min_vc_containing(ci, carry)
-            if not res.is_minimum:
-                raise InvariantViolationError(
-                    f"carried-over cover not extendable to a minimum cover at prefix {i}"
-                )
-            vc = res.cover
+        vc = min_vc_containing(ci, covers[-1].verts & ci.right if covers else frozenset())
+        if len(vc) != tau:
+            raise InvariantViolationError(
+                f"carried-over cover not extendable to a minimum cover at prefix {i}"
+            )
         covers.append(vc)
     return SettledChain(covers=tuple(covers))

@@ -304,6 +304,50 @@ def recursive_kuhn_pairs(edges) -> frozenset:
     return frozenset((u, v) for v, u in match_right.items())
 
 
+def konig_cover(edges) -> frozenset:
+    """Minimum vertex cover of oriented (left, right) edges by König's
+    alternating reachability from the left vertices `recursive_kuhn_pairs`
+    leaves free.  The reached set is the same for every maximum matching,
+    so the cover is too."""
+    pairs = recursive_kuhn_pairs(edges)
+    adj: dict = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+    match_left = dict(pairs)
+    match_right = {v: u for u, v in pairs}
+    reach_left = {u for u in adj if u not in match_left}
+    reach_right: set = set()
+    frontier = list(reach_left)
+    while frontier:
+        u = frontier.pop()
+        for v in adj[u]:
+            if v != match_left.get(u) and v not in reach_right:
+                reach_right.add(v)
+                w = match_right.get(v)
+                if w is not None and w not in reach_left:
+                    reach_left.add(w)
+                    frontier.append(w)
+    return frozenset(set(adj) - reach_left) | frozenset(reach_right)
+
+
+def frozenset_settled_covers(g: Graph, sv) -> list[frozenset]:
+    """The settled cover chain on frozensets: each cut's crossing edges by a
+    scan over all edges, the previous cover's suffix-side part carried over,
+    the residual cut covered by `konig_cover`, and the result checked to be
+    minimum against a second matching of the whole cut."""
+    covers: list[frozenset] = []
+    for i in range(1, g.n):
+        left = set(sv.seq[:i])
+        cut = [(u, v) if u in left else (v, u) for u, v in crossing_edges(g, left)]
+        carry = covers[-1] & frozenset(sv.seq[i:]) if covers else frozenset()
+        cover = carry | konig_cover(
+            [(u, v) for u, v in cut if u not in carry and v not in carry]
+        )
+        assert len(cover) == len(recursive_kuhn_pairs(cut)), f"not minimum at prefix {i}"
+        covers.append(cover)
+    return covers
+
+
 def brute_validate_decomposition(g: Graph, bags, tree_edges) -> tuple:
     """(valid, failed_property, witness) of a well-formed tree decomposition,
     scanning every bag once per vertex and once per edge: union and

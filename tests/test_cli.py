@@ -9,10 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import widthlab
-from widthlab import bprog, cli, decomposition, lbound
+from widthlab import bprog, cli, decomposition, lbound, width
 from widthlab.cli import build_parser, main
 from widthlab.errors import InputError
-from widthlab.graph import Ordering, format_dimacs_graph
+from widthlab.graph import Ordering, VertexCover, format_dimacs_graph
 from widthlab.instances import (
     cnf_of_graph,
     ct_graph,
@@ -341,6 +341,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err == "error: constructed decomposition invalid: union\n"
+
+    def test_settled_cover_above_tau_is_an_invariant_violation(
+        self, capsys, monkeypatch, p10_file
+    ):
+        real = width.min_vc_containing
+
+        def one_too_many(c, x):
+            cover = real(c, x).verts
+            return VertexCover(cover | {min((c.left | c.right) - cover)})
+
+        monkeypatch.setattr(width, "min_vc_containing", one_too_many)
+        code = main(["pd-from-order", "--graph", p10_file, "--order", "0 1 2 3 4 5 6 7 8 9"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: carried-over cover not extendable to a minimum cover at prefix 1\n"
+        )
 
     def test_obdd_engines_disagreeing_is_an_invariant_violation(
         self, capsys, tmp_path, monkeypatch

@@ -118,6 +118,15 @@ class TestMatchingAndCover:
         assert len(m) == 0
         assert len(min_vertex_cover_bipartite(c, m)) == 0
 
+    def test_left_vertex_without_crossing_edge(self):
+        # P_4 cut after 0, 1, 3: vertex 0 crosses nothing; 1-2 and 3-2 cross.
+        g = Graph.make(4, [(0, 1), (1, 2), (2, 3)])
+        c = cut_graph(g, Ordering.make([0, 1, 3, 2]), 3)
+        assert c.edges == {(1, 2), (3, 2)}
+        m = max_bipartite_matching(c)
+        assert m.pairs == {(1, 2)}
+        assert min_vertex_cover_bipartite(c, m).verts == {2}
+
     def test_deterministic(self):
         c = CutGraph(
             frozenset({0, 1, 2}),

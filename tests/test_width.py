@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from widthlab import width
 from widthlab.errors import CapacityError, InputError
 from widthlab.graph import (
     Graph,
@@ -28,6 +29,7 @@ from oracles import (
     brute_max_matching,
     brute_pathwidth,
     crossing_edges,
+    frozenset_settled_covers,
     matching_costs,
     neighbours,
     separation_costs,
@@ -274,14 +276,38 @@ class TestSettledCovers:
                 carried = chain.covers[i - 1].verts & frozenset(sv.seq[i + 1 :])
                 assert carried <= chain.covers[i].verts
 
+    @settings(deadline=None, max_examples=200)
+    @given(graphs_with_ordering(max_n=12))
+    def test_covers_match_the_frozenset_chain(self, gsv):
+        g, sv = gsv
+        chain = settled_vertex_covers(g, sv)
+        assert [vc.verts for vc in chain.covers] == frozenset_settled_covers(g, sv)
+
+    def test_one_matching_per_cut(self, monkeypatch):
+        calls = []
+        real = width.max_bipartite_matching
+        monkeypatch.setattr(width, "max_bipartite_matching", lambda c: calls.append(c) or real(c))
+        g = grid_graph(4, 5)
+        settled_vertex_covers(g, Ordering.make(range(g.n)))
+        assert len(calls) == g.n - 1
+
+    def test_carry_that_covers_the_whole_cut(self):
+        # Star centred at 0, placed fourth: the cover of cut 2 is {0}, and 0
+        # meets every edge of cut 3, so carrying it leaves an empty residual.
+        g = Graph.make(5, [(0, v) for v in range(1, 5)])
+        sv = Ordering.make([1, 2, 3, 0, 4])
+        chain = settled_vertex_covers(g, sv)
+        assert [vc.verts for vc in chain.covers] == [{1}, {0}, {0}, {0}]
+        assert min_vc_containing(cut_graph(g, sv, 3), frozenset({0})).verts == {0}
+
     def test_min_vc_containing_reports_minimality(self):
         g = path_graph(4)
         c = cut_graph(g, Ordering.make(range(4)), 2)
-        res = min_vc_containing(c, frozenset())
-        assert res.is_minimum and len(res.cover) == 1
+        cover = min_vc_containing(c, frozenset())
+        assert len(cover) == 1 == len(max_bipartite_matching(c))
         # forcing both cut endpoints into the cover makes it non-minimum
-        res = min_vc_containing(c, frozenset({1, 2}))
-        assert not res.is_minimum and len(res.cover) == 2
+        cover = min_vc_containing(c, frozenset({1, 2}))
+        assert cover.verts == {1, 2} and len(cover) > len(max_bipartite_matching(c))
 
     def test_min_vc_containing_rejects_foreign_vertices(self):
         g = path_graph(4)
