@@ -2,16 +2,14 @@
 order-segmentation checker.
 
 A program is a DAG with one root and one accepting leaf.  Its edges are
-three int tuples in canonical order, (tail, head, variable, sign) with
-unlabelled edges first: tails, heads and signed literals, 0 for no
-label; each node's out-edges are one index range, from the CSR offsets
-of that order.  `Edge` objects are made only at the API boundary: by the
-public constructor, for `BranchingProgram.edges` and for the paths that
-enumeration yields.  An assignment is accepted when some consistent
-root-leaf path's literal set is contained in it.  A computational path
-is a tuple of edges: it reads no variable with both signs, so its
-literal set is the set of its edge labels.  Path enumeration seeded with
-an assignment walks only the paths that accept it.
+three int tuples in canonical order (`_key`: by tail, then head, then
+label, unlabelled first, then by variable, negative first): tails, heads
+and signed literals, 0 for no label.  Each node's out-edges are one index
+range, from the CSR offsets of that order.  An assignment is accepted
+when some consistent root-leaf path's literal set is contained in it.  A
+computational path is a tuple of edge indices: it reads no variable with
+both signs, so its literal set is the set of its edges' labels.  Path
+enumeration seeded with an assignment walks only the paths that accept it.
 
 OBDDs are built from the truth table (`tables.truth_table`, one int),
 level by level over a variable order, one node per distinct residual row
@@ -28,23 +26,26 @@ path with a DP over the DAG, O(E·m); only when that bound exceeds the
 budget does it enumerate consistent paths, to find the first violating
 one.
 
-Each program computes its topological order once, by Kahn's algorithm;
-validation, the segment DP and path enumeration read it, so a cyclic
-program raises instead of hanging.  Walks use explicit stacks, so
-program depth is not bounded by the recursion limit.
+Each program computes its topological order once, by Kahn's algorithm,
+when first asked; validation, the segment DP and path enumeration read it,
+so a cyclic program raises instead of hanging.  `build_obdd` checks its
+own program without it, since its numbering puts every head after its
+tail.  Walks use explicit stacks, so program depth is not bounded by the
+recursion limit.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapacityError, FormatError, InputError, InvariantViolationError, int_token, read_records,
 )
-from .instances import Cnf, Literal
+from .instances import Cnf
 from .tables import order_tables, truth_table
 
 DEFAULT_BUILD_CAP = 24
@@ -53,24 +54,19 @@ DEFAULT_MIN_SIZE_CAP = 16
 DEFAULT_PATH_CAP = 200_000
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    tail: int
-    head: int
-    label: Literal | None = None
-
-    def sort_key(self) -> tuple:
-        if self.label is None:
-            return (self.tail, self.head, -1, False)
-        return (self.tail, self.head, self.label.var, self.label.positive)
+def _key(edge: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The canonical order of (tail, head, signed literal) edges: by tail,
+    then head, then label: none (0) first, then by variable, negative first."""
+    tail, head, s = edge
+    return tail, head, 2 * abs(s) + (s > 0)
 
 
 @dataclass(frozen=True, init=False)
 class BranchingProgram:
-    """The edges are `tails`, `heads` and `lits` (each label's
-    `Literal.signed`, or 0) in canonical order, the order of
-    `Edge.sort_key`; node v's out-edges are the indices in out_ranges[v].
-    The constructor sorts the `Edge`s it is given, whatever their order."""
+    """The edges are `tails`, `heads` and `lits` (each label's signed
+    literal, `Literal.signed`, or 0) in the canonical order of `_key`; node
+    v's out-edges are the indices in out_ranges[v].  The constructor takes
+    (tail, head, signed literal) triples, 0 for no label, in any order."""
 
     num_nodes: int
     root: int
@@ -79,22 +75,15 @@ class BranchingProgram:
     heads: tuple[int, ...]
     lits: tuple[int, ...]
 
-    def __init__(self, num_nodes: int, edges: Iterable[Edge], root: int, leaf: int) -> None:
-        edges = tuple(sorted(edges, key=Edge.sort_key))
-        vars(self).update(
-            num_nodes=num_nodes, root=root, leaf=leaf, edges=edges,
-            tails=tuple(e.tail for e in edges), heads=tuple(e.head for e in edges),
-            lits=tuple(0 if e.label is None else e.label.signed() for e in edges))
+    def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int, int]],
+                 root: int, leaf: int) -> None:
+        tails, heads, lits = tuple(zip(*sorted(edges, key=_key))) or ((), (), ())
+        vars(self).update(num_nodes=num_nodes, root=root, leaf=leaf,
+                          tails=tails, heads=heads, lits=lits)
 
     @property
     def size(self) -> int:
         return self.num_nodes
-
-    @functools.cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges as `Edge`s, in stored order; built on first use."""
-        labels: dict[int, Literal | None] = {}
-        return tuple(_edge(self, i, labels) for i in range(len(self.lits)))
 
     @functools.cached_property
     def out_ranges(self) -> tuple[range, ...]:
@@ -155,19 +144,10 @@ class BranchingProgram:
 
 
 def _program(num_nodes: int, root: int, leaf: int, tails, heads, lits) -> BranchingProgram:
-    """The program of int tuples already in canonical order; no `Edge` is made."""
+    """The program of int tuples already in canonical order."""
     z = object.__new__(BranchingProgram)
     vars(z).update(num_nodes=num_nodes, root=root, leaf=leaf, tails=tails, heads=heads, lits=lits)
     return z
-
-
-def _edge(z: BranchingProgram, i: int, labels: dict[int, Literal | None]) -> Edge:
-    """Edge i of z as an `Edge`.  labels maps each signed literal met so far
-    to its label (0 to None), so one Literal serves every edge with it."""
-    s = z.lits[i]
-    if s not in labels:
-        labels[s] = Literal.from_signed(s) if s else None
-    return Edge(z.tails[i], z.heads[i], labels[s])
 
 
 def evaluate(z: BranchingProgram, assignment: Sequence[bool]) -> bool:
@@ -238,7 +218,10 @@ def build_obdd(f: Cnf, order: Iterable[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     ints, so a node's two children are a mask and a shift of its row.
     Nodes are numbered level by level in the order they are first reached;
     the two terminals come last.  Each node's two edges are emitted in
-    canonical order, so nothing is sorted.
+    canonical order, so nothing is sorted.  The self-check is one pass over
+    the arrays: every edge leads to a later node, which makes the program
+    acyclic and leaves root 0 without an in-edge, and none leaves the leaf.
+    A failure is an InvariantViolationError.
     """
     m = f.num_vars
     if m > cap:
@@ -285,10 +268,11 @@ def build_obdd(f: Cnf, order: Iterable[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     z = _program(first + 2, 0, first, tuple(itertools.chain.from_iterable(zip(nodes, nodes))),
                  tuple(map(ends.get, heads, heads)), tuple(lits))
     del heads, lits, nodes  # free the lists before the check
-    try:
-        z.validate()
-    except InputError as exc:  # the program was built here, so this is a bug
-        raise InvariantViolationError(str(exc)) from exc
+    if not all(map(operator.lt, z.tails, z.heads)):
+        t, h = next((t, h) for t, h in zip(z.tails, z.heads) if not t < h)
+        raise InvariantViolationError(f"edge ({t},{h}) does not lead to a later node")
+    if z.leaf in z.tails:
+        raise InvariantViolationError("leaf has outgoing edges")
     return z
 
 
@@ -330,9 +314,10 @@ def enumerate_computational_paths(
     z: BranchingProgram,
     cap: int = DEFAULT_PATH_CAP,
     assignment: Sequence[bool] | None = None,
-) -> Iterator[tuple[Edge, ...]]:
-    """All consistent root-leaf paths, each as its edge tuple, in
-    lexicographic edge-sequence order.
+) -> Iterator[tuple[int, ...]]:
+    """All consistent root-leaf paths, each as its tuple of edge indices,
+    in lexicographic order, which is the canonical order of their edge
+    sequences.
 
     Given an assignment (entry v the value of variable v, covering
     z.num_vars as for `evaluate`), only the paths whose labels agree with
@@ -344,17 +329,14 @@ def enumerate_computational_paths(
     path, so path length is not bounded by recursion depth.  One set holds
     the signed literals the path has read, seeded with the assignment's;
     each path edge records the literal it added (0 if it added none), so
-    popping the edge removes exactly that one.  An edge becomes an `Edge`
-    when a path first takes it.
+    popping the edge removes exactly that one.
     """
     z.topological_order  # raises on a cycle
     if assignment is not None and len(assignment) < z.num_vars:
         raise InputError(f"assignment does not cover variable {z.num_vars - 1}")
     heads, lits, out = z.heads, z.lits, z.out_ranges
-    made: dict[int, Edge] = {}  # the `Edge` of each edge index a path has taken
-    labels: dict[int, Literal | None] = {}
     count = 0
-    path: list[Edge] = []
+    path: list[int] = []
     added: list[int] = []  # added[i]: the literal path[i] put in read, or 0
     read = set() if assignment is None else {
         v + 1 if a else -v - 1 for v, a in enumerate(assignment)}
@@ -381,9 +363,7 @@ def enumerate_computational_paths(
                 s = 0  # read before, so the edge adds nothing
             elif s:
                 read.add(s)
-            if i not in made:
-                made[i] = _edge(z, i, labels)
-            path.append(made[i])
+            path.append(i)
             added.append(s)
             reached = heads[i]
             break
@@ -447,7 +427,7 @@ def _max_segments(z: BranchingProgram, pos: Mapping[int, int]) -> int:
 @dataclass(frozen=True)
 class SegmentationVerdict:
     ok: bool
-    violating_path: tuple[Edge, ...] | None = None
+    violating_path: tuple[int, ...] | None = None  # edge indices
     segments_needed: int | None = None
 
 
@@ -477,9 +457,9 @@ def check_c_nsobdd(
         raise InputError(f"variable order misses program variables {sorted(missing)}")
     if _max_segments(z, pos) <= c:
         return SegmentationVerdict(True)
+    lits = z.lits
     for p in enumerate_computational_paths(z, cap=path_cap):
-        positions = [pos[e.label.var] for e in p if e.label is not None]
-        k = min_segments(positions)
+        k = min_segments([pos[abs(lits[i]) - 1] for i in p if lits[i]])
         if k > c:
             return SegmentationVerdict(False, p, k)
     return SegmentationVerdict(True)
@@ -499,13 +479,13 @@ def format_bp(z: BranchingProgram) -> str:
 
 
 def parse_bp(text: str) -> BranchingProgram:
-    """The program of a `format_bp` text.  Edge lines may come in any order:
+    """The program of a `format_bp` text.  Its edge lines may come in any order:
     one comparison per line checks canonical order, and only a file out of
     that order is sorted."""
     _, (num_nodes, root, leaf), records = read_records(text, "bp", "<nodes> <root> <leaf>")
     tails, heads, lits = [], [], []
-    seen: set[tuple[int, int, int]] = set()  # (tail, head, rank) of each edge
-    last, ordered = (0, 0, 0), True
+    seen: set[tuple[int, int, int]] = set()  # the `_key` of each edge
+    last, ordered = (-1,), True  # (-1,) sorts before every key
     for where, parts in records:
         if len(parts) not in (2, 3):
             raise FormatError(f"{where}: expected 'tail head [literal]'")
@@ -518,21 +498,21 @@ def parse_bp(text: str) -> BranchingProgram:
             signed = int_token(parts[2], where)
             if not signed:
                 raise FormatError(f"{where}: 0 is not a literal")
-        # The rank orders labels canonically: none, then by variable, negative first.
-        key = (tail, head, 2 * abs(signed) + (signed > 0))
+        tail, head = tail - 1, head - 1
+        key = _key((tail, head, signed))
         if key in seen:
             raise FormatError(f"{where}: duplicate edge '{' '.join(parts)}'")
         seen.add(key)
         ordered = ordered and last < key
         last = key
-        tails.append(tail - 1)
-        heads.append(head - 1)
+        tails.append(tail)
+        heads.append(head)
         lits.append(signed)
     ids: dict[int, int] = {}  # one int object per node id, for tails and heads alike
     arrays = (tuple(map(ids.setdefault, tails, tails)),
               tuple(map(ids.setdefault, heads, heads)), lits)
     if not ordered:
-        arrays = zip(*sorted(zip(*arrays), key=lambda e: (e[0], e[1], 2 * abs(e[2]) + (e[2] > 0))))
+        arrays = zip(*sorted(zip(*arrays), key=_key))
     z = _program(num_nodes, root - 1, leaf - 1, *map(tuple, arrays))
     try:
         z.validate()

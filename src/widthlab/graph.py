@@ -97,6 +97,15 @@ class CutGraph:
     right: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
+    @functools.cached_property
+    def _neighbour_masks(self) -> dict[int, int]:
+        """Each left vertex with a crossing edge -> its right neighbours'
+        bitmask; built once, for the matching and the cover alike."""
+        adj: dict[int, int] = {}
+        for u, v in self.edges:
+            adj[u] = adj.get(u, 0) | 1 << v
+        return adj
+
 
 @dataclass(frozen=True)
 class Matching:
@@ -132,14 +141,6 @@ def cut_graph(g: Graph, sv: Ordering, i: int) -> CutGraph:
     return CutGraph(left, right, frozenset(crossing))
 
 
-def _neighbour_masks(c: CutGraph) -> dict[int, int]:
-    """Each left vertex with a crossing edge -> its right neighbours' bitmask."""
-    adj: dict[int, int] = {}
-    for u, v in c.edges:
-        adj[u] = adj.get(u, 0) | 1 << v
-    return adj
-
-
 def max_bipartite_matching(c: CutGraph) -> Matching:
     """Maximum matching of a cut graph.
 
@@ -152,7 +153,7 @@ def max_bipartite_matching(c: CutGraph) -> Matching:
     right vertices reach no free one, so they stay visited until the next
     augmentation.
     """
-    adj = _neighbour_masks(c)
+    adj = c._neighbour_masks
     everything = unvisited = functools.reduce(operator.or_, adj.values(), 0)
     match_right: dict[int, int] = {}
     for u in sorted(adj):
@@ -186,7 +187,7 @@ def min_vertex_cover_bipartite(c: CutGraph, m: Matching) -> VertexCover:
     is free or was entered through its matching edge, whose right end is
     already reached, so each step adds its unreached neighbour bits whole.
     """
-    adj = _neighbour_masks(c)
+    adj = c._neighbour_masks
     match_right = {v: u for u, v in m.pairs}
     matched_left = set(match_right.values())
     frontier = [u for u in adj if u not in matched_left]

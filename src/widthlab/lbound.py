@@ -9,16 +9,15 @@ from typing import Sequence
 
 from .bprog import (
     BranchingProgram,
-    Edge,
     build_obdd,
     enumerate_computational_paths,
     min_obdd_size_over_orders,
     DEFAULT_MIN_SIZE_CAP,
 )
 from .errors import CapacityError, InputError, InvariantViolationError
-from .graph import Graph, Ordering, cut_graph, max_bipartite_matching
+from .graph import Graph, Ordering, adjacency_masks, cut_graph, max_bipartite_matching
 from .instances import Cnf, cnf_of_graph, edge_variable, vertex_variable
-from .width import matching_width_exact
+from .width import _CutMatching, matching_width_exact
 
 
 @dataclass(frozen=True)
@@ -34,15 +33,22 @@ class WitnessCut:
 
 def witness_cut(g: Graph, sv: Ordering, t: int) -> WitnessCut:
     """Smallest prefix whose cut has a matching of size >= t, with t of the
-    matched pairs (deterministically the smallest by endpoint ids)."""
+    matched pairs (deterministically the smallest by endpoint ids).
+
+    One `_CutMatching` walks the ordering, as in `mw_of_ordering`, to find
+    the prefix; only that prefix's cut is matched afresh, by
+    `max_bipartite_matching`, whose pairs the witness takes.
+    """
     if t < 0:
         raise InputError(f"matching size must be non-negative, got {t}")
     if t == 0:
         return WitnessCut(g, sv, 0, ())
-    for i in range(1, g.n):
-        m = max_bipartite_matching(cut_graph(g, sv, i))
-        if len(m) >= t:
-            pairs = tuple(sorted(m.pairs))[:t]
+    if len(sv) != g.n:
+        raise InputError("ordering length does not match graph")
+    cut = _CutMatching(adjacency_masks(g))
+    for i, v in enumerate(sv.seq[: g.n - 1], 1):
+        if cut.move(v) >= t:
+            pairs = tuple(sorted(max_bipartite_matching(cut_graph(g, sv, i)).pairs))[:t]
             return WitnessCut(g, sv, i, pairs)
     raise InputError(f"no prefix cut of the ordering has a matching of size {t}")
 
@@ -73,15 +79,15 @@ def assignment_family(f: Cnf, w: WitnessCut) -> tuple[tuple[bool, ...], ...]:
 
 
 def separation_vector(
-    path: tuple[Edge, ...],
-    root: int,
+    z: BranchingProgram,
+    path: tuple[int, ...],
     sv_star: Sequence[int],
     svp_vars: frozenset[int],
     c: int,
     suffix_vars: frozenset[int],
 ) -> tuple[int, ...]:
-    """The (2c-1)-tuple of segment-boundary nodes of a computational path,
-    given by its edges from the root.
+    """The (2c-1)-tuple of segment-boundary nodes of a computational path
+    of z, given by its edge indices from the root.
 
     The path is split greedily into order-respecting segments: a new one
     starts at each labelled edge whose variable does not follow the
@@ -101,10 +107,11 @@ def separation_vector(
     # [first edge, last prefix-side edge or None, reads a suffix-side variable]
     segments: list[list] = [[0, None, False]]
     last = None
-    for j, e in enumerate(path):
-        if e.label is None:
+    lits = z.lits
+    for j, i in enumerate(path):
+        if not lits[i]:
             continue
-        v = e.label.var
+        v = abs(lits[i]) - 1
         if v not in pos:
             raise InputError(f"path labels variable {v} missing from the order")
         if last is not None and pos[v] <= last:
@@ -118,7 +125,7 @@ def separation_vector(
         raise InputError(f"path needs {len(segments)} segments, budget is {c}")
     segments += [[len(path), None, False]] * (c - len(segments))
 
-    nodes = [root, *(e.head for e in path)]
+    nodes = [z.root, *map(z.heads.__getitem__, path)]
     vector: list[int] = []
     for i, (a, prefix_edge, has_suffix) in enumerate(segments):
         b = segments[i + 1][0] if i + 1 < c else len(path)
@@ -163,7 +170,7 @@ def check_distinctness(
         path = next(enumerate_computational_paths(z, assignment=s), None)
         if path is None:
             raise InputError(f"no accepting path for family member {idx}")
-        vectors.append(separation_vector(path, z.root, sv_star, svp_vars, c, suffix_vars))
+        vectors.append(separation_vector(z, path, sv_star, svp_vars, c, suffix_vars))
     collisions = tuple(
         (i, j)
         for i in range(len(vectors))

@@ -4,10 +4,12 @@ Everything here is deliberately naive: enumeration over edge subsets,
 vertex subsets, whole permutations or all root-leaf edge sequences, a
 minimax table DP over all 2^n prefix-set costs, and OBDD levels keyed by
 whole truth-table rows.  None of it shares code with
-the library beyond the Graph and BranchingProgram containers,
-Cnf.evaluate and the edge order Edge.sort_key, except `matching_costs`: it
-fills the table of all cut sizes by walking `width._CutMatching.move` along
-a Gray code, a path apart from the from-scratch sizing the search uses.
+the library beyond the Graph and BranchingProgram containers and
+Cnf.evaluate, except `matching_costs`: it fills the table of all cut sizes
+by walking `width._CutMatching.move` along a Gray code, a path apart from
+the from-scratch sizing the search uses.  Paths are tuples of indices into
+a program's edge arrays, which the container keeps in canonical order, so
+plain tuple comparison orders them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from widthlab.bprog import BranchingProgram, Edge
+from widthlab.bprog import BranchingProgram
 from widthlab.graph import Graph, adjacency_masks
 from widthlab.instances import Literal
 from widthlab.width import _CutMatching
@@ -304,6 +306,22 @@ def recursive_kuhn_pairs(edges) -> frozenset:
     return frozenset((u, v) for v, u in match_right.items())
 
 
+def per_prefix_witness(g: Graph, sv, t: int):
+    """(prefix length, pairs) of the first prefix cut of sv whose
+    `recursive_kuhn_pairs` matching has at least t edges, each cut rebuilt
+    by a scan over all edges, with the t smallest pairs; (0, ()) for t = 0,
+    and None when no prefix cut qualifies."""
+    if t == 0:
+        return 0, ()
+    for i in range(1, g.n):
+        left = set(sv.seq[:i])
+        pairs = recursive_kuhn_pairs(
+            [(u, v) if u in left else (v, u) for u, v in crossing_edges(g, left)])
+        if len(pairs) >= t:
+            return i, tuple(sorted(pairs))[:t]
+    return None
+
+
 def konig_cover(edges) -> frozenset:
     """Minimum vertex cover of oriented (left, right) edges by König's
     alternating reachability from the left vertices `recursive_kuhn_pairs`
@@ -378,41 +396,44 @@ def brute_validate_decomposition(g: Graph, bags, tree_edges) -> tuple:
     return (True, None, None)
 
 
+def path_labels(z, path) -> frozenset:
+    """The literal set of a path of edge indices: its edges' labels."""
+    return frozenset(Literal.from_signed(z.lits[i]) for i in path if z.lits[i])
+
+
 def brute_computational_paths(z) -> list[tuple[tuple, frozenset]]:
-    """(edges, literal set) of every root-leaf edge sequence that reads no
-    variable with both signs, by plain recursion over out-edges; a sequence
-    ends when it first reaches the leaf.  The literal set is the edges'
-    labels, and the list is sorted by the paths' Edge.sort_key sequences."""
+    """(edge indices, literal set) of every root-leaf edge sequence that
+    reads no variable with both signs, by plain recursion over a scan of all
+    edges; a sequence ends when it first reaches the leaf.  The literal set
+    is the edges' labels, and the list is sorted by plain comparison of the
+    index tuples."""
     found = []
 
-    def walk(node: int, edges: tuple) -> None:
+    def walk(node: int, path: tuple) -> None:
         if node == z.leaf:
-            labels = frozenset(e.label for e in edges if e.label is not None)
+            labels = path_labels(z, path)
             if len({l.var for l in labels}) == len(labels):
-                found.append(edges)
+                found.append(path)
             return
-        for e in z.edges:
-            if e.tail == node:
-                walk(e.head, edges + (e,))
+        for i, tail in enumerate(z.tails):
+            if tail == node:
+                walk(z.heads[i], path + (i,))
 
     walk(z.root, ())
-    found.sort(key=lambda edges: [e.sort_key() for e in edges])
-    return [
-        (edges, frozenset(e.label for e in edges if e.label is not None))
-        for edges in found
-    ]
+    found.sort()
+    return [(path, path_labels(z, path)) for path in found]
 
 
 def brute_check_c_nsobdd(z, sv, c) -> tuple:
-    """(ok, violating edges, segments needed) of the segmentation check:
+    """(ok, violating path, segments needed) of the segmentation check:
     the first consistent root-leaf path, in brute_computational_paths
     order, whose labelled variables need more than c increasing runs of sv
     positions."""
     pos = {v: i for i, v in enumerate(sv)}
-    for edges, _ in brute_computational_paths(z):
-        k = brute_min_segments([pos[e.label.var] for e in edges if e.label is not None])
+    for path, _ in brute_computational_paths(z):
+        k = brute_min_segments([pos[abs(z.lits[i]) - 1] for i in path if z.lits[i]])
         if k > c:
-            return (False, edges, k)
+            return (False, path, k)
     return (True, None, None)
 
 
@@ -424,7 +445,7 @@ def row_keyed_obdd(f, order) -> BranchingProgram:
     order = tuple(order)
     tbl = np.array(brute_truth_table(f, order), dtype=bool)
     if tbl.all() or not tbl.any():
-        edges = (Edge(0, 1),) if tbl.all() else ()
+        edges = ((0, 1, 0),) if tbl.all() else ()
         return BranchingProgram(2, edges, root=0, leaf=1)
     raw_edges = []
     rows, first = [tbl], 0  # this level's rows; rows[j] is node first + j
@@ -439,8 +460,8 @@ def row_keyed_obdd(f, order) -> BranchingProgram:
                     head = -1
                 else:
                     head = index.setdefault(child.tobytes(), first + len(rows) + len(index))
-                raw_edges.append((first + j, head, Literal(var, positive)))
+                raw_edges.append((first + j, head, var + 1 if positive else -var - 1))
         rows, first = [np.frombuffer(key, dtype=bool) for key in index], first + len(rows)
     size = first + 2
-    edges = tuple(Edge(tail, head % size, label) for tail, head, label in raw_edges)
+    edges = tuple((tail, head % size, signed) for tail, head, signed in raw_edges)
     return BranchingProgram(size, edges, root=0, leaf=size - 2)

@@ -37,7 +37,6 @@ from widthlab.decomposition import (
 from widthlab.width import matching_width_exact, mw_of_ordering, pathwidth_exact
 from widthlab.bprog import (
     BranchingProgram,
-    Edge,
     build_obdd,
     check_c_nsobdd,
     min_obdd_size_over_orders,
@@ -258,7 +257,7 @@ def test_criterion_11_semantic_segmentation_checker():
     parts.append(("own order", own_order_ok))
     # a chain testing x3 then x1 fails at c=1 and passes at c=2
     chain = BranchingProgram(
-        3, (Edge(0, 1, Literal(2)), Edge(1, 2, Literal(0))), 0, 2
+        3, ((0, 1, 3), (1, 2, 1)), 0, 2
     )
     parts.append(("descending chain", not check_c_nsobdd(chain, (0, 1, 2), 1).ok
                   and check_c_nsobdd(chain, (0, 1, 2), 2).ok))
@@ -266,10 +265,10 @@ def test_criterion_11_semantic_segmentation_checker():
     exempt = BranchingProgram(
         4,
         (
-            Edge(0, 1, Literal(0)),
-            Edge(1, 3, Literal(0, False)),
-            Edge(0, 2, Literal(1)),
-            Edge(2, 3),
+            (0, 1, 1),
+            (1, 3, -1),
+            (0, 2, 2),
+            (2, 3, 0),
         ),
         0,
         3,

@@ -2,7 +2,6 @@ import itertools
 import operator
 import random
 import re
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +13,6 @@ from widthlab.instances import (
 )
 from widthlab.bprog import (
     BranchingProgram,
-    Edge,
     build_obdd,
     check_c_nsobdd,
     enumerate_computational_paths,
@@ -37,6 +35,7 @@ from oracles import (
     brute_subfunction_count,
     brute_truth_table,
     clause_scan_satisfies,
+    path_labels,
     row_keyed_obdd,
 )
 
@@ -92,7 +91,8 @@ def dag_programs(draw, max_nodes=7, max_vars=3):
         tails = st.integers(min_value=0, max_value=n - 2)
         for tail in draw(st.lists(tails, max_size=3 * n)):
             head = draw(st.integers(min_value=tail + 1, max_value=n - 1))
-            edges.append(Edge(tail, head, draw(labels)))
+            label = draw(labels)
+            edges.append((tail, head, 0 if label is None else label.signed()))
     edges = list(dict.fromkeys(edges))
     leaf = draw(st.integers(min_value=0, max_value=n - 1))
     return BranchingProgram(n, tuple(edges), 0, leaf)
@@ -107,50 +107,57 @@ def programs_with_assignments(draw):
     return z, tuple(s)
 
 
-def labels(path):
-    """The literal set of a computational path: its edges' labels."""
-    return frozenset(e.label for e in path if e.label is not None)
+def triples(z, path):
+    """The (tail, head, signed literal) edges of a path of edge indices."""
+    return [(z.tails[i], z.heads[i], z.lits[i]) for i in path]
+
+
+def is_chain(z, path):
+    """Whether the edge indices lead from the root to the leaf, each edge
+    leaving the node the one before it reached."""
+    nodes = [z.root, *(z.heads[i] for i in path)]
+    return all(z.tails[i] == nodes[j] for j, i in enumerate(path)) and nodes[-1] == z.leaf
 
 
 def cyclic_program():
     """Nodes 1 and 2 form a cycle on the way from the root to the leaf."""
-    return BranchingProgram(4, (Edge(0, 1), Edge(1, 2), Edge(2, 1), Edge(1, 3)), 0, 3)
+    return BranchingProgram(4, ((0, 1, 0), (1, 2, 0), (2, 1, 0), (1, 3, 0)), 0, 3)
 
 
 def chain_program(n):
     """A path of n nodes whose i-th edge tests variable i positively."""
     return BranchingProgram(
-        n, tuple(Edge(i, i + 1, Literal(i)) for i in range(n - 1)), 0, n - 1
+        n, tuple((i, i + 1, i + 1) for i in range(n - 1)), 0, n - 1
     )
 
 
 class TestValidate:
     def test_rejects_cycle(self):
-        z = BranchingProgram(2, (Edge(0, 1), Edge(1, 0)), 0, 1)
+        z = BranchingProgram(2, ((0, 1, 0), (1, 0, 0)), 0, 1)
         with pytest.raises(InputError):
             z.validate()
 
     def test_rejects_root_with_incoming(self):
-        z = BranchingProgram(2, (Edge(1, 0),), 0, 1)
+        z = BranchingProgram(2, ((1, 0, 0),), 0, 1)
         with pytest.raises(InputError):
             z.validate()
 
     def test_rejects_leaf_with_outgoing(self):
-        z = BranchingProgram(3, (Edge(0, 1), Edge(1, 2)), 0, 1)
+        z = BranchingProgram(3, ((0, 1, 0), (1, 2, 0)), 0, 1)
         with pytest.raises(InputError):
             z.validate()
 
     def test_accepts_stranded_node(self):
         # An OBDD's rejecting terminal lies on no root-leaf path.
-        z = BranchingProgram(3, (Edge(0, 1),), 0, 1)
+        z = BranchingProgram(3, ((0, 1, 0),), 0, 1)
         z.validate()
 
     @pytest.mark.parametrize(
         "edges, leaf, message",
         [
-            ((Edge(0, 1), Edge(2, 5), Edge(1, 3)), 2, "edge (1,3) outside node range"),
-            ((Edge(0, 1), Edge(-1, 2)), 2, "edge (-1,2) outside node range"),
-            ((Edge(0, 1),), 3, "root or leaf outside node range"),
+            (((0, 1, 0), (2, 5, 0), (1, 3, 0)), 2, "edge (1,3) outside node range"),
+            (((0, 1, 0), (-1, 2, 0)), 2, "edge (-1,2) outside node range"),
+            (((0, 1, 0),), 3, "root or leaf outside node range"),
         ],
     )
     def test_range_errors_name_the_first_edge_in_stored_order(self, edges, leaf, message):
@@ -164,7 +171,7 @@ class TestTopologicalOrder:
         order = z.topological_order
         assert sorted(order) == list(range(z.num_nodes))
         rank = {v: i for i, v in enumerate(order)}
-        assert all(rank[e.tail] < rank[e.head] for e in z.edges)
+        assert all(rank[t] < rank[h] for t, h in zip(z.tails, z.heads))
 
     @pytest.mark.parametrize(
         "read",
@@ -185,22 +192,22 @@ class TestTopologicalOrder:
 
 class TestEvaluate:
     def test_unlabeled_edges_are_free(self):
-        z = BranchingProgram(2, (Edge(0, 1),), 0, 1)
+        z = BranchingProgram(2, ((0, 1, 0),), 0, 1)
         assert evaluate(z, ())
 
     def test_single_literal(self):
-        z = BranchingProgram(2, (Edge(0, 1, Literal(0)),), 0, 1)
+        z = BranchingProgram(2, ((0, 1, 1),), 0, 1)
         assert evaluate(z, (True,))
         assert not evaluate(z, (False,))
 
     def test_partial_assignment_rejected(self):
-        z = BranchingProgram(2, (Edge(0, 1, Literal(1)),), 0, 1)
+        z = BranchingProgram(2, ((0, 1, 2),), 0, 1)
         with pytest.raises(InputError):
             evaluate(z, (True,))
 
     def test_short_assignment_names_the_largest_variable(self):
         z = BranchingProgram(
-            3, (Edge(0, 1, Literal(0)), Edge(1, 2, Literal(5)), Edge(0, 2, Literal(2, False))),
+            3, ((0, 1, 1), (1, 2, 6), (0, 2, -3)),
             0, 2,
         )
         with pytest.raises(InputError, match="^assignment does not cover variable 5$"):
@@ -209,7 +216,7 @@ class TestEvaluate:
 
     def test_nondeterministic_or(self):
         z = BranchingProgram(
-            2, (Edge(0, 1, Literal(0)), Edge(0, 1, Literal(1))), 0, 1
+            2, ((0, 1, 1), (0, 1, 2)), 0, 1
         )
         for a, b in ((True, True), (True, False), (False, True)):
             assert evaluate(z, (a, b))
@@ -256,7 +263,7 @@ class TestBuildObdd:
         z = build_obdd(f, order)
         pos = {v: i for i, v in enumerate(order)}
         for p in enumerate_computational_paths(z):
-            positions = [pos[e.label.var] for e in p if e.label is not None]
+            positions = [pos[abs(z.lits[i]) - 1] for i in p if z.lits[i]]
             assert positions == sorted(positions)
             assert len(set(positions)) == len(positions)
 
@@ -276,7 +283,7 @@ class TestBuildObdd:
         assert verdict.counterexample == (False,)
 
     def test_equivalence_cap(self):
-        z = BranchingProgram(2, (Edge(0, 1),), 0, 1)
+        z = BranchingProgram(2, ((0, 1, 0),), 0, 1)
         with pytest.raises(CapacityError, match="^equivalence check: 21 variables exceeds cap 20$"):
             equivalence_vs_cnf(z, Cnf.make(21, []))
 
@@ -456,35 +463,35 @@ class TestPathEnumeration:
         z = BranchingProgram(
             3,
             (
-                Edge(0, 2, Literal(0)),
-                Edge(0, 1, Literal(1, False)),
-                Edge(1, 2, Literal(2)),
+                (0, 2, 1),
+                (0, 1, -2),
+                (1, 2, 3),
             ),
             0,
             2,
         )
         paths = list(enumerate_computational_paths(z))
-        assert [tuple(e.head for e in p) for p in paths] == [(1, 2), (2,)]
-        assert labels(paths[0]) == frozenset({Literal(1, False), Literal(2)})
-        assert paths[0] == (Edge(0, 1, Literal(1, False)), Edge(1, 2, Literal(2)))
+        assert [tuple(z.heads[i] for i in p) for p in paths] == [(1, 2), (2,)]
+        assert path_labels(z, paths[0]) == frozenset({Literal(1, False), Literal(2)})
+        assert triples(z, paths[0]) == [(0, 1, -2), (1, 2, 3)]
 
     def test_inconsistent_paths_are_skipped(self):
         z = BranchingProgram(
             3,
-            (Edge(0, 1, Literal(0)), Edge(1, 2, Literal(0, False)), Edge(0, 2)),
+            ((0, 1, 1), (1, 2, -1), (0, 2, 0)),
             0,
             2,
         )
         paths = list(enumerate_computational_paths(z))
-        assert paths == [(Edge(0, 2),)]
+        assert [triples(z, p) for p in paths] == [[(0, 2, 0)]]
 
     def test_repeated_same_sign_reads_allowed(self):
         z = BranchingProgram(
-            3, (Edge(0, 1, Literal(0)), Edge(1, 2, Literal(0)),), 0, 2
+            3, ((0, 1, 1), (1, 2, 1),), 0, 2
         )
         paths = list(enumerate_computational_paths(z))
         assert len(paths) == 1
-        assert labels(paths[0]) == frozenset({Literal(0)})
+        assert path_labels(z, paths[0]) == frozenset({Literal(0)})
 
     def test_cap(self):
         f = cnf_of_graph(path_graph(3))
@@ -499,7 +506,8 @@ class TestPathEnumeration:
         got = []
         try:
             for p in enumerate_computational_paths(z, cap=cap):
-                got.append((p, labels(p)))
+                assert is_chain(z, p)
+                got.append((p, path_labels(z, p)))
         except CapacityError:
             assert len(expected) > cap
             assert got == expected[:cap]
@@ -510,9 +518,9 @@ class TestPathEnumeration:
     @settings(deadline=None, max_examples=300)
     @given(programs_with_assignments())
     # The root is the leaf: the one path is empty, whatever the assignment.
-    @example((BranchingProgram(2, (Edge(0, 1, Literal(0)),), 0, 0), (False,)))
+    @example((BranchingProgram(2, ((0, 1, 1),), 0, 0), (False,)))
     # The leaf has out-edges: the walk stops there.
-    @example((BranchingProgram(3, (Edge(0, 1, Literal(0)), Edge(1, 2, Literal(1, False))),
+    @example((BranchingProgram(3, ((0, 1, 1), (1, 2, -2)),
                                0, 1), (True, True)))
     def test_seeded_walk_yields_the_assignments_accepting_paths(self, case):
         z, s = case
@@ -520,7 +528,9 @@ class TestPathEnumeration:
             edges for edges, lits in brute_computational_paths(z)
             if all(s[l.var] == l.positive for l in lits)
         ]
-        assert list(enumerate_computational_paths(z, assignment=s)) == expected
+        got = list(enumerate_computational_paths(z, assignment=s))
+        assert all(is_chain(z, p) for p in got)
+        assert got == expected
         assert bool(expected) == evaluate(z, s)
 
     def test_seeded_walk_rejects_a_short_assignment(self):
@@ -543,9 +553,9 @@ class TestLongChains:
     def test_enumerate_computational_paths(self):
         z = chain_program(3000)
         (path,) = enumerate_computational_paths(z)
-        assert path == z.edges
-        assert labels(path) == frozenset(Literal(i) for i in range(2999))
-        assert list(enumerate_computational_paths(z, assignment=[True] * 2999)) == [z.edges]
+        assert path == tuple(range(2999))  # every edge, in stored order
+        assert path_labels(z, path) == frozenset(Literal(i) for i in range(2999))
+        assert list(enumerate_computational_paths(z, assignment=[True] * 2999)) == [path]
         assert check_c_nsobdd(z, range(2999), 1).ok
 
 
@@ -572,7 +582,7 @@ class TestCheckCNsobdd:
     def test_two_segment_chain(self):
         # tests x3 then x1: one descent, so c=1 fails and c=2 passes
         z = BranchingProgram(
-            3, (Edge(0, 1, Literal(2)), Edge(1, 2, Literal(0))), 0, 2
+            3, ((0, 1, 3), (1, 2, 1)), 0, 2
         )
         verdict = check_c_nsobdd(z, (0, 1, 2), 1)
         assert not verdict.ok
@@ -584,10 +594,10 @@ class TestCheckCNsobdd:
         z = BranchingProgram(
             4,
             (
-                Edge(0, 1, Literal(0)),
-                Edge(1, 3, Literal(0, False)),
-                Edge(0, 2, Literal(1)),
-                Edge(2, 3),
+                (0, 1, 1),
+                (1, 3, -1),
+                (0, 2, 2),
+                (2, 3, 0),
             ),
             0,
             3,
@@ -596,7 +606,7 @@ class TestCheckCNsobdd:
 
     def test_reordering_the_reference_order_can_fail(self):
         z = BranchingProgram(
-            3, (Edge(0, 1, Literal(0)), Edge(1, 2, Literal(1))), 0, 2
+            3, ((0, 1, 1), (1, 2, 2)), 0, 2
         )
         assert check_c_nsobdd(z, (0, 1), 1).ok
         assert not check_c_nsobdd(z, (1, 0), 1).ok
@@ -607,28 +617,29 @@ class TestCheckCNsobdd:
         verdict = check_c_nsobdd(z, sv, c)
         got = (verdict.ok, verdict.violating_path, verdict.segments_needed)
         assert got == brute_check_c_nsobdd(z, sv, c)
+        assert verdict.violating_path is None or is_chain(z, verdict.violating_path)
 
     def test_path_cap_bounds_only_the_witness_search(self):
         # Ten diamonds in a row, each reading x_i with either sign: 2^10
         # consistent paths, all in order, so no path is enumerated.
-        edges = tuple(Edge(i, i + 1, Literal(i, s)) for i in range(10) for s in (False, True))
+        edges = tuple((i, i + 1, s * (i + 1)) for i in range(10) for s in (-1, 1))
         z = BranchingProgram(11, edges, 0, 10)
         assert len(brute_computational_paths(z)) == 1 << 10
         assert check_c_nsobdd(z, range(10), 1, path_cap=4).ok
         # A last step reading x_0 again violates the order, but only on
         # paths that took x_0 positively: the 512 paths before the first
         # such one are enumerated, and they count against the cap.
-        z = BranchingProgram(12, edges + (Edge(10, 11, Literal(0)), Edge(10, 11, Literal(10))),
+        z = BranchingProgram(12, edges + ((10, 11, 1), (10, 11, 11)),
                              0, 11)
         with pytest.raises(CapacityError):
             check_c_nsobdd(z, range(11), 1, path_cap=4)
         verdict = check_c_nsobdd(z, range(11), 1)
         assert not verdict.ok and verdict.segments_needed == 2
-        assert verdict.violating_path[0].label == Literal(0)
+        assert z.lits[verdict.violating_path[0]] == Literal(0).signed()
 
     def test_rereading_a_variable_starts_a_segment(self):
         z = BranchingProgram(
-            3, (Edge(0, 1, Literal(0)), Edge(1, 2, Literal(0))), 0, 2
+            3, ((0, 1, 1), (1, 2, 1)), 0, 2
         )
         verdict = check_c_nsobdd(z, (0,), 1)
         assert not verdict.ok and verdict.segments_needed == 2
@@ -637,40 +648,27 @@ class TestCheckCNsobdd:
     def test_leaf_out_edges_do_not_count(self):
         # Paths stop at the leaf; the descent after it belongs to none.
         z = BranchingProgram(
-            3, (Edge(0, 1, Literal(1)), Edge(1, 2, Literal(0))), 0, 1
+            3, ((0, 1, 2), (1, 2, 1)), 0, 1
         )
         assert check_c_nsobdd(z, (0, 1), 1).ok
 
     def test_rejects_a_cycle(self):
-        z = BranchingProgram(3, (Edge(0, 1), Edge(1, 2), Edge(2, 1)), 0, 2)
+        z = BranchingProgram(3, ((0, 1, 0), (1, 2, 0), (2, 1, 0)), 0, 2)
         with pytest.raises(InputError, match="cycle"):
             check_c_nsobdd(z, (), 1)
 
     def test_input_validation(self):
-        z = BranchingProgram(2, (Edge(0, 1, Literal(3)),), 0, 1)
+        z = BranchingProgram(2, ((0, 1, 4),), 0, 1)
         with pytest.raises(InputError):
             check_c_nsobdd(z, (0, 1), 1)  # order misses variable 3
         with pytest.raises(InputError):
             check_c_nsobdd(z, (3,), 0)
 
 
-class TestEdge:
-    def test_value_semantics_without_an_instance_dict(self):
-        a, b = Edge(0, 1, Literal(2, False)), Edge(0, 1, Literal(2, False))
-        assert a == b and hash(a) == hash(b) and a is not b
-        assert a != Edge(0, 1, Literal(2)) and Edge(0, 1) == Edge(0, 1, None)
-        assert Literal(0, False) < Literal(0) < Literal(1, False)
-        assert a.sort_key() == (0, 1, 2, False) and Edge(0, 1).sort_key() == (0, 1, -1, False)
-        for obj, field in ((a, "tail"), (a.label, "var")):
-            assert not hasattr(obj, "__dict__")  # slots: the bytes per edge stay small
-            with pytest.raises(FrozenInstanceError):
-                setattr(obj, field, 5)
-
-
 class TestBpFormat:
     def test_format_known(self):
         z = BranchingProgram(
-            3, (Edge(0, 1, Literal(1, False)), Edge(1, 2, Literal(0))), 0, 2
+            3, ((0, 1, -2), (1, 2, 1)), 0, 2
         )
         assert format_bp(z) == (
             "c widthlab branching-program format v1\n"
@@ -690,7 +688,7 @@ class TestBpFormat:
     @settings(deadline=None, max_examples=100)
     @given(dag_programs(), st.randoms(use_true_random=False))
     def test_edge_order_is_canonical(self, z, rng):
-        edges = list(z.edges)
+        edges = list(zip(z.tails, z.heads, z.lits))
         rng.shuffle(edges)
         y = BranchingProgram(z.num_nodes, tuple(edges), z.root, z.leaf)
         assert y == z
@@ -753,4 +751,4 @@ class TestBpFormat:
             parse_bp(text)
         # Parallel edges with different labels are distinct edges.
         z = parse_bp("bp 2 1 2\n1 2\n1 2 1\n1 2 -1\n")
-        assert len(z.edges) == 3
+        assert len(z.lits) == 3

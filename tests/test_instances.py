@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -36,6 +37,13 @@ class TestLiteral:
     def test_zero_is_not_a_literal(self):
         with pytest.raises(InputError):
             Literal.from_signed(0)
+
+    def test_ordered_frozen_and_without_an_instance_dict(self):
+        assert Literal(0, False) < Literal(0) < Literal(1, False)
+        lit = Literal(2, False)
+        assert not hasattr(lit, "__dict__")  # slots: one literal stays small
+        with pytest.raises(FrozenInstanceError):
+            lit.var = 5
 
 
 class TestCnf:

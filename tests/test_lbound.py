@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from widthlab import lbound
 from widthlab.errors import InputError
@@ -6,7 +7,6 @@ from widthlab.graph import Graph, Ordering
 from widthlab.instances import Literal, cnf_of_graph, cycle_graph, grid_graph, path_graph
 from widthlab.bprog import (
     BranchingProgram,
-    Edge,
     build_obdd,
     enumerate_computational_paths,
 )
@@ -20,7 +20,15 @@ from widthlab.lbound import (
 )
 from widthlab.width import mw_of_ordering
 
-from oracles import clause_scan_satisfies
+from oracles import clause_scan_satisfies, per_prefix_witness
+
+
+@st.composite
+def graphs_with_ordering(draw, max_n=10):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.make(n, edges), Ordering.make(draw(st.permutations(range(n))))
 
 
 class TestWitnessCut:
@@ -58,6 +66,21 @@ class TestWitnessCut:
     def test_negative_t(self):
         with pytest.raises(InputError):
             witness_cut(path_graph(3), Ordering.make(range(3)), -1)
+
+    @settings(deadline=None, max_examples=150)
+    @given(graphs_with_ordering())
+    @example((Graph.make(4, [(0, 1)]), Ordering.make(range(4))))  # t = 2 has no prefix cut
+    def test_equals_the_per_prefix_oracle(self, case):
+        g, sv = case
+        for t in range(g.n // 2 + 1):
+            expected = per_prefix_witness(g, sv, t)
+            if expected is None:
+                message = f"^no prefix cut of the ordering has a matching of size {t}$"
+                with pytest.raises(InputError, match=message):
+                    witness_cut(g, sv, t)
+            else:
+                w = witness_cut(g, sv, t)
+                assert (w.prefix_len, w.pairs) == expected
 
 
 class TestAssignmentFamily:
@@ -103,12 +126,12 @@ class TestAssignmentFamily:
 
 
 def chain_program(*labels):
-    edges = tuple(Edge(i, i + 1, lab) for i, lab in enumerate(labels))
+    edges = tuple((i, i + 1, 0 if lab is None else lab.signed()) for i, lab in enumerate(labels))
     return BranchingProgram(len(labels) + 1, edges, 0, len(labels))
 
 
 def only_path(z):
-    return z.edges
+    return tuple(range(len(z.lits)))  # a chain's edges, in stored order
 
 
 class TestSeparationVector:
@@ -117,26 +140,26 @@ class TestSeparationVector:
         # prefix-labelled edge
         z = chain_program(Literal(0), Literal(1))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 1, frozenset({1}))
+        vec = separation_vector(z, p, (0, 1), frozenset({0}), 1, frozenset({1}))
         assert vec == (1,)
 
     def test_only_prefix_vars_uses_segment_end(self):
         z = chain_program(Literal(0), Literal(1))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset({0, 1}), 1, frozenset())
+        vec = separation_vector(z, p, (0, 1), frozenset({0, 1}), 1, frozenset())
         assert vec == (2,)
 
     def test_only_suffix_vars_uses_segment_start(self):
         z = chain_program(Literal(0), Literal(1))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset(), 1, frozenset({0, 1}))
+        vec = separation_vector(z, p, (0, 1), frozenset(), 1, frozenset({0, 1}))
         assert vec == (0,)
 
     def test_two_segments(self):
         # positions 1 then 0: a descent, so two segments under c=2
         z = chain_program(Literal(1), Literal(0))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 2, frozenset({1}))
+        vec = separation_vector(z, p, (0, 1), frozenset({0}), 2, frozenset({1}))
         # segment 1 holds only suffix var 1 (start 0); cut at node 1;
         # segment 2 holds only prefix var 0 (end 2)
         assert vec == (0, 1, 2)
@@ -144,40 +167,40 @@ class TestSeparationVector:
     def test_padding_with_empty_segments(self):
         z = chain_program(Literal(0))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0,), frozenset({0}), 2, frozenset())
+        vec = separation_vector(z, p, (0,), frozenset({0}), 2, frozenset())
         assert vec == (1, 1, 1)
 
     def test_padding_after_one_descent(self):
         z = chain_program(Literal(1), Literal(0))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 3, frozenset({1}))
+        vec = separation_vector(z, p, (0, 1), frozenset({0}), 3, frozenset({1}))
         assert vec == (0, 1, 2, 2, 2)
 
     def test_split_after_the_last_prefix_edge_before_suffix_edges(self):
         # segments [x0 x1 x2 x3] and [x1 x2]; x0, x1 prefix-side
         z = chain_program(*(Literal(v) for v in (0, 1, 2, 3, 1, 2)))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1, 2, 3), frozenset({0, 1}), 2, frozenset({2, 3}))
+        vec = separation_vector(z, p, (0, 1, 2, 3), frozenset({0, 1}), 2, frozenset({2, 3}))
         assert vec == (2, 4, 5)
 
     def test_unlabelled_edges_stay_in_the_segment_before_a_descent(self):
         # the second segment starts at the x0 edge, not after the x1 edge
         z = chain_program(None, Literal(1), None, Literal(0))
         p = only_path(z)
-        vec = separation_vector(p, 0, (0, 1), frozenset({0}), 2, frozenset({1}))
+        vec = separation_vector(z, p, (0, 1), frozenset({0}), 2, frozenset({1}))
         assert vec == (0, 3, 4)
 
     def test_budget_too_small(self):
         z = chain_program(Literal(1), Literal(0))
         p = only_path(z)
         with pytest.raises(InputError):
-            separation_vector(p, 0, (0, 1), frozenset({0}), 1, frozenset({1}))
+            separation_vector(z, p, (0, 1), frozenset({0}), 1, frozenset({1}))
 
     def test_unknown_variable(self):
         z = chain_program(Literal(5))
         p = only_path(z)
         with pytest.raises(InputError):
-            separation_vector(p, 0, (0, 1), frozenset({0}), 1, frozenset({1}))
+            separation_vector(z, p, (0, 1), frozenset({0}), 1, frozenset({1}))
 
 
 class TestCheckDistinctness:
@@ -197,7 +220,7 @@ class TestCheckDistinctness:
 
     def test_collision_detected_on_oblivious_program(self):
         # single unlabeled edge: every member uses the same path
-        z = BranchingProgram(2, (Edge(0, 1),), 0, 1)
+        z = BranchingProgram(2, ((0, 1, 0),), 0, 1)
         family = ((True, False), (False, True))
         report = check_distinctness(z, family, (0, 1), frozenset({0}), 1, frozenset({1}))
         assert not report.distinct
@@ -219,8 +242,8 @@ class TestCheckDistinctness:
         # only the smallest, 0-1-3, splits at node 1.
         z = BranchingProgram(
             4,
-            (Edge(0, 1, Literal(0)), Edge(0, 2), Edge(1, 3, Literal(1)),
-             Edge(2, 1), Edge(2, 3, Literal(1))),
+            ((0, 1, 1), (0, 2, 0), (1, 3, 2),
+             (2, 1, 0), (2, 3, 2)),
             0,
             3,
         )
@@ -231,9 +254,9 @@ class TestCheckDistinctness:
         paths = list(enumerate_computational_paths(z))
         for s, vector in zip(family, report.vectors):
             accepting = [p for p in paths
-                         if all(s[e.label.var] == e.label.positive for e in p if e.label is not None)]
-            smallest = min(accepting, key=lambda p: [e.sort_key() for e in p])
-            assert vector == separation_vector(smallest, z.root, (0, 1), frozenset({0}), 1,
+                         if all(s[abs(z.lits[i]) - 1] == (z.lits[i] > 0) for i in p if z.lits[i])]
+            smallest = min(accepting)
+            assert vector == separation_vector(z, smallest, (0, 1), frozenset({0}), 1,
                                                frozenset({1}))
 
     def test_a_member_shorter_than_the_program_is_an_input_error(self):
