@@ -31,7 +31,6 @@ from .decomposition import (
 )
 from .instances import (
     Cnf,
-    Literal,
     cnf_of_graph,
     complete_binary_tree,
     ct_graph,

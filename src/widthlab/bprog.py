@@ -63,8 +63,8 @@ def _key(edge: tuple[int, int, int]) -> tuple[int, int, int]:
 
 @dataclass(frozen=True, init=False)
 class BranchingProgram:
-    """The edges are `tails`, `heads` and `lits` (each label's signed
-    literal, `Literal.signed`, or 0) in the canonical order of `_key`; node
+    """The edges are `tails`, `heads` and `lits` (each label's DIMACS signed
+    literal, as in a `Cnf` clause, or 0) in the canonical order of `_key`; node
     v's out-edges are the indices in out_ranges[v].  The constructor takes
     (tail, head, signed literal) triples, 0 for no label, in any order."""
 
@@ -157,7 +157,7 @@ def evaluate(z: BranchingProgram, assignment: Sequence[bool]) -> bool:
     if len(assignment) < z.num_vars:
         raise InputError(f"assignment does not cover variable {z.num_vars - 1}")
     # Containment in a full assignment forces consistency, so this reduces to
-    # reachability through agreeing edges.  Literal s reads variable s - 1 if
+    # reachability through agreeing edges.  A label s reads variable s - 1 if
     # positive, ~s if negative.
     heads, lits, out, root, leaf = z.heads, z.lits, z.out_ranges, z.root, z.leaf
     if root == leaf:

@@ -26,6 +26,10 @@ EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 
+# The most variables a generated CNF may have.  gen-cnf and td-ctree check
+# their output against it before they build anything per variable.
+MAX_GENERATED_VARS = 1 << 20
+
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -67,6 +71,18 @@ def _parse_order(spec: str, n: int) -> tuple[int, ...]:
     return o
 
 
+def _check_generated_vars(num_vars: int) -> None:
+    if num_vars > MAX_GENERATED_VARS:
+        raise InputError(f"the output would have {num_vars} variables, over the "
+                         f"generator limit of {MAX_GENERATED_VARS}")
+
+
+def _check_ctree_vars(r: int, k: int) -> None:
+    """Check f_rk(r, k)'s variable count; the generators reject a bad r or k."""
+    if r >= 0 and k >= 1:
+        _check_generated_vars(instances.f_rk_num_vars(r, k))
+
+
 def cmd_gen_graph(args) -> int:
     params = {"n": args.n, "p": args.p, "rows": args.rows, "cols": args.cols}
     params = {k: v for k, v in params.items() if v is not None}
@@ -80,7 +96,9 @@ def cmd_gen_graph(args) -> int:
 def cmd_gen_cnf(args) -> int:
     if args.graph is not None:
         g = _load_graph(args.graph)
+        _check_generated_vars(g.n + len(g.edges))
     elif args.r is not None and args.k is not None:
+        _check_ctree_vars(args.r, args.k)
         g = instances.ct_graph(args.r, args.k)
     else:
         raise InputError("gen-cnf needs --graph or both --r and --k")
@@ -117,6 +135,7 @@ def cmd_pw(args) -> int:
 
 
 def cmd_td_ctree(args) -> int:
+    _check_ctree_vars(args.r, args.k)
     result = decomposition.ctree_decomposition(args.r, args.k)
     if args.extended:
         d = result.extended

@@ -6,10 +6,12 @@ variable per vertex and an edge variable per edge.  Vertex u is variable
 u, and an edge's variable is `g.n` plus the edge's position in `g.edges`,
 the graph's one sorted edge order, so serialized output is reproducible.
 
-A `Cnf` is its variable count and clauses.  Variable names live only in
-the DIMACS writer, as `c var` comments (`graph_cnf_names` gives a graph
-CNF's); the reader skips every `c` line, so parsing builds nothing per
-declared variable.
+A `Cnf` is its variable count and clauses.  A clause is a tuple of DIMACS
+signed ints sorted by variable: `v + 1` is variable v and `-(v + 1)` its
+negation, the form a `BranchingProgram` labels its edges with.  Variable
+names live only in the DIMACS writer, as `c var` comments
+(`graph_cnf_names` gives a graph CNF's); the reader skips every `c` line, so
+parsing builds nothing per declared variable.
 """
 
 from __future__ import annotations
@@ -22,23 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import FormatError, InputError, int_token, read_records
 from .graph import Graph
 
-# --- literals and CNFs ---
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class Literal:
-    var: int
-    positive: bool = True
-
-    def signed(self) -> int:
-        """DIMACS-style signed 1-based integer."""
-        return self.var + 1 if self.positive else -(self.var + 1)
-
-    @staticmethod
-    def from_signed(s: int) -> "Literal":
-        if s == 0:
-            raise InputError("0 is not a literal")
-        return Literal(abs(s) - 1, s > 0)
+# --- CNFs ---
 
 
 @dataclass(frozen=True)
@@ -46,19 +32,20 @@ class Cnf:
     """A CNF over variables 0..num_vars-1: the count and the clauses only."""
 
     num_vars: int
-    clauses: tuple[tuple[Literal, ...], ...]
+    clauses: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def make(num_vars: int, clauses: Iterable[Iterable[Literal]]) -> "Cnf":
+    def make(num_vars: int, clauses: Iterable[Iterable[int]]) -> "Cnf":
+        """Each clause without duplicate literals and sorted by variable."""
         normed = []
         for clause in clauses:
-            lits = tuple(sorted(set(clause)))
-            seen = {l.var for l in lits}
-            if len(seen) != len(lits):
-                raise InputError(f"clause contains a variable and its negation: {lits}")
-            for l in lits:
-                if not 0 <= l.var < num_vars:
-                    raise InputError(f"literal variable {l.var} outside 0..{num_vars - 1}")
+            present = set(clause)
+            lits = tuple(sorted(present, key=abs))
+            for s in lits:
+                if not 0 < abs(s) <= num_vars:
+                    raise InputError(f"literal {s} names no variable in 1..{num_vars}")
+                if -s in present:
+                    raise InputError(f"clause holds both {abs(s)} and {-abs(s)}")
             normed.append(lits)
         return Cnf(num_vars, tuple(normed))
 
@@ -66,7 +53,7 @@ class Cnf:
         if len(assignment) != self.num_vars:
             raise InputError("assignment length does not match variable count")
         return all(
-            any(assignment[l.var] == l.positive for l in clause) for clause in self.clauses
+            any(assignment[abs(s) - 1] == (s > 0) for s in clause) for clause in self.clauses
         )
 
 
@@ -116,10 +103,7 @@ def edge_variable(g: Graph, u: int, v: int) -> int:
 
 def cnf_of_graph(g: Graph) -> Cnf:
     """One clause (X_u or X_uv or X_v) per edge, all positive."""
-    clauses = [
-        (Literal(u), Literal(g.n + idx), Literal(v))
-        for idx, (u, v) in enumerate(g.edges)
-    ]
+    clauses = [(u + 1, g.n + idx + 1, v + 1) for idx, (u, v) in enumerate(g.edges)]
     return Cnf.make(g.n + len(g.edges), clauses)
 
 
@@ -144,7 +128,7 @@ def primal_graph(f: Cnf) -> Graph:
     """Graph on the variables with edges between co-occurring pairs."""
     edges = set()
     for clause in f.clauses:
-        vs = sorted({l.var for l in clause})
+        vs = sorted({abs(s) - 1 for s in clause})
         edges.update((vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs)))
     return Graph.make(f.num_vars, edges)
 
@@ -212,9 +196,7 @@ def format_dimacs_cnf(f: Cnf, names: Sequence[str] = ()) -> str:
     lines = [DIMACS_CNF_HEADER]
     lines.extend(f"c var {i + 1} {name}" for i, name in enumerate(names))
     lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
-    lines.extend(
-        " ".join(str(l.signed()) for l in clause) + " 0" for clause in f.clauses
-    )
+    lines.extend(" ".join(map(str, clause)) + " 0" for clause in f.clauses)
     return "\n".join(lines) + "\n"
 
 
@@ -224,7 +206,7 @@ def parse_dimacs_cnf(text: str) -> Cnf:
         raise FormatError(f"{p_line}: negative variable count {num_vars}")
     if declared < 0:
         raise FormatError(f"{p_line}: negative clause count {declared}")
-    clauses: list[tuple[Literal, ...]] = []
+    clauses: list[list[int]] = []
     for where, parts in records:
         ints = [int_token(p, where) for p in parts]
         if ints[-1] != 0:
@@ -238,7 +220,7 @@ def parse_dimacs_cnf(text: str) -> Cnf:
                 raise FormatError(f"{where}: variable {abs(s)} outside 1..{num_vars}")
             if -s in present:
                 raise FormatError(f"{where}: clause holds both {s} and {-s}")
-        clauses.append(tuple(Literal.from_signed(s) for s in signed))
+        clauses.append(signed)
     if len(clauses) != declared:
         raise FormatError(f"{p_line}: declares {declared} clauses, found {len(clauses)}")
     return Cnf.make(num_vars, clauses)

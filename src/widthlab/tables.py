@@ -36,7 +36,7 @@ def truth_table(f: Cnf, order: Sequence[int]) -> int:
         full = (1 << (1 << m)) - 1
         falsified: dict[int, int] = {}  # h+1 -> OR of the patterns of period 2^(h+1)
         for clause in f.clauses:
-            fixed = {bit[lit.var]: lit.positive for lit in clause}
+            fixed = {bit[abs(s) - 1]: s > 0 for s in clause}
             top = max(fixed, default=-1) + 1
             pattern = 1
             for b in range(top):

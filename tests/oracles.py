@@ -20,7 +20,6 @@ import numpy as np
 
 from widthlab.bprog import BranchingProgram
 from widthlab.graph import Graph, adjacency_masks
-from widthlab.instances import Literal
 from widthlab.width import _CutMatching
 
 
@@ -220,9 +219,9 @@ def clause_scan_satisfies(f, assignment) -> bool:
     """Literal-by-literal clause scan, written independently of Cnf.evaluate."""
     for clause in f.clauses:
         hit = False
-        for lit in clause:
-            val = assignment[lit.var]
-            if (val and lit.positive) or (not val and not lit.positive):
+        for s in clause:
+            val = assignment[abs(s) - 1]
+            if (val and s > 0) or (not val and s < 0):
                 hit = True
                 break
         if not hit:
@@ -397,8 +396,9 @@ def brute_validate_decomposition(g: Graph, bags, tree_edges) -> tuple:
 
 
 def path_labels(z, path) -> frozenset:
-    """The literal set of a path of edge indices: its edges' labels."""
-    return frozenset(Literal.from_signed(z.lits[i]) for i in path if z.lits[i])
+    """The literal set of a path of edge indices: its edges' nonzero labels,
+    as signed ints."""
+    return frozenset(z.lits[i] for i in path if z.lits[i])
 
 
 def brute_computational_paths(z) -> list[tuple[tuple, frozenset]]:
@@ -412,7 +412,7 @@ def brute_computational_paths(z) -> list[tuple[tuple, frozenset]]:
     def walk(node: int, path: tuple) -> None:
         if node == z.leaf:
             labels = path_labels(z, path)
-            if len({l.var for l in labels}) == len(labels):
+            if len({abs(s) for s in labels}) == len(labels):
                 found.append(path)
             return
         for i, tail in enumerate(z.tails):

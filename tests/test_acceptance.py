@@ -41,7 +41,6 @@ from widthlab.bprog import (
     check_c_nsobdd,
     min_obdd_size_over_orders,
 )
-from widthlab.instances import Literal
 from widthlab.lbound import assignment_family, check_distinctness, witness_cut
 from widthlab.cli import main as cli_main
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from widthlab import bprog
 from widthlab.errors import CapacityError, FormatError, InputError
 from widthlab.instances import (
-    Cnf, Literal, cnf_of_graph, cycle_graph, grid_graph, path_graph,
+    Cnf, cnf_of_graph, cycle_graph, grid_graph, path_graph,
 )
 from widthlab.bprog import (
     BranchingProgram,
@@ -40,16 +40,18 @@ from oracles import (
 )
 
 
+def signed_literals(m):
+    """The literals of variables 0..m-1 as DIMACS signed ints, both signs."""
+    return st.builds(
+        operator.mul, st.integers(min_value=1, max_value=m), st.sampled_from((1, -1))
+    )
+
+
 @st.composite
 def cnfs(draw, max_vars=5, max_clauses=4):
     m = draw(st.integers(min_value=1, max_value=max_vars))
-    lits = st.builds(
-        Literal,
-        st.integers(min_value=0, max_value=m - 1),
-        st.booleans(),
-    )
-    clause = st.lists(lits, min_size=1, max_size=3).filter(
-        lambda ls: len({l.var for l in ls}) == len({(l.var, l.positive) for l in ls})
+    clause = st.lists(signed_literals(m), min_size=1, max_size=3).filter(
+        lambda ls: len({abs(s) for s in ls}) == len(set(ls))
     )
     clauses = draw(st.lists(clause, max_size=max_clauses))
     return Cnf.make(m, clauses)
@@ -60,18 +62,13 @@ def ordered_cnfs(draw, max_vars=10):
     """A CNF of clauses of 0-4 literals and a random variable order, so any
     index bit, the top and the bottom ones included, may be fixed."""
     m = draw(st.integers(min_value=1, max_value=max_vars))
-    clause = st.lists(
-        st.builds(Literal, st.integers(min_value=0, max_value=m - 1), st.booleans()),
-        max_size=4, unique_by=lambda l: l.var,
-    )
+    clause = st.lists(signed_literals(m), max_size=4, unique_by=abs)
     f = Cnf.make(m, draw(st.lists(clause, max_size=6)))
     return f, tuple(draw(st.permutations(range(m))))
 
 
 def single_clause(*signed):
-    lits = [Literal.from_signed(s) for s in signed]
-    m = max(l.var for l in lits) + 1
-    return Cnf.make(m, [lits])
+    return Cnf.make(max(map(abs, signed)), [signed])
 
 
 @st.composite
@@ -83,16 +80,13 @@ def dag_programs(draw, max_nodes=7, max_vars=3):
     through it, and the repeats interleave with paths that differ later."""
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     m = draw(st.integers(min_value=1, max_value=max_vars))
-    labels = st.none() | st.builds(
-        Literal, st.integers(min_value=0, max_value=m - 1), st.booleans()
-    )
+    labels = st.just(0) | signed_literals(m)
     edges = []
     if n > 1:
         tails = st.integers(min_value=0, max_value=n - 2)
         for tail in draw(st.lists(tails, max_size=3 * n)):
             head = draw(st.integers(min_value=tail + 1, max_value=n - 1))
-            label = draw(labels)
-            edges.append((tail, head, 0 if label is None else label.signed()))
+            edges.append((tail, head, draw(labels)))
     edges = list(dict.fromkeys(edges))
     leaf = draw(st.integers(min_value=0, max_value=n - 1))
     return BranchingProgram(n, tuple(edges), 0, leaf)
@@ -304,7 +298,7 @@ class TestBuildObdd:
     def test_raised_cap_beyond_numpy_arrays(self, m):
         # A table of 2^64 or 2^65 bits is too large for a Python int.
         with pytest.raises(CapacityError):
-            build_obdd(Cnf.make(m, [[Literal(0)]]), range(m), cap=m)
+            build_obdd(Cnf.make(m, [[1]]), range(m), cap=m)
 
     @pytest.mark.parametrize(
         "order, text",
@@ -359,9 +353,9 @@ class TestTruthTable:
     @settings(deadline=None, max_examples=80)
     @given(ordered_cnfs())
     # With order (0, 1, 2), variable 0 is the top index bit, 2 the bottom.
-    @example((Cnf.make(3, [[Literal(0, False)]]), (0, 1, 2)))
-    @example((Cnf.make(3, [[Literal(2)]]), (0, 1, 2)))
-    @example((Cnf.make(3, [[Literal(1)], []]), (0, 1, 2)))
+    @example((Cnf.make(3, [[-1]]), (0, 1, 2)))
+    @example((Cnf.make(3, [[3]]), (0, 1, 2)))
+    @example((Cnf.make(3, [[2], []]), (0, 1, 2)))
     def test_fixed_bits_anywhere(self, case):
         f, order = case
         assert table_bits(f, order) == brute_truth_table(f, order)
@@ -371,9 +365,9 @@ class TestTruthTable:
         [
             Cnf.make(0, []),
             Cnf.make(0, [[]]),
-            Cnf.make(3, [[Literal(0)], []]),
+            Cnf.make(3, [[1], []]),
             Cnf.make(3, []),
-            Cnf.make(5, [[Literal(4, False), Literal(1)], [Literal(1, False)]]),
+            Cnf.make(5, [[-5, 2], [-2]]),
         ],
         ids=["m0-true", "m0-false", "empty-clause", "tautology", "unused-vars"],
     )
@@ -409,14 +403,7 @@ class TestMinObddSize:
 
     def test_order_sensitivity(self):
         # (x1 or x4) and (x2 or x5) and (x3 or x6): pairing orders win
-        f = Cnf.make(
-            6,
-            [
-                [Literal(0), Literal(3)],
-                [Literal(1), Literal(4)],
-                [Literal(2), Literal(5)],
-            ],
-        )
+        f = Cnf.make(6, [[1, 4], [2, 5], [3, 6]])
         paired = build_obdd(f, (0, 3, 1, 4, 2, 5)).size
         split = build_obdd(f, (0, 1, 2, 3, 4, 5)).size
         assert paired < split
@@ -447,10 +434,10 @@ class TestSubfunctionCounts:
         [
             Cnf.make(0, []),
             Cnf.make(0, [[]]),
-            Cnf.make(1, [[Literal(0, False)]]),
+            Cnf.make(1, [[-1]]),
             Cnf.make(3, []),
-            Cnf.make(3, [[Literal(1)], [Literal(1, False)]]),
-            Cnf.make(4, [[Literal(0), Literal(3, False)], [Literal(1)]]),
+            Cnf.make(3, [[2], [-2]]),
+            Cnf.make(4, [[1, -4], [2]]),
         ],
         ids=["m0-true", "m0-false", "m1", "tautology", "unsatisfiable", "unused-var"],
     )
@@ -472,7 +459,7 @@ class TestPathEnumeration:
         )
         paths = list(enumerate_computational_paths(z))
         assert [tuple(z.heads[i] for i in p) for p in paths] == [(1, 2), (2,)]
-        assert path_labels(z, paths[0]) == frozenset({Literal(1, False), Literal(2)})
+        assert path_labels(z, paths[0]) == frozenset({-2, 3})
         assert triples(z, paths[0]) == [(0, 1, -2), (1, 2, 3)]
 
     def test_inconsistent_paths_are_skipped(self):
@@ -491,7 +478,7 @@ class TestPathEnumeration:
         )
         paths = list(enumerate_computational_paths(z))
         assert len(paths) == 1
-        assert path_labels(z, paths[0]) == frozenset({Literal(0)})
+        assert path_labels(z, paths[0]) == frozenset({1})
 
     def test_cap(self):
         f = cnf_of_graph(path_graph(3))
@@ -526,7 +513,7 @@ class TestPathEnumeration:
         z, s = case
         expected = [
             edges for edges, lits in brute_computational_paths(z)
-            if all(s[l.var] == l.positive for l in lits)
+            if all(s[abs(l) - 1] == (l > 0) for l in lits)
         ]
         got = list(enumerate_computational_paths(z, assignment=s))
         assert all(is_chain(z, p) for p in got)
@@ -554,7 +541,7 @@ class TestLongChains:
         z = chain_program(3000)
         (path,) = enumerate_computational_paths(z)
         assert path == tuple(range(2999))  # every edge, in stored order
-        assert path_labels(z, path) == frozenset(Literal(i) for i in range(2999))
+        assert path_labels(z, path) == frozenset(range(1, 3000))
         assert list(enumerate_computational_paths(z, assignment=[True] * 2999)) == [path]
         assert check_c_nsobdd(z, range(2999), 1).ok
 
@@ -635,7 +622,7 @@ class TestCheckCNsobdd:
             check_c_nsobdd(z, range(11), 1, path_cap=4)
         verdict = check_c_nsobdd(z, range(11), 1)
         assert not verdict.ok and verdict.segments_needed == 2
-        assert z.lits[verdict.violating_path[0]] == Literal(0).signed()
+        assert z.lits[verdict.violating_path[0]] == 1
 
     def test_rereading_a_variable_starts_a_segment(self):
         z = BranchingProgram(

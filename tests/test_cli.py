@@ -565,11 +565,11 @@ class TestPaceTreeEdges:
 
 
 class TestHugeDeclaredSizes:
-    """Huge declared sizes exit 2 with one line: a named error when a cap or
-    a shape check can reject them before anything is built per declared
-    item, otherwise "out of memory".  Each command runs in a child process
-    whose address space is capped just above its start-up size, so the test
-    itself allocates nothing large."""
+    """Huge declared sizes exit 2 with one line: a named error when a cap, a
+    limit or a shape check can reject them before anything is built per
+    declared item, otherwise "out of memory".  Each command runs in a child
+    process whose address space is capped just above its start-up size, so
+    the test itself allocates nothing large."""
 
     CHILD = (
         "import resource, sys\n"
@@ -582,6 +582,8 @@ class TestHugeDeclaredSizes:
     HUGE = 10_000_000_000_000
     OUT_OF_MEMORY = "error: out of memory: the input or a cap is too large"
     NOT_A_PERMUTATION = f"error: --order is not a permutation of 0..{HUGE - 1}: (0,)"
+    OVER_THE_LIMIT = ("error: the output would have {} variables, over the generator "
+                      "limit of 1048576")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="needs /proc and an enforced RLIMIT_AS")
@@ -589,7 +591,10 @@ class TestHugeDeclaredSizes:
         "argv, text, stderr",
         [
             (["check-cnsobdd", "--bp", "{in}", "--c", "1"], f"bp {HUGE} 1 2\n", OUT_OF_MEMORY),
-            (["gen-cnf", "--graph", "{in}"], f"p edge {HUGE} 0\n", OUT_OF_MEMORY),
+            (["gen-cnf", "--graph", "{in}"], f"p edge {HUGE} 0\n",
+             OVER_THE_LIMIT.format(HUGE)),
+            (["gen-cnf", "--r", "40", "--k", "2"], "", OVER_THE_LIMIT.format(15393162788853)),
+            (["td-ctree", "--r", "40", "--k", "3"], "", OVER_THE_LIMIT.format(32985348833256)),
             (["mw", "--graph", "{in}", "--order", "0"], f"p edge {HUGE} 0\n",
              NOT_A_PERMUTATION),
             (["order-from-pd", "--graph", "{gr}", "--pd", "{in}"], f"s td {HUGE} 1 1\n",
@@ -603,8 +608,9 @@ class TestHugeDeclaredSizes:
             (["obdd-min", "--cnf", "{in}"], f"p cnf {HUGE} 0\n",
              f"error: order minimization: {HUGE} variables exceeds cap 16"),
         ],
-        ids=["bp-nodes", "graph-vertices", "mw-order", "pace-bags", "obdd-build-order",
-             "check-cnsobdd-order", "obdd-build-cap", "obdd-min-cap"],
+        ids=["bp-nodes", "graph-vertices", "ctree-cnf", "ctree-decomposition", "mw-order",
+             "pace-bags", "obdd-build-order", "check-cnsobdd-order", "obdd-build-cap",
+             "obdd-min-cap"],
     )
     def test_out_of_memory_is_a_usage_error(self, tmp_path, argv, text, stderr):
         in_file = tmp_path / "input"
@@ -620,6 +626,34 @@ class TestHugeDeclaredSizes:
         )
         assert proc.returncode == 2
         assert proc.stderr == stderr + "\n"
+
+
+class TestGeneratorLimit:
+    """gen-cnf and td-ctree write an output of MAX_GENERATED_VARS variables
+    and reject one of a variable more."""
+
+    @pytest.mark.parametrize(
+        "argv, num_vars",
+        [
+            (["gen-cnf", "--graph", "{p3}"], 5),  # 3 vertices, 2 edges
+            (["gen-cnf", "--r", "1", "--k", "2"], 17),  # 6 vertices, 11 edges
+            (["td-ctree", "--r", "1", "--k", "2"], 17),
+        ],
+        ids=["graph", "ctree-cnf", "ctree-decomposition"],
+    )
+    def test_boundary(self, monkeypatch, capsys, tmp_path, argv, num_vars):
+        p3_file = tmp_path / "p3.gr"
+        p3_file.write_text(format_dimacs_graph(path_graph(3)))
+        argv = [a.format(p3=p3_file) for a in argv]
+        monkeypatch.setattr(cli, "MAX_GENERATED_VARS", num_vars)
+        code, out = run(capsys, *argv)
+        assert code == 0 and out
+        monkeypatch.setattr(cli, "MAX_GENERATED_VARS", num_vars - 1)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: the output would have {num_vars} variables, "
+                                f"over the generator limit of {num_vars - 1}\n")
 
 
 class TestMalformedIntegers:

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+import operator
 from itertools import product
 
 import pytest
@@ -8,7 +8,6 @@ from widthlab.errors import FormatError, InputError
 from widthlab.graph import Graph
 from widthlab.instances import (
     Cnf,
-    Literal,
     cnf_of_graph,
     complete_binary_tree,
     ct_graph,
@@ -28,39 +27,27 @@ from widthlab.instances import (
 )
 
 
-class TestLiteral:
-    def test_signed_round_trip(self):
-        for var, pos in product(range(5), (True, False)):
-            lit = Literal(var, pos)
-            assert Literal.from_signed(lit.signed()) == lit
+class TestCnf:
+    def test_make_sorts_by_variable_and_dedupes(self):
+        f = Cnf.make(3, [[-3, 1, -3, 2]])
+        assert f.clauses == ((1, 2, -3),)
+        assert format_dimacs_cnf(f).endswith("p cnf 3 1\n1 2 -3 0\n")
 
     def test_zero_is_not_a_literal(self):
-        with pytest.raises(InputError):
-            Literal.from_signed(0)
-
-    def test_ordered_frozen_and_without_an_instance_dict(self):
-        assert Literal(0, False) < Literal(0) < Literal(1, False)
-        lit = Literal(2, False)
-        assert not hasattr(lit, "__dict__")  # slots: one literal stays small
-        with pytest.raises(FrozenInstanceError):
-            lit.var = 5
-
-
-class TestCnf:
-    def test_make_sorts_and_dedupes(self):
-        f = Cnf.make(3, [[Literal(2), Literal(0), Literal(2)]])
-        assert f.clauses == ((Literal(0), Literal(2)),)
+        with pytest.raises(InputError, match="^literal 0 names no variable in 1..2$"):
+            Cnf.make(2, [[0]])
 
     def test_rejects_tautological_clause(self):
-        with pytest.raises(InputError):
-            Cnf.make(2, [[Literal(0), Literal(0, False)]])
+        with pytest.raises(InputError, match="^clause holds both 2 and -2$"):
+            Cnf.make(2, [[-2, 1, 2]])
 
-    def test_rejects_out_of_range_variable(self):
-        with pytest.raises(InputError):
-            Cnf.make(2, [[Literal(2)]])
+    @pytest.mark.parametrize("s", [3, -3])
+    def test_rejects_out_of_range_variable(self, s):
+        with pytest.raises(InputError, match=f"^literal {s} names no variable in 1..2$"):
+            Cnf.make(2, [[s]])
 
     def test_evaluate(self):
-        f = Cnf.make(2, [[Literal(0)], [Literal(1, False)]])
+        f = Cnf.make(2, [[1], [-2]])
         assert f.evaluate((True, False))
         assert not f.evaluate((True, True))
         assert not f.evaluate((False, False))
@@ -136,7 +123,7 @@ class TestGraphCnf:
         clauses = cnf_of_graph(g).clauses
         for i, (u, v) in enumerate(g.edges):
             assert edge_variable(g, u, v) == edge_variable(g, v, u) == g.n + i
-            assert Literal(g.n + i) in clauses[i]
+            assert g.n + i + 1 in clauses[i]
         for u in range(n):
             for v in range(u + 1, n):
                 if (u, v) not in g.edges:
@@ -150,7 +137,7 @@ class TestGraphCnf:
         assert len(f.clauses) == 4
         for clause in f.clauses:
             assert len(clause) == 3
-            assert all(l.positive for l in clause)
+            assert all(s > 0 for s in clause)
 
     def test_clause_holds_iff_edge_hit(self):
         g = path_graph(2)
@@ -225,12 +212,10 @@ class TestSmallGraphGenerators:
 def cnfs(draw, max_vars=6, max_clauses=5):
     m = draw(st.integers(min_value=1, max_value=max_vars))
     lits = st.builds(
-        Literal,
-        st.integers(min_value=0, max_value=m - 1),
-        st.booleans(),
+        operator.mul, st.integers(min_value=1, max_value=m), st.sampled_from((1, -1))
     )
     clause = st.lists(lits, min_size=0, max_size=3).filter(
-        lambda ls: len({l.var for l in ls}) == len({(l.var, l.positive) for l in ls})
+        lambda ls: len({abs(s) for s in ls}) == len(set(ls))
     )
     clauses = draw(st.lists(clause, max_size=max_clauses))
     return Cnf.make(m, clauses)

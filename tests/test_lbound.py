@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from widthlab import lbound
 from widthlab.errors import InputError
 from widthlab.graph import Graph, Ordering
-from widthlab.instances import Literal, cnf_of_graph, cycle_graph, grid_graph, path_graph
+from widthlab.instances import cnf_of_graph, cycle_graph, grid_graph, path_graph
 from widthlab.bprog import (
     BranchingProgram,
     build_obdd,
@@ -126,7 +126,8 @@ class TestAssignmentFamily:
 
 
 def chain_program(*labels):
-    edges = tuple((i, i + 1, 0 if lab is None else lab.signed()) for i, lab in enumerate(labels))
+    """A chain whose i-th edge has signed literal labels[i], 0 for none."""
+    edges = tuple((i, i + 1, lab) for i, lab in enumerate(labels))
     return BranchingProgram(len(labels) + 1, edges, 0, len(labels))
 
 
@@ -138,26 +139,26 @@ class TestSeparationVector:
     def test_single_segment_prefix_then_suffix(self):
         # path reads prefix var 0 then suffix var 1: split after the last
         # prefix-labelled edge
-        z = chain_program(Literal(0), Literal(1))
+        z = chain_program(1, 2)
         p = only_path(z)
         vec = separation_vector(z, p, (0, 1), frozenset({0}), 1, frozenset({1}))
         assert vec == (1,)
 
     def test_only_prefix_vars_uses_segment_end(self):
-        z = chain_program(Literal(0), Literal(1))
+        z = chain_program(1, 2)
         p = only_path(z)
         vec = separation_vector(z, p, (0, 1), frozenset({0, 1}), 1, frozenset())
         assert vec == (2,)
 
     def test_only_suffix_vars_uses_segment_start(self):
-        z = chain_program(Literal(0), Literal(1))
+        z = chain_program(1, 2)
         p = only_path(z)
         vec = separation_vector(z, p, (0, 1), frozenset(), 1, frozenset({0, 1}))
         assert vec == (0,)
 
     def test_two_segments(self):
         # positions 1 then 0: a descent, so two segments under c=2
-        z = chain_program(Literal(1), Literal(0))
+        z = chain_program(2, 1)
         p = only_path(z)
         vec = separation_vector(z, p, (0, 1), frozenset({0}), 2, frozenset({1}))
         # segment 1 holds only suffix var 1 (start 0); cut at node 1;
@@ -165,39 +166,39 @@ class TestSeparationVector:
         assert vec == (0, 1, 2)
 
     def test_padding_with_empty_segments(self):
-        z = chain_program(Literal(0))
+        z = chain_program(1)
         p = only_path(z)
         vec = separation_vector(z, p, (0,), frozenset({0}), 2, frozenset())
         assert vec == (1, 1, 1)
 
     def test_padding_after_one_descent(self):
-        z = chain_program(Literal(1), Literal(0))
+        z = chain_program(2, 1)
         p = only_path(z)
         vec = separation_vector(z, p, (0, 1), frozenset({0}), 3, frozenset({1}))
         assert vec == (0, 1, 2, 2, 2)
 
     def test_split_after_the_last_prefix_edge_before_suffix_edges(self):
         # segments [x0 x1 x2 x3] and [x1 x2]; x0, x1 prefix-side
-        z = chain_program(*(Literal(v) for v in (0, 1, 2, 3, 1, 2)))
+        z = chain_program(1, 2, 3, 4, 2, 3)
         p = only_path(z)
         vec = separation_vector(z, p, (0, 1, 2, 3), frozenset({0, 1}), 2, frozenset({2, 3}))
         assert vec == (2, 4, 5)
 
     def test_unlabelled_edges_stay_in_the_segment_before_a_descent(self):
         # the second segment starts at the x0 edge, not after the x1 edge
-        z = chain_program(None, Literal(1), None, Literal(0))
+        z = chain_program(0, 2, 0, 1)
         p = only_path(z)
         vec = separation_vector(z, p, (0, 1), frozenset({0}), 2, frozenset({1}))
         assert vec == (0, 3, 4)
 
     def test_budget_too_small(self):
-        z = chain_program(Literal(1), Literal(0))
+        z = chain_program(2, 1)
         p = only_path(z)
         with pytest.raises(InputError):
             separation_vector(z, p, (0, 1), frozenset({0}), 1, frozenset({1}))
 
     def test_unknown_variable(self):
-        z = chain_program(Literal(5))
+        z = chain_program(6)
         p = only_path(z)
         with pytest.raises(InputError):
             separation_vector(z, p, (0, 1), frozenset({0}), 1, frozenset({1}))
@@ -227,12 +228,12 @@ class TestCheckDistinctness:
         assert report.collisions == ((0, 1),)
 
     def test_rejecting_member_is_an_error(self):
-        z = chain_program(Literal(0))
+        z = chain_program(1)
         with pytest.raises(InputError):
             check_distinctness(z, ((False,),), (0,), frozenset({0}), 1, frozenset())
 
     def test_lowest_rejected_member_is_named(self):
-        z = chain_program(Literal(0))
+        z = chain_program(1)
         family = ((True,), (False,), (True,), (False,))
         with pytest.raises(InputError, match="family member 1$"):
             check_distinctness(z, family, (0,), frozenset({0}), 1, frozenset())
@@ -260,7 +261,7 @@ class TestCheckDistinctness:
                                                frozenset({1}))
 
     def test_a_member_shorter_than_the_program_is_an_input_error(self):
-        z = chain_program(Literal(0), Literal(1))
+        z = chain_program(1, 2)
         with pytest.raises(InputError, match="^assignment does not cover variable 1$"):
             check_distinctness(z, [(True,)], (0, 1), frozenset({0}), 1, frozenset({1}))
 
