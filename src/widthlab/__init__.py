@@ -5,15 +5,12 @@ CNF generators and desk-scale decision-diagram size experiments."""
 from .graph import (
     CutGraph,
     Graph,
-    Matching,
     Ordering,
-    VertexCover,
     cut_graph,
     max_bipartite_matching,
     min_vertex_cover_bipartite,
 )
 from .width import (
-    SettledChain,
     WidthReport,
     matching_width_exact,
     min_vc_containing,

@@ -181,17 +181,10 @@ def path_decomposition_from_ordering(g: Graph, sv: Ordering) -> PathDecompositio
 
     The width is at most twice the ordering's matching width.
     """
-    n = g.n
-    chain = settled_vertex_covers(g, sv).covers
-    bags = []
-    for i in range(n):
-        bag = {sv.seq[i]}
-        if i > 0:
-            bag |= chain[i - 1].verts
-        if i < n - 1:
-            bag |= chain[i].verts
-        bags.append(frozenset(bag))
-    return PathDecomposition(tuple(bags))
+    covers = (0, *settled_vertex_covers(g, sv), 0)
+    return PathDecomposition(tuple(
+        frozenset(iter_bits(covers[i] | covers[i + 1] | 1 << v)) for i, v in enumerate(sv.seq)
+    ))
 
 
 def optimal_path_decomposition(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> PathDecomposition:

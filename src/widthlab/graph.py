@@ -4,22 +4,23 @@ Vertices are dense integer ids 0..n-1.  A graph stores each edge once, as
 (u, v) with u < v, in one ascending tuple: the edge order that the DIMACS
 writer, the CNF's edge variables and the decompositions all follow.  Cut
 graphs are bipartite by construction (prefix side vs. suffix side of an
-ordering), so maximum matching and minimum vertex cover run on one
-neighbour bitmask per left vertex: Kuhn's augmenting paths, then König's
-alternating reachability.  All tie-breaking is by ascending vertex id
-(lowest bit first) so results are reproducible.  This matching covers the
-residual cuts of the settled covers and serves `lbound.witness_cut`; no
-cut size is read from it.  `mw_of_ordering` and `settled_vertex_covers`
-take each cut's size from one bitmask matching (`width._CutMatching`)
-repaired as each vertex crosses the cut, `matching_width_exact` sizes each
-cut it reaches from scratch with `_CutMatching.size_of`, and pathwidth
-uses no matching at all.
+ordering) and live on bitmasks: each side is a vertex mask, and each left
+vertex with a crossing edge keeps its right neighbours' mask, read off the
+graph's cached adjacency masks.  Maximum matching (Kuhn's augmenting paths)
+returns the matched (left, right) pairs, and minimum vertex cover (König's
+alternating reachability) returns a vertex mask.  All tie-breaking is by
+ascending vertex id (lowest bit first) so results are reproducible.  This
+matching covers the residual cuts of the settled covers and serves
+`lbound.witness_cut`; no cut size is read from it.  `mw_of_ordering` and
+`settled_vertex_covers` take each cut's size from one bitmask matching
+(`width._CutMatching`) repaired as each vertex crosses the cut,
+`matching_width_exact` sizes each cut it reaches from scratch with
+`_CutMatching.size_of`, and pathwidth uses no matching at all.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -33,6 +34,15 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
+
+    # Hashed once: every `adjacency_masks` lookup, one per cut in `cut_graph`,
+    # would otherwise rehash the whole edge tuple.
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def make(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -56,6 +66,8 @@ class Graph:
 
 # Every CLI command works on one graph, so a few entries serve it; a bound
 # keeps a long-lived process that sees many graphs from holding them all.
+# `cut_graph` looks the masks up once per cut; a graph hashes its edges only
+# once (`Graph._hash`), so a lookup costs no pass over them.
 @functools.lru_cache(maxsize=8)
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
     """Per-vertex neighbor bitmasks (bit v set iff v adjacent)."""
@@ -82,47 +94,18 @@ class Ordering:
     def __len__(self) -> int:
         return len(self.seq)
 
-    def prefix(self, i: int) -> frozenset[int]:
-        return frozenset(self.seq[:i])
-
 
 @dataclass(frozen=True)
 class CutGraph:
     """Bipartite graph of the edges crossing a prefix/suffix partition.
 
-    Edges are stored oriented (left endpoint, right endpoint).
+    `left` and `right` are the two sides as vertex bitmasks; `nbrs` maps
+    each left vertex with a crossing edge to its right neighbours' bitmask.
     """
 
-    left: frozenset[int]
-    right: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-    @functools.cached_property
-    def _neighbour_masks(self) -> dict[int, int]:
-        """Each left vertex with a crossing edge -> its right neighbours'
-        bitmask; built once, for the matching and the cover alike."""
-        adj: dict[int, int] = {}
-        for u, v in self.edges:
-            adj[u] = adj.get(u, 0) | 1 << v
-        return adj
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise vertex-disjoint edges, oriented like the host cut."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class VertexCover:
-    verts: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.verts)
+    left: int
+    right: int
+    nbrs: dict[int, int]
 
 
 def cut_graph(g: Graph, sv: Ordering, i: int) -> CutGraph:
@@ -132,17 +115,20 @@ def cut_graph(g: Graph, sv: Ordering, i: int) -> CutGraph:
         raise InputError("ordering length does not match graph")
     if not 1 <= i <= n - 1:
         raise InputError(f"prefix length {i} outside 1..{n - 1}")
-    left = sv.prefix(i)
-    right = frozenset(sv.seq[i:])
-    crossing = set()
-    for u, v in g.edges:
-        if (u in left) != (v in left):
-            crossing.add((u, v) if u in left else (v, u))
-    return CutGraph(left, right, frozenset(crossing))
+    adj = adjacency_masks(g)
+    prefix = sv.seq[:i]
+    # The left mask in binary, highest bit first, so bit u is digit ~u: one
+    # parse of n digits instead of a fresh n-bit int per prefix vertex.
+    digits = bytearray(b"0") * n
+    for u in prefix:
+        digits[~u] = 49  # ord("1")
+    left = int(digits, 2)
+    right = ((1 << n) - 1) ^ left
+    return CutGraph(left, right, {u: a for u in prefix if (a := adj[u] & right)})
 
 
-def max_bipartite_matching(c: CutGraph) -> Matching:
-    """Maximum matching of a cut graph.
+def max_bipartite_matching(c: CutGraph) -> frozenset[tuple[int, int]]:
+    """Maximum matching of a cut graph, as its (left, right) pairs.
 
     Kuhn's augmenting paths from the left vertices in ascending order, each
     explored depth-first with an explicit stack, so the result is
@@ -153,8 +139,8 @@ def max_bipartite_matching(c: CutGraph) -> Matching:
     right vertices reach no free one, so they stay visited until the next
     augmentation.
     """
-    adj = c._neighbour_masks
-    everything = unvisited = functools.reduce(operator.or_, adj.values(), 0)
+    adj = c.nbrs
+    everything = unvisited = c.right
     match_right: dict[int, int] = {}
     for u in sorted(adj):
         # The path's left vertices, and the right ones between and after them.
@@ -175,11 +161,12 @@ def max_bipartite_matching(c: CutGraph) -> Matching:
                 unvisited = everything
                 break
             path.append(x)
-    return Matching(frozenset((u, v) for v, u in match_right.items()))
+    return frozenset((u, v) for v, u in match_right.items())
 
 
-def min_vertex_cover_bipartite(c: CutGraph, m: Matching) -> VertexCover:
-    """Minimum vertex cover from a maximum matching (alternating reachability).
+def min_vertex_cover_bipartite(c: CutGraph, m: frozenset[tuple[int, int]]) -> int:
+    """Minimum vertex cover, as a bitmask, from a maximum matching
+    (alternating reachability).
 
     Starts from unmatched left vertices, walks non-matching edges left to
     right and matching edges right to left; the cover is the unreached
@@ -187,32 +174,32 @@ def min_vertex_cover_bipartite(c: CutGraph, m: Matching) -> VertexCover:
     is free or was entered through its matching edge, whose right end is
     already reached, so each step adds its unreached neighbour bits whole.
     """
-    adj = c._neighbour_masks
-    match_right = {v: u for u, v in m.pairs}
-    matched_left = set(match_right.values())
-    frontier = [u for u in adj if u not in matched_left]
-    reach_left = set(frontier)
+    adj = c.nbrs
+    match_right = {v: u for u, v in m}
+    matched = {u for u, _ in m}
+    frontier = [u for u in adj if u not in matched]
+    reach_left = sum(1 << u for u in frontier)
     reach_right = 0
     while frontier:
         fresh = adj[frontier.pop()] & ~reach_right
         reach_right |= fresh
         for v in iter_bits(fresh):
             w = match_right.get(v)
-            if w is not None and w not in reach_left:
-                reach_left.add(w)
+            if w is not None and not reach_left >> w & 1:
+                reach_left |= 1 << w
                 frontier.append(w)
-    cover = frozenset(u for u in adj if u not in reach_left) | frozenset(iter_bits(reach_right))
+    cover = reach_right | sum(1 << u for u in adj if not reach_left >> u & 1)
     for u, nbrs in adj.items():
         bare = nbrs & ~reach_right
-        if bare and u not in cover:
+        if bare and not cover >> u & 1:
             raise InvariantViolationError(
                 f"edge ({u},{(bare & -bare).bit_length() - 1}) left uncovered"
             )
-    if len(cover) != len(m):
+    if cover.bit_count() != len(m):
         raise InvariantViolationError(
-            f"cover size {len(cover)} != matching size {len(m)}; matching not maximum?"
+            f"cover size {cover.bit_count()} != matching size {len(m)}; matching not maximum?"
         )
-    return VertexCover(cover)
+    return cover
 
 
 # --- DIMACS graph format ("p edge n m", "e u v", 1-based on disk) ---

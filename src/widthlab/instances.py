@@ -206,7 +206,7 @@ def parse_dimacs_cnf(text: str) -> Cnf:
         raise FormatError(f"{p_line}: negative variable count {num_vars}")
     if declared < 0:
         raise FormatError(f"{p_line}: negative clause count {declared}")
-    clauses: list[list[int]] = []
+    clauses: list[tuple[int, ...]] = []
     for where, parts in records:
         ints = [int_token(p, where) for p in parts]
         if ints[-1] != 0:
@@ -220,7 +220,7 @@ def parse_dimacs_cnf(text: str) -> Cnf:
                 raise FormatError(f"{where}: variable {abs(s)} outside 1..{num_vars}")
             if -s in present:
                 raise FormatError(f"{where}: clause holds both {s} and {-s}")
-        clauses.append(signed)
+        clauses.append(tuple(sorted(present, key=abs)))  # as `Cnf.make` normalises
     if len(clauses) != declared:
         raise FormatError(f"{p_line}: declares {declared} clauses, found {len(clauses)}")
-    return Cnf.make(num_vars, clauses)
+    return Cnf(num_vars, tuple(clauses))

@@ -48,7 +48,7 @@ def witness_cut(g: Graph, sv: Ordering, t: int) -> WitnessCut:
     cut = _CutMatching(adjacency_masks(g))
     for i, v in enumerate(sv.seq[: g.n - 1], 1):
         if cut.move(v) >= t:
-            pairs = tuple(sorted(max_bipartite_matching(cut_graph(g, sv, i)).pairs))[:t]
+            pairs = tuple(sorted(max_bipartite_matching(cut_graph(g, sv, i))))[:t]
             return WitnessCut(g, sv, i, pairs)
     raise InputError(f"no prefix cut of the ordering has a matching of size {t}")
 

@@ -18,6 +18,10 @@ moves by at most 1 per step; `mw_of_ordering` moves the ordering's vertices
 in turn, and so does `settled_vertex_covers`, which reads each cut's minimum
 cover size τ from it and checks its cover against τ.  It also sizes a given
 cut from scratch, which is how `matching_width_exact` reads its costs.
+
+A settled cover is a vertex bitmask: the carried-over vertices plus the
+König cover of the rest of the cut, whose `graph.CutGraph` is built afresh
+for each cut by one pass over the prefix's cached adjacency masks.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .graph import (
     CutGraph,
     Graph,
     Ordering,
-    VertexCover,
     adjacency_masks,
     cut_graph,
     max_bipartite_matching,
@@ -45,14 +48,6 @@ class WidthReport:
     value: int
     witness_ordering: Ordering | None = None
     witness_prefix: int | None = None
-
-
-@dataclass(frozen=True)
-class SettledChain:
-    """Minimum covers VC_1..VC_{n-1} of the successive cuts of an ordering,
-    where each cover's suffix-side vertices carry over into the next cover."""
-
-    covers: tuple[VertexCover, ...]
 
 
 class _CutMatching:
@@ -291,30 +286,27 @@ def pathwidth_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:
     return _minimax_search(n, lambda t: boundary(t).bit_count(), k, range(n + 1))
 
 
-def _drop_vertices(c: CutGraph, x: frozenset[int]) -> CutGraph:
-    return CutGraph(
-        left=c.left - x,
-        right=c.right - x,
-        edges=frozenset(e for e in c.edges if e[0] not in x and e[1] not in x),
-    )
-
-
-def min_vc_containing(c: CutGraph, x: frozenset[int]) -> VertexCover:
-    """x united with a minimum cover of the cut minus x.
+def min_vc_containing(c: CutGraph, x: int) -> int:
+    """The vertex mask x united with a minimum cover of the cut minus x.
 
     The result is a cover of c; it is a *minimum* one exactly when its size
     equals the cut's maximum matching size, which the caller knows.
     """
-    if not x - c.left <= c.right:
+    if x & ~(c.left | c.right):
         raise InputError("required set contains vertices outside the cut graph")
-    residual = _drop_vertices(c, x)
-    sub_cover = min_vertex_cover_bipartite(residual, max_bipartite_matching(residual))
-    return VertexCover(x | sub_cover.verts)
+    keep = ~x
+    residual = CutGraph(
+        c.left & keep,
+        c.right & keep,
+        {u: a for u, nbrs in c.nbrs.items() if not x >> u & 1 and (a := nbrs & keep)},
+    )
+    return x | min_vertex_cover_bipartite(residual, max_bipartite_matching(residual))
 
 
-def settled_vertex_covers(g: Graph, sv: Ordering) -> SettledChain:
-    """Chain of minimum covers of the successive cuts in which each cover's
-    suffix-side part is carried into the next cover.
+def settled_vertex_covers(g: Graph, sv: Ordering) -> tuple[int, ...]:
+    """Minimum covers VC_1..VC_{n-1} of the successive cuts of an ordering,
+    as vertex bitmasks, in which each cover's suffix-side part is carried
+    into the next cover.
 
     One `_CutMatching` walks the ordering, as in `mw_of_ordering`, and gives
     each cut's minimum cover size τ.  Each step extends the carried-over set
@@ -323,17 +315,16 @@ def settled_vertex_covers(g: Graph, sv: Ordering) -> SettledChain:
     """
     if len(sv) != g.n:
         raise InputError("ordering length does not match graph")
-    # Uncached masks are freed before the caller builds its bags, so they
-    # add nothing to the peak memory of `path_decomposition_from_ordering`.
-    cut = _CutMatching(adjacency_masks.__wrapped__(g))
-    covers: list[VertexCover] = []
+    cut = _CutMatching(adjacency_masks(g))
+    covers = []
+    vc = 0
     for i, v in enumerate(sv.seq[: g.n - 1], 1):
         tau = cut.move(v)
         ci = cut_graph(g, sv, i)
-        vc = min_vc_containing(ci, covers[-1].verts & ci.right if covers else frozenset())
-        if len(vc) != tau:
+        vc = min_vc_containing(ci, vc & ci.right)
+        if vc.bit_count() != tau:
             raise InvariantViolationError(
                 f"carried-over cover not extendable to a minimum cover at prefix {i}"
             )
         covers.append(vc)
-    return SettledChain(covers=tuple(covers))
+    return tuple(covers)

@@ -4,7 +4,7 @@ Everything here is deliberately naive: enumeration over edge subsets,
 vertex subsets, whole permutations or all root-leaf edge sequences, a
 minimax table DP over all 2^n prefix-set costs, and OBDD levels keyed by
 whole truth-table rows.  None of it shares code with
-the library beyond the Graph and BranchingProgram containers and
+the library beyond the Graph, CutGraph and BranchingProgram containers and
 Cnf.evaluate, except `matching_costs`: it fills the table of all cut sizes
 by walking `width._CutMatching.move` along a Gray code, a path apart from
 the from-scratch sizing the search uses.  Paths are tuples of indices into
@@ -58,6 +58,14 @@ def brute_min_vertex_cover(edges) -> int:
 
 def crossing_edges(g: Graph, left: set[int]) -> list[tuple[int, int]]:
     return [e for e in g.edges if (e[0] in left) != (e[1] in left)]
+
+
+def cut_edges(c) -> frozenset:
+    """The crossing (left, right) pairs of a cut graph, read bit by bit off
+    its neighbour masks, for the frozenset oracles."""
+    return frozenset(
+        (u, v) for u, nbrs in c.nbrs.items() for v in range(nbrs.bit_length()) if nbrs >> v & 1
+    )
 
 
 def matching_costs(g: Graph) -> list[int]:

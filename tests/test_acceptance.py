@@ -44,7 +44,7 @@ from widthlab.bprog import (
 from widthlab.lbound import assignment_family, check_distinctness, witness_cut
 from widthlab.cli import main as cli_main
 
-from oracles import brute_matching_width, clause_scan_satisfies
+from oracles import brute_matching_width, clause_scan_satisfies, cut_edges
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -108,8 +108,8 @@ def test_criterion_02_matching_equals_cover_on_every_prefix(corpus):
                 m = max_bipartite_matching(c)
                 cover = min_vertex_cover_bipartite(c, m)
                 # cover validity plus |cover| = |matching| pins nu = tau
-                assert all(u in cover.verts or v in cover.verts for u, v in c.edges)
-                assert len(cover) == len(m)
+                assert all(cover >> u & 1 or cover >> v & 1 for u, v in cut_edges(c))
+                assert cover.bit_count() == len(m)
                 checked += 1
     verdict(2, checked > 0,
             f"nu = tau via the cover construction on {checked} prefix cuts "

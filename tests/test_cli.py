@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import widthlab
 from widthlab import bprog, cli, decomposition, lbound, width
 from widthlab.cli import build_parser, main
-from widthlab.graph import Ordering, VertexCover, format_dimacs_graph
+from widthlab.graph import Ordering, format_dimacs_graph
 from widthlab.instances import (
     cnf_of_graph,
     ct_graph,
@@ -347,8 +347,9 @@ class TestExitCodes:
         real = width.min_vc_containing
 
         def one_too_many(c, x):
-            cover = real(c, x).verts
-            return VertexCover(cover | {min((c.left | c.right) - cover)})
+            cover = real(c, x)
+            spare = (c.left | c.right) & ~cover
+            return cover | spare & -spare
 
         monkeypatch.setattr(width, "min_vc_containing", one_too_many)
         code = main(["pd-from-order", "--graph", p10_file, "--order", "0 1 2 3 4 5 6 7 8 9"])

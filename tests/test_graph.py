@@ -19,6 +19,9 @@ from oracles import (
     brute_max_matching,
     brute_min_vertex_cover,
     brute_prefix_set_dp,
+    crossing_edges,
+    cut_edges,
+    konig_cover,
     recursive_kuhn_pairs,
     table_minimax,
 )
@@ -60,6 +63,25 @@ class TestGraphMake:
             Graph.make(-1, [])
 
 
+class TestGraphHash:
+    def test_equal_graphs_share_one_adjacency_entry(self):
+        a = Graph.make(5, [(0, 4), (1, 2), (3, 4)])
+        b = Graph.make(5, [(4, 3), (2, 1), (4, 0)])
+        assert a is not b and a == b and hash(a) == hash(b)
+        adjacency_masks.cache_clear()
+        adjacency_masks(a)
+        assert adjacency_masks(b) is adjacency_masks(a)
+        info = adjacency_masks.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+    def test_hash_is_fixed_at_first_use(self):
+        g = Graph.make(3, [(0, 1)])
+        h = hash(g)
+        object.__setattr__(g, "edges", ((0, 1), (1, 2)))
+        assert hash(g) == h
+        assert hash(Graph.make(3, [(0, 1), (1, 2)])) != h
+
+
 class TestOrdering:
     def test_rejects_non_permutation(self):
         with pytest.raises(InputError):
@@ -67,24 +89,34 @@ class TestOrdering:
         with pytest.raises(InputError):
             Ordering.make([1, 2, 3])
 
-    def test_prefix_and_position(self):
-        o = Ordering.make([2, 0, 1])
-        assert o.prefix(2) == frozenset({2, 0})
-
 
 class TestCutGraph:
     def test_p4_middle_cut(self):
         # P_4 split as {0,1} vs {2,3}: the one crossing edge is 1-2.
         g = Graph.make(4, [(0, 1), (1, 2), (2, 3)])
         c = cut_graph(g, Ordering.make([0, 1, 2, 3]), 2)
-        assert c.left == frozenset({0, 1})
-        assert c.right == frozenset({2, 3})
-        assert c.edges == frozenset({(1, 2)})
+        assert c.left == 0b0011
+        assert c.right == 0b1100
+        assert c.nbrs == {1: 1 << 2}
 
     def test_orientation_follows_prefix(self):
         g = Graph.make(3, [(0, 2)])
         c = cut_graph(g, Ordering.make([2, 1, 0]), 1)
-        assert c.edges == frozenset({(2, 0)})
+        assert c.nbrs == {2: 1 << 0}
+
+    @settings(deadline=None)
+    @given(graphs_with_ordering())
+    def test_matches_the_edge_scan(self, gsv):
+        g, sv = gsv
+        for i in range(1, g.n):
+            c = cut_graph(g, sv, i)
+            left = set(sv.seq[:i])
+            assert c.left == sum(1 << v for v in left)
+            assert c.right == sum(1 << v for v in sv.seq[i:])
+            assert cut_edges(c) == {
+                (u, v) if u in left else (v, u) for u, v in crossing_edges(g, left)
+            }
+            assert all(c.nbrs.values())
 
     def test_rejects_bad_prefix_length(self):
         g = Graph.make(3, [(0, 1)])
@@ -99,40 +131,44 @@ class TestCutGraph:
             cut_graph(g, Ordering.make([0, 1]), 1)
 
 
+def bits(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def cut_of_pairs(left, right, pairs) -> CutGraph:
+    """The mask cut graph with the given oriented (left, right) pairs."""
+    nbrs: dict[int, int] = {}
+    for u, v in pairs:
+        nbrs[u] = nbrs.get(u, 0) | 1 << v
+    return CutGraph(bits(left), bits(right), nbrs)
+
+
 class TestMatchingAndCover:
     def test_known_matching(self):
         # K_{2,2}-ish cut: left {0,1}, right {2,3}, three crossing edges.
-        c = CutGraph(
-            frozenset({0, 1}),
-            frozenset({2, 3}),
-            frozenset({(0, 2), (0, 3), (1, 2)}),
-        )
+        c = cut_of_pairs({0, 1}, {2, 3}, {(0, 2), (0, 3), (1, 2)})
         m = max_bipartite_matching(c)
         assert len(m) == 2
         cover = min_vertex_cover_bipartite(c, m)
-        assert len(cover) == 2
+        assert cover.bit_count() == 2
 
     def test_empty_cut(self):
-        c = CutGraph(frozenset({0}), frozenset({1}), frozenset())
+        c = cut_of_pairs({0}, {1}, ())
         m = max_bipartite_matching(c)
         assert len(m) == 0
-        assert len(min_vertex_cover_bipartite(c, m)) == 0
+        assert min_vertex_cover_bipartite(c, m) == 0
 
     def test_left_vertex_without_crossing_edge(self):
         # P_4 cut after 0, 1, 3: vertex 0 crosses nothing; 1-2 and 3-2 cross.
         g = Graph.make(4, [(0, 1), (1, 2), (2, 3)])
         c = cut_graph(g, Ordering.make([0, 1, 3, 2]), 3)
-        assert c.edges == {(1, 2), (3, 2)}
+        assert cut_edges(c) == {(1, 2), (3, 2)}
         m = max_bipartite_matching(c)
-        assert m.pairs == {(1, 2)}
-        assert min_vertex_cover_bipartite(c, m).verts == {2}
+        assert m == {(1, 2)}
+        assert min_vertex_cover_bipartite(c, m) == 1 << 2
 
     def test_deterministic(self):
-        c = CutGraph(
-            frozenset({0, 1, 2}),
-            frozenset({3, 4}),
-            frozenset({(0, 3), (1, 3), (1, 4), (2, 4)}),
-        )
+        c = cut_of_pairs({0, 1, 2}, {3, 4}, {(0, 3), (1, 3), (1, 4), (2, 4)})
         assert max_bipartite_matching(c) == max_bipartite_matching(c)
 
     def test_long_alternating_path(self):
@@ -140,10 +176,9 @@ class TestMatchingAndCover:
         # o_j = 2k - j on the right: the search from ek walks the whole path.
         k = 1500
         edges = {(j, 2 * k - j) for j in range(k)} | {(j + 1, 2 * k - j) for j in range(k)}
-        c = CutGraph(frozenset(range(k + 1)), frozenset(range(k + 1, 2 * k + 1)),
-                     frozenset(edges))
+        c = cut_of_pairs(range(k + 1), range(k + 1, 2 * k + 1), edges)
         m = max_bipartite_matching(c)
-        assert m.pairs == frozenset((j, 2 * k - j) for j in range(k))
+        assert m == frozenset((j, 2 * k - j) for j in range(k))
 
     @settings(deadline=None)
     @given(graphs_with_ordering())
@@ -152,11 +187,11 @@ class TestMatchingAndCover:
         for i in range(1, g.n):
             c = cut_graph(g, sv, i)
             m = max_bipartite_matching(c)
-            assert len(m) == brute_max_matching(c.edges)
+            assert len(m) == brute_max_matching(cut_edges(c))
             # matched pairs really are disjoint cut edges
             used = set()
-            for u, v in m.pairs:
-                assert (u, v) in c.edges
+            for u, v in m:
+                assert (u, v) in cut_edges(c)
                 assert u not in used and v not in used
                 used.update((u, v))
 
@@ -166,7 +201,7 @@ class TestMatchingAndCover:
         g, sv = gsv
         for i in range(1, g.n):
             c = cut_graph(g, sv, i)
-            assert max_bipartite_matching(c).pairs == recursive_kuhn_pairs(c.edges)
+            assert max_bipartite_matching(c) == recursive_kuhn_pairs(cut_edges(c))
 
     @settings(deadline=None)
     @given(graphs_with_ordering())
@@ -175,8 +210,9 @@ class TestMatchingAndCover:
         for i in range(1, g.n):
             c = cut_graph(g, sv, i)
             cover = min_vertex_cover_bipartite(c, max_bipartite_matching(c))
-            assert all(u in cover.verts or v in cover.verts for u, v in c.edges)
-            assert len(cover) == brute_min_vertex_cover(c.edges)
+            assert all(cover >> u & 1 or cover >> v & 1 for u, v in cut_edges(c))
+            assert cover.bit_count() == brute_min_vertex_cover(cut_edges(c))
+            assert set(iter_bits(cover)) == konig_cover(cut_edges(c))
 
 
 class TestDimacs:

@@ -209,7 +209,8 @@ class TestSmallGraphGenerators:
 
 
 @st.composite
-def cnfs(draw, max_vars=6, max_clauses=5):
+def raw_clauses(draw, max_vars=6, max_clauses=5):
+    """A variable count and clauses as written: unsorted, literals repeated."""
     m = draw(st.integers(min_value=1, max_value=max_vars))
     lits = st.builds(
         operator.mul, st.integers(min_value=1, max_value=m), st.sampled_from((1, -1))
@@ -217,8 +218,12 @@ def cnfs(draw, max_vars=6, max_clauses=5):
     clause = st.lists(lits, min_size=0, max_size=3).filter(
         lambda ls: len({abs(s) for s in ls}) == len(set(ls))
     )
-    clauses = draw(st.lists(clause, max_size=max_clauses))
-    return Cnf.make(m, clauses)
+    return m, draw(st.lists(clause, max_size=max_clauses))
+
+
+@st.composite
+def cnfs(draw, max_vars=6, max_clauses=5):
+    return Cnf.make(*draw(raw_clauses(max_vars, max_clauses)))
 
 
 class TestDimacsCnf:
@@ -243,6 +248,14 @@ class TestDimacsCnf:
     def test_round_trip(self, f, names):
         # `c var` lines are comments: any names, or none, parse to the same CNF
         assert parse_dimacs_cnf(format_dimacs_cnf(f, names)) == f
+
+    @given(raw_clauses())
+    def test_parse_normalises_clauses_as_make_does(self, raw):
+        m, clauses = raw
+        text = f"p cnf {m} {len(clauses)}\n" + "".join(
+            " ".join(map(str, [*clause, 0])) + "\n" for clause in clauses
+        )
+        assert parse_dimacs_cnf(text) == Cnf.make(m, clauses)
 
     @pytest.mark.parametrize(
         "text",

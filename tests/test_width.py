@@ -29,6 +29,7 @@ from oracles import (
     brute_max_matching,
     brute_pathwidth,
     crossing_edges,
+    cut_edges,
     frozenset_settled_covers,
     matching_costs,
     neighbours,
@@ -257,31 +258,31 @@ class TestSettledCovers:
     def test_chain_length(self):
         g = path_graph(5)
         chain = settled_vertex_covers(g, Ordering.make(range(5)))
-        assert len(chain.covers) == 4
+        assert len(chain) == 4
 
     def test_covers_are_minimum(self, corpus):
         for seed, g in corpus[:60]:
             sv = Ordering.make(range(g.n))
             chain = settled_vertex_covers(g, sv)
-            for i, vc in enumerate(chain.covers, start=1):
+            for i, vc in enumerate(chain, start=1):
                 c = cut_graph(g, sv, i)
-                assert all(u in vc.verts or v in vc.verts for u, v in c.edges)
-                assert len(vc) == len(max_bipartite_matching(c))
+                assert all(vc >> u & 1 or vc >> v & 1 for u, v in cut_edges(c))
+                assert vc.bit_count() == len(max_bipartite_matching(c))
 
     def test_suffix_side_carries_over(self, corpus):
         for seed, g in corpus[:60]:
             sv = Ordering.make(range(g.n))
             chain = settled_vertex_covers(g, sv)
-            for i in range(1, len(chain.covers)):
-                carried = chain.covers[i - 1].verts & frozenset(sv.seq[i + 1 :])
-                assert carried <= chain.covers[i].verts
+            for i in range(1, len(chain)):
+                carried = chain[i - 1] & sum(1 << v for v in sv.seq[i + 1 :])
+                assert carried & ~chain[i] == 0
 
     @settings(deadline=None, max_examples=200)
     @given(graphs_with_ordering(max_n=12))
     def test_covers_match_the_frozenset_chain(self, gsv):
         g, sv = gsv
         chain = settled_vertex_covers(g, sv)
-        assert [vc.verts for vc in chain.covers] == frozenset_settled_covers(g, sv)
+        assert [set(iter_bits(vc)) for vc in chain] == frozenset_settled_covers(g, sv)
 
     def test_one_matching_per_cut(self, monkeypatch):
         calls = []
@@ -297,23 +298,30 @@ class TestSettledCovers:
         g = Graph.make(5, [(0, v) for v in range(1, 5)])
         sv = Ordering.make([1, 2, 3, 0, 4])
         chain = settled_vertex_covers(g, sv)
-        assert [vc.verts for vc in chain.covers] == [{1}, {0}, {0}, {0}]
-        assert min_vc_containing(cut_graph(g, sv, 3), frozenset({0})).verts == {0}
+        assert [set(iter_bits(vc)) for vc in chain] == [{1}, {0}, {0}, {0}]
+        assert min_vc_containing(cut_graph(g, sv, 3), 1 << 0) == 1 << 0
 
     def test_min_vc_containing_reports_minimality(self):
         g = path_graph(4)
         c = cut_graph(g, Ordering.make(range(4)), 2)
-        cover = min_vc_containing(c, frozenset())
-        assert len(cover) == 1 == len(max_bipartite_matching(c))
+        cover = min_vc_containing(c, 0)
+        assert cover.bit_count() == 1 == len(max_bipartite_matching(c))
         # forcing both cut endpoints into the cover makes it non-minimum
-        cover = min_vc_containing(c, frozenset({1, 2}))
-        assert cover.verts == {1, 2} and len(cover) > len(max_bipartite_matching(c))
+        cover = min_vc_containing(c, 1 << 1 | 1 << 2)
+        assert cover == 1 << 1 | 1 << 2 and cover.bit_count() > len(max_bipartite_matching(c))
+
+    def test_min_vc_containing_drops_required_left_vertices(self):
+        # Left {0, 1}, right {2}: with 0 required, 1-2 is the rest of the
+        # cut, and 0's own edge must not put 2 in the cover instead of 1.
+        g = Graph.make(3, [(0, 2), (1, 2)])
+        c = cut_graph(g, Ordering.make(range(3)), 2)
+        assert min_vc_containing(c, 1 << 0) == 1 << 0 | 1 << 1
 
     def test_min_vc_containing_rejects_foreign_vertices(self):
         g = path_graph(4)
         c = cut_graph(g, Ordering.make(range(4)), 2)
         with pytest.raises(InputError):
-            min_vc_containing(c, frozenset({9}))
+            min_vc_containing(c, 1 << 9)
 
 
 def test_random_graph_seeds_are_reproducible():
