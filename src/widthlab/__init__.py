@@ -19,7 +19,6 @@ from .width import (
     settled_vertex_covers,
 )
 from .decomposition import (
-    PathDecomposition,
     TreeDecomposition,
     ctree_decomposition,
     ordering_from_path_decomposition,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -26,8 +27,9 @@ EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 
-# The most variables a generated CNF may have.  gen-cnf and td-ctree check
-# their output against it before they build anything per variable.
+# The most variables a generated CNF, or vertices plus edges a generated
+# graph, may have.  gen-cnf, td-ctree and gen-graph check their output
+# against it before they build anything per variable, vertex or edge.
 MAX_GENERATED_VARS = 1 << 20
 
 
@@ -71,19 +73,42 @@ def _parse_order(spec: str, n: int) -> tuple[int, ...]:
     return o
 
 
-def _check_generated_vars(num_vars: int) -> None:
+def _check_generated_vars(num_vars: int, what: str = "variables") -> None:
     if num_vars > MAX_GENERATED_VARS:
-        raise InputError(f"the output would have {num_vars} variables, over the "
+        # A count past 64 bits is shown by its power of two: printing it in
+        # full can pass Python's 4300-digit limit on int-to-str conversion.
+        shown = num_vars if num_vars < 1 << 64 else f"at least 2^{num_vars.bit_length() - 1}"
+        raise InputError(f"the output would have {shown} {what}, over the "
                          f"generator limit of {MAX_GENERATED_VARS}")
 
 
+def _check_graph_size(args) -> None:
+    """Check gen-graph's vertices plus edges (expected edges for random);
+    the generators reject missing or bad parameters."""
+    kind, n, p, rows, cols = args.kind, args.n, args.p, args.rows, args.cols
+    size = 0
+    if kind == "grid" and rows is not None and cols is not None and rows >= 1 and cols >= 1:
+        size = 3 * rows * cols - rows - cols
+    elif kind == "path" and n is not None and n >= 1:
+        size = 2 * n - 1
+    elif kind == "cycle" and n is not None and n >= 3:
+        size = 2 * n
+    elif kind == "random" and n is not None and n >= 0 and p is not None and 0 <= p <= 1:
+        # A huge n fails on its own, before p * n * (n - 1) / 2 can overflow.
+        size = n if n > MAX_GENERATED_VARS else n + math.ceil(p * (n * (n - 1) // 2))
+    _check_generated_vars(size, "vertices plus expected edges" if kind == "random"
+                          else "vertices plus edges")
+
+
 def _check_ctree_vars(r: int, k: int) -> None:
-    """Check f_rk(r, k)'s variable count; the generators reject a bad r or k."""
+    """Check f_rk(r, k)'s variable count at height min(r, 64), a lower bound
+    past 64 that already fails; the generators reject a bad r or k."""
     if r >= 0 and k >= 1:
-        _check_generated_vars(instances.f_rk_num_vars(r, k))
+        _check_generated_vars(instances.f_rk_num_vars(min(r, 64), k))
 
 
 def cmd_gen_graph(args) -> int:
+    _check_graph_size(args)
     params = {"n": args.n, "p": args.p, "rows": args.rows, "cols": args.cols}
     params = {k: v for k, v in params.items() if v is not None}
     g = instances.generate(args.kind, params, seed=args.seed)
@@ -152,13 +177,12 @@ def cmd_order_from_pd(args) -> int:
     td, n = decomposition.parse_pace(_read_input(args.pd))
     if n != g.n:
         raise InputError(f"decomposition declares {n} vertices, but the graph has {g.n}")
-    pd = decomposition.as_path_decomposition(td)
-    ordering = decomposition.ordering_from_path_decomposition(g, pd)
+    ordering = decomposition.ordering_from_path_decomposition(g, td)
     value = width.mw_of_ordering(g, ordering).value
     _write_result(args, {
         "ordering": list(ordering.seq),
         "mw_of_ordering": value,
-        "pd_width": pd.width,
+        "pd_width": td.width,
     }, " ".join(str(v) for v in ordering.seq))
     return EXIT_OK
 

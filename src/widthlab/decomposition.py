@@ -1,6 +1,7 @@
-"""Tree and path decompositions: validity checking, the clique-blown-tree
+"""Tree decompositions: validity checking, the clique-blown-tree
 decomposition and both constructive conversions between vertex orderings
-and path decompositions."""
+and path decompositions, which are tree decompositions in path form: tree
+edges (i, i + 1) in bag order, as `TreeDecomposition.path` builds them."""
 
 from __future__ import annotations
 
@@ -25,25 +26,15 @@ class TreeDecomposition:
     bags: tuple[frozenset[int], ...]
     tree_edges: tuple[tuple[int, int], ...]
 
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
-
-
-@dataclass(frozen=True)
-class PathDecomposition:
-    """Bag sequence; the underlying tree is the path over bag indices."""
-
-    bags: tuple[frozenset[int], ...]
+    @classmethod
+    def path(cls, bags: Iterable[frozenset[int]]) -> TreeDecomposition:
+        """The path decomposition with these bags: tree edges (i, i + 1)."""
+        bags = tuple(bags)
+        return cls(bags, tuple((i, i + 1) for i in range(len(bags) - 1)))
 
     @property
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
-
-    def as_tree(self) -> TreeDecomposition:
-        return TreeDecomposition(
-            self.bags, tuple((i, i + 1) for i in range(len(self.bags) - 1))
-        )
 
 
 @dataclass(frozen=True)
@@ -63,9 +54,7 @@ def _tree_neighbors(num_bags: int, edges: Iterable[tuple[int, int]]) -> list[lis
     return nbrs
 
 
-def validate_decomposition(
-    g: Graph, d: TreeDecomposition | PathDecomposition
-) -> ValidationResult:
+def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationResult:
     """Check the union, containment and connectedness properties.
 
     Returns the first violated property with a witness vertex or edge; a
@@ -75,7 +64,6 @@ def validate_decomposition(
     both hold it.  The checks read only those: vertices in ascending order
     for union and connectedness, edges in `g.edges` order for containment.
     """
-    td = d.as_tree() if isinstance(d, PathDecomposition) else d
     holding: list[list[int]] = [[] for _ in range(g.n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
@@ -157,11 +145,13 @@ def ctree_decomposition(r: int, k: int) -> CtreeDecompositions:
     return CtreeDecompositions(base=base, extended=extended)
 
 
-def ordering_from_path_decomposition(g: Graph, pd: PathDecomposition) -> Ordering:
-    """Order vertices by first bag of appearance, ties by vertex id.
+def ordering_from_path_decomposition(g: Graph, td: TreeDecomposition) -> Ordering:
+    """Order vertices by first bag of appearance along the path, ties by
+    vertex id; the tree must be path-shaped, its bags in any order.
 
-    The matching width of the result is at most width(pd) + 1.
+    The matching width of the result is at most width(td) + 1.
     """
+    pd = as_path_decomposition(td)
     verdict = validate_decomposition(g, pd)
     if not verdict.valid:
         raise InputError(
@@ -175,19 +165,19 @@ def ordering_from_path_decomposition(g: Graph, pd: PathDecomposition) -> Orderin
     return Ordering.make(sorted(g.vertices(), key=lambda v: (first[v], v)))
 
 
-def path_decomposition_from_ordering(g: Graph, sv: Ordering) -> PathDecomposition:
+def path_decomposition_from_ordering(g: Graph, sv: Ordering) -> TreeDecomposition:
     """Bags from the settled cover chain: bag i holds the covers of the
     cuts on both sides of position i plus the vertex placed there.
 
     The width is at most twice the ordering's matching width.
     """
     covers = (0, *settled_vertex_covers(g, sv), 0)
-    return PathDecomposition(tuple(
+    return TreeDecomposition.path(
         frozenset(iter_bits(covers[i] | covers[i + 1] | 1 << v)) for i, v in enumerate(sv.seq)
-    ))
+    )
 
 
-def optimal_path_decomposition(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> PathDecomposition:
+def optimal_path_decomposition(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> TreeDecomposition:
     """A minimum-width path decomposition, built from an optimal vertex
     separation layout: bag i holds the i-th vertex plus the earlier
     vertices that still have a neighbor outside the first i-1."""
@@ -198,7 +188,7 @@ def optimal_path_decomposition(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> Pa
     for v in report.witness_ordering.seq:
         bags.append(frozenset(iter_bits(boundary(prefix) | 1 << v)))
         prefix |= 1 << v
-    return PathDecomposition(tuple(bags))
+    return TreeDecomposition.path(bags)
 
 
 # --- PACE-style decomposition text format ---
@@ -206,8 +196,7 @@ def optimal_path_decomposition(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> Pa
 PACE_HEADER = "c widthlab decomposition format v1 (PACE td)"
 
 
-def format_pace(d: TreeDecomposition | PathDecomposition, n: int) -> str:
-    td = d.as_tree() if isinstance(d, PathDecomposition) else d
+def format_pace(td: TreeDecomposition, n: int) -> str:
     width_plus_1 = max((len(b) for b in td.bags), default=0)
     lines = [PACE_HEADER, f"s td {len(td.bags)} {width_plus_1} {n}"]
     for i, bag in enumerate(td.bags):
@@ -264,28 +253,22 @@ def parse_pace(text: str) -> tuple[TreeDecomposition, int]:
     return td, n
 
 
-def as_path_decomposition(td: TreeDecomposition) -> PathDecomposition:
-    """Reinterpret a path-shaped tree decomposition as a bag sequence."""
+def as_path_decomposition(td: TreeDecomposition) -> TreeDecomposition:
+    """A path-shaped tree decomposition in path form, walked from its end of
+    lower bag index; one already in path form comes back unchanged."""
     m = len(td.bags)
-    if m == 0:
-        return PathDecomposition(())
     nbrs = _tree_neighbors(m, td.tree_edges)
-    if any(len(ns) > 2 for ns in nbrs):
+    ends = [i for i, ns in enumerate(nbrs) if len(ns) < 2]
+    if len(ends) != min(m, 2) or any(len(ns) > 2 for ns in nbrs):
         raise InputError("decomposition tree is not a path")
-    if m == 1:
-        return PathDecomposition(td.bags)
-    ends = [i for i, ns in enumerate(nbrs) if len(ns) == 1]
-    if len(ends) != 2:
-        raise InputError("decomposition tree is not a path")
-    order = [min(ends)]
-    prev = None
+    order, prev = ends[:1], None
     while len(order) < m:
         nxt = [b for b in nbrs[order[-1]] if b != prev]
         if not nxt:
             raise InputError("decomposition tree is not a path")
         prev = order[-1]
         order.append(nxt[0])
-    return PathDecomposition(tuple(td.bags[i] for i in order))
+    return TreeDecomposition.path(td.bags[i] for i in order)
 
 
 def ctree_primal_graph(r: int, k: int) -> Graph:

@@ -11,11 +11,11 @@ returns the matched (left, right) pairs, and minimum vertex cover (König's
 alternating reachability) returns a vertex mask.  All tie-breaking is by
 ascending vertex id (lowest bit first) so results are reproducible.  This
 matching covers the residual cuts of the settled covers and serves
-`lbound.witness_cut`; no cut size is read from it.  `mw_of_ordering` and
-`settled_vertex_covers` take each cut's size from one bitmask matching
-(`width._CutMatching`) repaired as each vertex crosses the cut,
-`matching_width_exact` sizes each cut it reaches from scratch with
-`_CutMatching.size_of`, and pathwidth uses no matching at all.
+`lbound.witness_cut`; no cut size is read from it.  `width.cut_sizes` takes
+each prefix cut's size from one bitmask matching (`width._CutMatching`)
+repaired as each vertex crosses the cut, `matching_width_exact` sizes each
+cut it reaches from scratch with `_CutMatching.size_of`, and pathwidth uses
+no matching at all.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ from .bprog import (
     DEFAULT_MIN_SIZE_CAP,
 )
 from .errors import CapacityError, InputError, InvariantViolationError
-from .graph import Graph, Ordering, adjacency_masks, cut_graph, max_bipartite_matching
+from .graph import Graph, Ordering, cut_graph, max_bipartite_matching
 from .instances import Cnf, cnf_of_graph, edge_variable, vertex_variable
-from .width import _CutMatching, matching_width_exact
+from .width import cut_sizes, matching_width_exact
 
 
 @dataclass(frozen=True)
@@ -35,19 +35,15 @@ def witness_cut(g: Graph, sv: Ordering, t: int) -> WitnessCut:
     """Smallest prefix whose cut has a matching of size >= t, with t of the
     matched pairs (deterministically the smallest by endpoint ids).
 
-    One `_CutMatching` walks the ordering, as in `mw_of_ordering`, to find
-    the prefix; only that prefix's cut is matched afresh, by
-    `max_bipartite_matching`, whose pairs the witness takes.
+    `width.cut_sizes` finds the prefix; only that prefix's cut is matched
+    afresh, by `max_bipartite_matching`, whose pairs the witness takes.
     """
     if t < 0:
         raise InputError(f"matching size must be non-negative, got {t}")
     if t == 0:
         return WitnessCut(g, sv, 0, ())
-    if len(sv) != g.n:
-        raise InputError("ordering length does not match graph")
-    cut = _CutMatching(adjacency_masks(g))
-    for i, v in enumerate(sv.seq[: g.n - 1], 1):
-        if cut.move(v) >= t:
+    for i, size in enumerate(cut_sizes(g, sv), 1):
+        if size >= t:
             pairs = tuple(sorted(max_bipartite_matching(cut_graph(g, sv, i))))[:t]
             return WitnessCut(g, sv, i, pairs)
     raise InputError(f"no prefix cut of the ordering has a matching of size {t}")

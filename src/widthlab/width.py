@@ -14,9 +14,9 @@ the table is faster: 0.36-0.44 s against the search's 1.7-2.1 s on
 Cut matchings live on bitmasks in one class, `_CutMatching`.  It keeps one
 maximum matching while vertices cross the cut one at a time, repairing it
 after each move with at most two iterative alternating searches, so its size
-moves by at most 1 per step; `mw_of_ordering` moves the ordering's vertices
-in turn, and so does `settled_vertex_covers`, which reads each cut's minimum
-cover size τ from it and checks its cover against τ.  It also sizes a given
+moves by at most 1 per step; `cut_sizes` moves an ordering's vertices in
+turn for `mw_of_ordering`, `lbound.witness_cut` and `settled_vertex_covers`,
+which checks each cover against its cut's size τ.  It also sizes a given
 cut from scratch, which is how `matching_width_exact` reads its costs.
 
 A settled cover is a vertex bitmask: the carried-over vertices plus the
@@ -143,17 +143,19 @@ class _CutMatching:
                     y = nxt
 
 
-def mw_of_ordering(g: Graph, sv: Ordering) -> WidthReport:
-    """Max over prefixes 1..n-1 of the cut's maximum matching size."""
+def cut_sizes(g: Graph, sv: Ordering) -> tuple[int, ...]:
+    """The matching sizes of sv's prefix cuts 1..n-1, from one `_CutMatching`."""
     if len(sv) != g.n:
         raise InputError("ordering length does not match graph")
     cut = _CutMatching(adjacency_masks(g))
-    best, best_i = 0, None
-    for i, v in enumerate(sv.seq[: g.n - 1], 1):
-        nu = cut.move(v)
-        if best_i is None or nu > best:
-            best, best_i = nu, i
-    return WidthReport(value=best, witness_ordering=sv, witness_prefix=best_i)
+    return tuple(cut.move(v) for v in sv.seq[: g.n - 1])
+
+
+def mw_of_ordering(g: Graph, sv: Ordering) -> WidthReport:
+    """Max over prefixes 1..n-1 of the cut's maximum matching size."""
+    sizes = cut_sizes(g, sv)
+    best = max(sizes, default=0)
+    return WidthReport(best, sv, sizes.index(best) + 1 if sizes else None)
 
 
 def _boundary(adj: tuple[int, ...]) -> Callable[[int], int]:
@@ -308,18 +310,13 @@ def settled_vertex_covers(g: Graph, sv: Ordering) -> tuple[int, ...]:
     as vertex bitmasks, in which each cover's suffix-side part is carried
     into the next cover.
 
-    One `_CutMatching` walks the ordering, as in `mw_of_ordering`, and gives
-    each cut's minimum cover size τ.  Each step extends the carried-over set
-    to a cover of the next cut; extendability to a minimum one is
-    guaranteed, so a cover larger than τ is an implementation bug.
+    `cut_sizes` gives each cut's minimum cover size τ.  Each step extends the
+    carried-over set to a cover of the next cut; extendability to a minimum
+    one is guaranteed, so a cover larger than τ is an implementation bug.
     """
-    if len(sv) != g.n:
-        raise InputError("ordering length does not match graph")
-    cut = _CutMatching(adjacency_masks(g))
     covers = []
     vc = 0
-    for i, v in enumerate(sv.seq[: g.n - 1], 1):
-        tau = cut.move(v)
+    for i, tau in enumerate(cut_sizes(g, sv), 1):
         ci = cut_graph(g, sv, i)
         vc = min_vc_containing(ci, vc & ci.right)
         if vc.bit_count() != tau:

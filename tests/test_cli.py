@@ -583,7 +583,7 @@ class TestHugeDeclaredSizes:
     HUGE = 10_000_000_000_000
     OUT_OF_MEMORY = "error: out of memory: the input or a cap is too large"
     NOT_A_PERMUTATION = f"error: --order is not a permutation of 0..{HUGE - 1}: (0,)"
-    OVER_THE_LIMIT = ("error: the output would have {} variables, over the generator "
+    OVER_THE_LIMIT = ("error: the output would have {} {}, over the generator "
                       "limit of 1048576")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -593,9 +593,11 @@ class TestHugeDeclaredSizes:
         [
             (["check-cnsobdd", "--bp", "{in}", "--c", "1"], f"bp {HUGE} 1 2\n", OUT_OF_MEMORY),
             (["gen-cnf", "--graph", "{in}"], f"p edge {HUGE} 0\n",
-             OVER_THE_LIMIT.format(HUGE)),
-            (["gen-cnf", "--r", "40", "--k", "2"], "", OVER_THE_LIMIT.format(15393162788853)),
-            (["td-ctree", "--r", "40", "--k", "3"], "", OVER_THE_LIMIT.format(32985348833256)),
+             OVER_THE_LIMIT.format(HUGE, "variables")),
+            (["gen-cnf", "--r", "40", "--k", "2"], "",
+             OVER_THE_LIMIT.format(15393162788853, "variables")),
+            (["td-ctree", "--r", "40", "--k", "3"], "",
+             OVER_THE_LIMIT.format(32985348833256, "variables")),
             (["mw", "--graph", "{in}", "--order", "0"], f"p edge {HUGE} 0\n",
              NOT_A_PERMUTATION),
             (["order-from-pd", "--graph", "{gr}", "--pd", "{in}"], f"s td {HUGE} 1 1\n",
@@ -608,10 +610,21 @@ class TestHugeDeclaredSizes:
              f"error: OBDD build: {HUGE} variables exceeds cap 24"),
             (["obdd-min", "--cnf", "{in}"], f"p cnf {HUGE} 0\n",
              f"error: order minimization: {HUGE} variables exceeds cap 16"),
+            (["gen-graph", "--kind", "path", "--n", str(HUGE)], "",
+             OVER_THE_LIMIT.format(2 * HUGE - 1, "vertices plus edges")),
+            (["gen-graph", "--kind", "grid", "--rows", "100000", "--cols", "100000"], "",
+             OVER_THE_LIMIT.format(29999800000, "vertices plus edges")),
+            (["gen-graph", "--kind", "random", "--n", "100000", "--p", ".5"], "",
+             OVER_THE_LIMIT.format(2500075000, "vertices plus expected edges")),
+            (["td-ctree", "--r", str(10 ** 22), "--k", "2"], "",
+             OVER_THE_LIMIT.format("at least 2^67", "variables")),
+            (["gen-graph", "--kind", "cycle", "--n", "9" * 4300], "",
+             OVER_THE_LIMIT.format("at least 2^14285", "vertices plus edges")),
         ],
         ids=["bp-nodes", "graph-vertices", "ctree-cnf", "ctree-decomposition", "mw-order",
              "pace-bags", "obdd-build-order", "check-cnsobdd-order", "obdd-build-cap",
-             "obdd-min-cap"],
+             "obdd-min-cap", "gen-graph-path", "gen-graph-grid", "gen-graph-random",
+             "ctree-height", "gen-graph-digits"],
     )
     def test_out_of_memory_is_a_usage_error(self, tmp_path, argv, text, stderr):
         in_file = tmp_path / "input"
@@ -630,19 +643,27 @@ class TestHugeDeclaredSizes:
 
 
 class TestGeneratorLimit:
-    """gen-cnf and td-ctree write an output of MAX_GENERATED_VARS variables
-    and reject one of a variable more."""
+    """gen-cnf and td-ctree write an output of MAX_GENERATED_VARS variables,
+    and gen-graph one of as many vertices plus edges (expected edges for a
+    random graph); each rejects one of a unit more."""
 
     @pytest.mark.parametrize(
-        "argv, num_vars",
+        "argv, num_vars, what",
         [
-            (["gen-cnf", "--graph", "{p3}"], 5),  # 3 vertices, 2 edges
-            (["gen-cnf", "--r", "1", "--k", "2"], 17),  # 6 vertices, 11 edges
-            (["td-ctree", "--r", "1", "--k", "2"], 17),
+            (["gen-cnf", "--graph", "{p3}"], 5, "variables"),  # 3 vertices, 2 edges
+            (["gen-cnf", "--r", "1", "--k", "2"], 17, "variables"),  # 6 vertices, 11 edges
+            (["td-ctree", "--r", "1", "--k", "2"], 17, "variables"),
+            # 6 vertices, 7 edges
+            (["gen-graph", "--kind", "grid", "--rows", "2", "--cols", "3"], 13,
+             "vertices plus edges"),
+            # 4 vertices, 6 pairs of which half are expected to be edges
+            (["gen-graph", "--kind", "random", "--n", "4", "--p", ".5"], 7,
+             "vertices plus expected edges"),
         ],
-        ids=["graph", "ctree-cnf", "ctree-decomposition"],
+        ids=["graph", "ctree-cnf", "ctree-decomposition", "gen-graph-grid",
+             "gen-graph-random"],
     )
-    def test_boundary(self, monkeypatch, capsys, tmp_path, argv, num_vars):
+    def test_boundary(self, monkeypatch, capsys, tmp_path, argv, num_vars, what):
         p3_file = tmp_path / "p3.gr"
         p3_file.write_text(format_dimacs_graph(path_graph(3)))
         argv = [a.format(p3=p3_file) for a in argv]
@@ -653,7 +674,7 @@ class TestGeneratorLimit:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: the output would have {num_vars} variables, "
+        assert captured.err == (f"error: the output would have {num_vars} {what}, "
                                 f"over the generator limit of {num_vars - 1}\n")
 
 
@@ -873,6 +894,67 @@ class TestFuzzedFiles:
             paths[kind] = tmp_path / kind
             paths[kind].write_text(text)
         code = main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and err.count("\n") <= 1
+        if code == 2:
+            assert err.startswith("error: ") and err.endswith("\n")
+
+
+# Flag values for TestFuzzedFlags.  A size is drawn from -3..6 or from past
+# every limit and cap (at least 2^21, and a tree height r at least 40), never
+# from the band between: a value there can pass a limit and still run long,
+# as gen-graph --kind random --n 1000000 --p 0 does over 5 * 10^11 pairs.
+_NOT_AN_INT = st.sampled_from(["x", "", "1.5", "0x10", "1e3", "9" * 4301, "--"])
+_INT = st.one_of(st.integers(-3, 6), st.integers(1 << 21, 10 ** 4299)).map(str) | _NOT_AN_INT
+_HEIGHT = st.one_of(st.integers(-3, 6), st.integers(40, 10 ** 30)).map(str) | _NOT_AN_INT
+_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["x", "", ".5", "-0.0", "1e400"]),
+)
+_ORDERS = ["0,1,2,3", "0,1,2", "2 1 0", "0", "", "x", "0,0,1,2", "0,1,2,99999999999999"]
+_FILE_FLAGS = {"--graph": "graph", "--cnf": "cnf", "--pd": "pace", "--bp": "bp"}
+
+
+class TestFuzzedFlags:
+    """Every command, given each of its flags or not, with huge, negative or
+    malformed values, exits 0, 1 or 2 with at most one stderr line and never
+    a traceback.  The flags are read off `cli._COMMANDS`; a file flag names
+    a valid file, a missing one or a directory."""
+
+    @pytest.mark.parametrize("command", [c[0] for c in cli._COMMANDS])
+    @settings(deadline=None, max_examples=30,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_and_one_line(self, capsys, monkeypatch, tmp_path, command, data):
+        monkeypatch.chdir(tmp_path)  # obdd-build --out - writes a file named "-"
+        files = {"graph": _FUZZ_GRAPH, "cnf": _FUZZ_CNF, "pace": _FUZZ_PACE, "bp": _FUZZ_BP}
+        for kind, text in files.items():
+            (tmp_path / kind).write_text(text)
+        argv = [command]
+        (arguments,) = [c[3] for c in cli._COMMANDS if c[0] == command]
+        for flag, keywords in arguments:
+            if not data.draw(st.booleans(), label=flag):
+                continue
+            if keywords.get("action") == "store_true":
+                argv.append(flag)
+                continue
+            if "choices" in keywords:
+                values = st.sampled_from([*keywords["choices"], "hexagon"])
+            elif keywords.get("type") is int:
+                values = _HEIGHT if flag == "--r" else _INT
+            elif keywords.get("type") is float:
+                values = _FLOAT
+            elif flag in _FILE_FLAGS:
+                values = st.sampled_from([str(tmp_path / _FILE_FLAGS[flag]),
+                                          str(tmp_path / "missing"), str(tmp_path)])
+            elif flag == "--order":
+                values = st.sampled_from(_ORDERS)
+            else:
+                assert flag == "--out"
+                values = st.sampled_from(["-", str(tmp_path / "out"), str(tmp_path)])
+            argv += [flag, data.draw(values, label=flag)]
+        code = main(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2)
         assert "Traceback" not in err and err.count("\n") <= 1

@@ -7,7 +7,6 @@ from widthlab.errors import FormatError, InputError
 from widthlab.graph import Graph, Ordering
 from widthlab.instances import ct_graph, cycle_graph, path_graph
 from widthlab.decomposition import (
-    PathDecomposition,
     TreeDecomposition,
     as_path_decomposition,
     ctree_decomposition,
@@ -95,7 +94,7 @@ def decompositions(draw):
             tree.append((draw(st.sampled_from(range(len(bags)))), len(bags)))
         bags.append(frozenset({x}))
     if path_shaped:
-        return g, PathDecomposition(tuple(bags)), damage
+        return g, TreeDecomposition.path(tuple(bags)), damage
     return g, TreeDecomposition(tuple(bags), tuple(tree)), damage
 
 
@@ -103,9 +102,8 @@ class TestValidate:
     @settings(deadline=None, max_examples=300)
     @given(decompositions())
     def test_equals_the_brute_force_oracle(self, gd):
-        g, d, damage = gd
-        td = d.as_tree() if isinstance(d, PathDecomposition) else d
-        verdict = validate_decomposition(g, d)
+        g, td, damage = gd
+        verdict = validate_decomposition(g, td)
         assert verdict.valid or damage != "none"
         assert (verdict.valid, verdict.failed_property, verdict.witness) == (
             brute_validate_decomposition(g, td.bags, td.tree_edges)
@@ -113,13 +111,13 @@ class TestValidate:
 
     def test_valid_path_decomposition(self):
         g = path_graph(4)
-        pd = PathDecomposition((fs(0, 1), fs(1, 2), fs(2, 3)))
+        pd = TreeDecomposition.path((fs(0, 1), fs(1, 2), fs(2, 3)))
         assert validate_decomposition(g, pd).valid
         assert pd.width == 1
 
     def test_union_violation(self):
         g = Graph.make(3, [(0, 1)])
-        pd = PathDecomposition((fs(0, 1),))
+        pd = TreeDecomposition.path((fs(0, 1),))
         verdict = validate_decomposition(g, pd)
         assert not verdict.valid
         assert verdict.failed_property == "union"
@@ -127,7 +125,7 @@ class TestValidate:
 
     def test_containment_violation(self):
         g = path_graph(3)
-        pd = PathDecomposition((fs(0, 1), fs(2)))
+        pd = TreeDecomposition.path((fs(0, 1), fs(2)))
         verdict = validate_decomposition(g, pd)
         assert not verdict.valid
         assert verdict.failed_property == "containment"
@@ -135,7 +133,7 @@ class TestValidate:
 
     def test_connectedness_violation(self):
         g = path_graph(3)
-        pd = PathDecomposition((fs(0, 1), fs(1, 2), fs(0, 2)))
+        pd = TreeDecomposition.path((fs(0, 1), fs(1, 2), fs(0, 2)))
         verdict = validate_decomposition(g, pd)
         assert not verdict.valid
         assert verdict.failed_property == "connectedness"
@@ -144,7 +142,7 @@ class TestValidate:
     def test_foreign_vertex_is_an_input_error(self):
         g = path_graph(2)
         with pytest.raises(InputError):
-            validate_decomposition(g, PathDecomposition((fs(0, 1, 5),)))
+            validate_decomposition(g, TreeDecomposition.path((fs(0, 1, 5),)))
 
     def test_disconnected_tree_is_an_input_error(self):
         g = path_graph(2)
@@ -187,13 +185,13 @@ class TestCtreeDecomposition:
 class TestOrderingFromPd:
     def test_first_bag_order(self):
         g = path_graph(4)
-        pd = PathDecomposition((fs(0, 1), fs(1, 2), fs(2, 3)))
+        pd = TreeDecomposition.path((fs(0, 1), fs(1, 2), fs(2, 3)))
         assert ordering_from_path_decomposition(g, pd).seq == (0, 1, 2, 3)
 
     def test_rejects_invalid_decomposition(self):
         g = path_graph(3)
         with pytest.raises(InputError):
-            ordering_from_path_decomposition(g, PathDecomposition((fs(0, 1),)))
+            ordering_from_path_decomposition(g, TreeDecomposition.path((fs(0, 1),)))
 
     @settings(deadline=None, max_examples=40)
     @given(graphs(max_n=6))
@@ -234,9 +232,14 @@ class TestOptimalPd:
         assert pd.width == pathwidth_exact(g).value
 
 
+# A path tree with its bags out of path order, and a star of four bags.
+OUT_OF_ORDER = TreeDecomposition((fs(1, 2), fs(0, 1), fs(2, 3)), ((1, 0), (0, 2)))
+STAR = TreeDecomposition((fs(0), fs(0), fs(0), fs(0)), ((0, 1), (0, 2), (0, 3)))
+
+
 class TestPaceFormat:
     def test_format_known(self):
-        pd = PathDecomposition((fs(0, 1), fs(1, 2)))
+        pd = TreeDecomposition.path((fs(0, 1), fs(1, 2)))
         assert format_pace(pd, 3) == (
             "c widthlab decomposition format v1 (PACE td)\n"
             "s td 2 2 3\n"
@@ -271,13 +274,33 @@ class TestPaceFormat:
             parse_pace(text)
 
     def test_as_path_decomposition_orders_bags(self):
-        td = TreeDecomposition((fs(1, 2), fs(0, 1), fs(2, 3)), ((1, 0), (0, 2)))
-        pd = as_path_decomposition(td)
-        assert pd.bags == (fs(0, 1), fs(1, 2), fs(2, 3))
+        pd = as_path_decomposition(OUT_OF_ORDER)
+        assert pd == TreeDecomposition.path((fs(0, 1), fs(1, 2), fs(2, 3)))
 
     def test_as_path_decomposition_rejects_stars(self):
-        td = TreeDecomposition(
-            (fs(0), fs(0), fs(0), fs(0)), ((0, 1), (0, 2), (0, 3))
-        )
         with pytest.raises(InputError):
-            as_path_decomposition(td)
+            as_path_decomposition(STAR)
+
+    @settings(deadline=None, max_examples=40)
+    @given(decompositions())
+    def test_as_path_decomposition_is_idempotent(self, gd):
+        _, td, _ = gd
+        try:
+            pd = as_path_decomposition(td)
+        except InputError:
+            return
+        assert as_path_decomposition(pd) == pd
+        assert pd.tree_edges == TreeDecomposition.path(pd.bags).tree_edges
+        assert sorted(pd.bags, key=sorted) == sorted(td.bags, key=sorted)
+
+
+class TestOrderingFromPathShapedTree:
+    def test_orders_the_bags_itself(self):
+        g = path_graph(4)
+        sv = ordering_from_path_decomposition(g, OUT_OF_ORDER)
+        assert sv == ordering_from_path_decomposition(g, as_path_decomposition(OUT_OF_ORDER))
+        assert sv.seq == (0, 1, 2, 3)
+
+    def test_star_is_an_input_error(self):
+        with pytest.raises(InputError, match="not a path"):
+            ordering_from_path_decomposition(Graph.make(1, []), STAR)

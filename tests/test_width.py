@@ -117,6 +117,18 @@ class TestCutMatchingCosts:
         cut = _CutMatching(adjacency_masks(g))
         assert [cut.size_of(mask) for mask in range(1 << g.n)] == brute_cut_sizes(g)
 
+    @settings(deadline=None, max_examples=40)
+    @given(graphs_with_ordering(max_n=9))
+    def test_cut_sizes_equal_brute_force_on_every_prefix(self, gs):
+        g, sv = gs
+        sizes = brute_cut_sizes(g)
+        masks = [sum(1 << v for v in sv.seq[:i]) for i in range(1, g.n)]
+        assert width.cut_sizes(g, sv) == tuple(sizes[m] for m in masks)
+
+    def test_cut_sizes_reject_a_short_ordering(self):
+        with pytest.raises(InputError, match="ordering length"):
+            width.cut_sizes(path_graph(3), Ordering.make(range(2)))
+
 
 class TestMwOfOrdering:
     def test_path_natural_order(self):
