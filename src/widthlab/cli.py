@@ -83,10 +83,11 @@ def _check_generated_vars(num_vars: int, what: str = "variables") -> None:
 
 
 def _check_graph_size(args) -> None:
-    """Check gen-graph's vertices plus edges (expected edges for random);
-    the generators reject missing or bad parameters."""
+    """Check gen-graph's vertices plus edges (expected edges for random, then
+    vertex pairs, as it draws one random number per pair whatever p is); the
+    generators reject missing or bad parameters."""
     kind, n, p, rows, cols = args.kind, args.n, args.p, args.rows, args.cols
-    size = 0
+    size = pairs = 0
     if kind == "grid" and rows is not None and cols is not None and rows >= 1 and cols >= 1:
         size = 3 * rows * cols - rows - cols
     elif kind == "path" and n is not None and n >= 1:
@@ -96,8 +97,10 @@ def _check_graph_size(args) -> None:
     elif kind == "random" and n is not None and n >= 0 and p is not None and 0 <= p <= 1:
         # A huge n fails on its own, before p * n * (n - 1) / 2 can overflow.
         size = n if n > MAX_GENERATED_VARS else n + math.ceil(p * (n * (n - 1) // 2))
+        pairs = n + n * (n - 1) // 2
     _check_generated_vars(size, "vertices plus expected edges" if kind == "random"
                           else "vertices plus edges")
+    _check_generated_vars(pairs, "vertices plus vertex pairs")
 
 
 def _check_ctree_vars(r: int, k: int) -> None:
@@ -201,6 +204,8 @@ def cmd_pd_from_order(args) -> int:
 
 
 def cmd_obdd_build(args) -> int:
+    if args.out == "-":
+        raise InputError("obdd-build --out cannot be '-': stdout carries the size")
     f = instances.parse_dimacs_cnf(_read_input(args.cnf))
     order = (
         _parse_order(args.order, f.num_vars)

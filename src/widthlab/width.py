@@ -5,11 +5,11 @@ prefixes: the maximum matching size of the prefix cut for matching width,
 the number of the prefix's vertices with a neighbour outside it (vertex
 separation) for pathwidth.  The cost depends only on the prefix *set*, so
 one minimax search over prefix sets, `_minimax_search`, serves both; it
-costs only the sets it reaches.  On sparse graphs that is few of them:
-pathwidth takes 8-10 ms on the 4x5 grid, against 0.41-0.48 s for a numpy
-table of all 2^n costs.  On dense graphs nearly every set is reached and
-the table is faster: 0.36-0.44 s against the search's 1.7-2.1 s on
-`random_graph(20, .6, 1)` (Python 3.11, shared 2-vCPU Xeon VM).
+costs only the sets it reaches.  It searches from the full set down, where
+few of pathwidth's sets get through on sparse and dense graphs alike: 2-3
+ms on the 4x5 grid and 4-6 ms on `random_graph(20, .6, 1)`, against
+0.34-0.46 s for a numpy table of all 2^n costs on either (Python 3.11,
+shared 2-vCPU Xeon VM).
 
 Cut matchings live on bitmasks in one class, `_CutMatching`.  It keeps one
 maximum matching while vertices cross the cut one at a time, repairing it
@@ -188,32 +188,38 @@ def _minimax_search(
     its first prefix whose set attains the value.
 
     k starts at a lower bound on the value; bound[i] bounds the cost of every
-    set of i items, and cost(full) is 0.  A positive-instance-driven search
-    (Tamaki, ESA 2017) grows the sets reachable from the empty set through
-    sets of cost at most k, and keeps each costlier set waiting under its
-    cost; when nothing more is reachable, k rises to the smallest waiting
-    cost.  The first k at which the full set is reached is the value.  A DFS
-    at that k, smallest item first, marking sets that cannot complete as
-    dead, then finds the witness the table DP over all 2^n costs would take.
-    The search passes a set whose bound is at most k without costing it,
-    and no set is costed twice.
+    set of i items, and the empty and full sets cost 0.  A positive-instance-
+    driven search (Tamaki, ESA 2017) walks from the full set down, removing
+    one item per step, through sets of cost at most k, and keeps each
+    costlier set waiting under its cost; when nothing more is reachable, k
+    rises to the smallest waiting cost.  The first k at which the empty set
+    is reached is the value: an ordering's reverse passes through the same
+    sets, so walking down finds the same value as growing prefixes up.  It
+    walks down because a small complement is dear: a set's pathwidth
+    boundary is its complement's outer boundary, so on dense graphs few
+    sets near the full set stay under k, where nearly every small set does.
+    A DFS at that k, smallest item first, marking sets that cannot complete
+    as dead, then finds the witness the table DP over all 2^n costs would
+    take.  Sets are costed as prefixes in both phases, so the DFS reuses the
+    walk's costs; no set is costed twice, and a set whose bound is at most
+    k is passed without costing it.
     """
     full = (1 << n) - 1
     costed = bytearray(1 << n)  # cost + 1 of each set costed so far, else 0
     seen = bytearray(1 << n)
-    seen[0] = 1
-    stack = [0]
+    seen[full] = 1
+    stack = [full]
     waiting: dict[int, list[int]] = {}
-    while not seen[full]:
+    while not seen[0]:
         if not stack:
             k = min(waiting)
             stack = waiting.pop(k)
         s = stack.pop()
-        rest = full ^ s
+        rest = s
         while rest:
             low = rest & -rest
             rest ^= low
-            t = s | low
+            t = s ^ low
             if seen[t]:
                 continue
             seen[t] = 1

@@ -161,6 +161,18 @@ class TestObddCommands:
         code, out = run(capsys, "obdd-build", "--cnf", k2_cnf_file)
         assert code == 0 and out == "5\n"
 
+    def test_obdd_build_rejects_out_dash(self, capsys, monkeypatch, tmp_path, k2_cnf_file):
+        # stdout carries the size, so "-" cannot name it; nothing is built
+        # and no file named "-" is written.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(bprog, "build_obdd", None)
+        code = main(["obdd-build", "--cnf", k2_cnf_file, "--out", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: obdd-build --out cannot be '-': stdout carries the size\n"
+        assert not (tmp_path / "-").exists()
+
     def test_obdd_min(self, capsys, k2_cnf_file):
         code, out = run(capsys, "obdd-min", "--cnf", k2_cnf_file, "--json")
         assert code == 0
@@ -616,6 +628,9 @@ class TestHugeDeclaredSizes:
              OVER_THE_LIMIT.format(29999800000, "vertices plus edges")),
             (["gen-graph", "--kind", "random", "--n", "100000", "--p", ".5"], "",
              OVER_THE_LIMIT.format(2500075000, "vertices plus expected edges")),
+            # 2^20 vertices and no expected edge, but one draw per vertex pair.
+            (["gen-graph", "--kind", "random", "--n", "1048576", "--p", "0"], "",
+             OVER_THE_LIMIT.format(549756338176, "vertices plus vertex pairs")),
             (["td-ctree", "--r", str(10 ** 22), "--k", "2"], "",
              OVER_THE_LIMIT.format("at least 2^67", "variables")),
             (["gen-graph", "--kind", "cycle", "--n", "9" * 4300], "",
@@ -624,7 +639,7 @@ class TestHugeDeclaredSizes:
         ids=["bp-nodes", "graph-vertices", "ctree-cnf", "ctree-decomposition", "mw-order",
              "pace-bags", "obdd-build-order", "check-cnsobdd-order", "obdd-build-cap",
              "obdd-min-cap", "gen-graph-path", "gen-graph-grid", "gen-graph-random",
-             "ctree-height", "gen-graph-digits"],
+             "gen-graph-random-pairs", "ctree-height", "gen-graph-digits"],
     )
     def test_out_of_memory_is_a_usage_error(self, tmp_path, argv, text, stderr):
         in_file = tmp_path / "input"
@@ -644,8 +659,8 @@ class TestHugeDeclaredSizes:
 
 class TestGeneratorLimit:
     """gen-cnf and td-ctree write an output of MAX_GENERATED_VARS variables,
-    and gen-graph one of as many vertices plus edges (expected edges for a
-    random graph); each rejects one of a unit more."""
+    and gen-graph one of as many vertices plus edges (expected edges, and
+    then vertex pairs, for a random graph); each rejects one of a unit more."""
 
     @pytest.mark.parametrize(
         "argv, num_vars, what",
@@ -656,12 +671,15 @@ class TestGeneratorLimit:
             # 6 vertices, 7 edges
             (["gen-graph", "--kind", "grid", "--rows", "2", "--cols", "3"], 13,
              "vertices plus edges"),
-            # 4 vertices, 6 pairs of which half are expected to be edges
-            (["gen-graph", "--kind", "random", "--n", "4", "--p", ".5"], 7,
+            # 4 vertices, 6 pairs all expected to be edges
+            (["gen-graph", "--kind", "random", "--n", "4", "--p", "1"], 10,
              "vertices plus expected edges"),
+            # 4 vertices, 6 pairs of which half are expected to be edges
+            (["gen-graph", "--kind", "random", "--n", "4", "--p", ".5"], 10,
+             "vertices plus vertex pairs"),
         ],
         ids=["graph", "ctree-cnf", "ctree-decomposition", "gen-graph-grid",
-             "gen-graph-random"],
+             "gen-graph-random", "gen-graph-random-pairs"],
     )
     def test_boundary(self, monkeypatch, capsys, tmp_path, argv, num_vars, what):
         p3_file = tmp_path / "p3.gr"
@@ -927,7 +945,7 @@ class TestFuzzedFlags:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_exit_code_and_one_line(self, capsys, monkeypatch, tmp_path, command, data):
-        monkeypatch.chdir(tmp_path)  # obdd-build --out - writes a file named "-"
+        monkeypatch.chdir(tmp_path)  # a file written under a relative name lands here
         files = {"graph": _FUZZ_GRAPH, "cnf": _FUZZ_CNF, "pace": _FUZZ_PACE, "bp": _FUZZ_BP}
         for kind, text in files.items():
             (tmp_path / kind).write_text(text)

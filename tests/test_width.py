@@ -245,6 +245,36 @@ class TestPathwidthExact:
     def test_matches_table_dp_on_larger_graphs(self, g):
         assert report_tuple(pathwidth_exact(g)) == table_dp_report(separation_costs(g))
 
+    @pytest.mark.parametrize("g", [random_graph(16, 0.6, 1), random_graph(16, 0.3, 2)],
+                             ids=["random16_p0.6", "random16_p0.3"])
+    def test_matches_table_dp_at_16_vertices(self, g):
+        assert report_tuple(pathwidth_exact(g)) == table_dp_report(separation_costs(g))
+
+    def test_dense_graph_costs_few_sets(self, monkeypatch):
+        # On a dense graph nearly every small set stays under k, but a small
+        # complement pays a large outer boundary: searched from the full set
+        # down, few of the 2^20 sets are costed.
+        calls = [0]
+
+        def counting(adj):
+            boundary = _boundary(adj)
+
+            def count(t):
+                calls[0] += 1
+                return boundary(t)
+            return count
+
+        monkeypatch.setattr(width, "_boundary", counting)
+        g = random_graph(20, 0.6, 1)
+        report = pathwidth_exact(g)
+        assert calls[0] <= 10_000
+        boundary = _boundary(adjacency_masks(g))
+        prefix, separation = 0, 0
+        for v in report.witness_ordering.seq:
+            prefix |= 1 << v
+            separation = max(separation, boundary(prefix).bit_count())
+        assert report.value == separation == 13
+
 
 @pytest.mark.parametrize("n", [0, 1, 7])
 def test_boundary_equals_per_vertex_scan(n):
