@@ -209,7 +209,8 @@ def equivalence_vs_cnf(z: BranchingProgram, f: Cnf) -> EquivalenceVerdict:
 # --- OBDD construction ---
 
 
-def build_obdd(f: Cnf, order: Iterable[int], cap: int = DEFAULT_BUILD_CAP) -> BranchingProgram:
+def build_obdd(f: Cnf, order: Iterable[int], cap: int = DEFAULT_BUILD_CAP,
+               min_size: int | None = None) -> BranchingProgram:
     """Deterministic reduced OBDD of f, levelized by the variable order.
 
     Size is the node count: decision nodes plus both terminals.  The root's
@@ -221,7 +222,9 @@ def build_obdd(f: Cnf, order: Iterable[int], cap: int = DEFAULT_BUILD_CAP) -> Br
     canonical order, so nothing is sorted.  The self-check is one pass over
     the arrays: every edge leads to a later node, which makes the program
     acyclic and leaves root 0 without an in-edge, and none leaves the leaf.
-    A failure is an InvariantViolationError.
+    Given min_size, the size order minimization found for this order, the
+    program must have that size too, which checks the one engine against
+    the other.  A failure is an InvariantViolationError.
     """
     m = f.num_vars
     if m > cap:
@@ -273,6 +276,9 @@ def build_obdd(f: Cnf, order: Iterable[int], cap: int = DEFAULT_BUILD_CAP) -> Br
         raise InvariantViolationError(f"edge ({t},{h}) does not lead to a later node")
     if z.leaf in z.tails:
         raise InvariantViolationError("leaf has outgoing edges")
+    if min_size is not None and z.size != min_size:
+        raise InvariantViolationError(
+            f"OBDD along the best order has {z.size} nodes, order minimization said {min_size}")
     return z
 
 

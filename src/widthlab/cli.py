@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -83,11 +82,11 @@ def _check_generated_vars(num_vars: int, what: str = "variables") -> None:
 
 
 def _check_graph_size(args) -> None:
-    """Check gen-graph's vertices plus edges (expected edges for random, then
-    vertex pairs, as it draws one random number per pair whatever p is); the
-    generators reject missing or bad parameters."""
+    """Check gen-graph's vertices plus edges (vertex pairs for random, as it
+    draws one random number per pair whatever p is); the generators reject
+    missing or bad parameters."""
     kind, n, p, rows, cols = args.kind, args.n, args.p, args.rows, args.cols
-    size = pairs = 0
+    size = 0
     if kind == "grid" and rows is not None and cols is not None and rows >= 1 and cols >= 1:
         size = 3 * rows * cols - rows - cols
     elif kind == "path" and n is not None and n >= 1:
@@ -95,12 +94,9 @@ def _check_graph_size(args) -> None:
     elif kind == "cycle" and n is not None and n >= 3:
         size = 2 * n
     elif kind == "random" and n is not None and n >= 0 and p is not None and 0 <= p <= 1:
-        # A huge n fails on its own, before p * n * (n - 1) / 2 can overflow.
-        size = n if n > MAX_GENERATED_VARS else n + math.ceil(p * (n * (n - 1) // 2))
-        pairs = n + n * (n - 1) // 2
-    _check_generated_vars(size, "vertices plus expected edges" if kind == "random"
+        size = n + n * (n - 1) // 2
+    _check_generated_vars(size, "vertices plus vertex pairs" if kind == "random"
                           else "vertices plus edges")
-    _check_generated_vars(pairs, "vertices plus vertex pairs")
 
 
 def _check_ctree_vars(r: int, k: int) -> None:
@@ -229,6 +225,7 @@ def cmd_obdd_build(args) -> int:
 def cmd_obdd_min(args) -> int:
     f = instances.parse_dimacs_cnf(_read_input(args.cnf))
     result = bprog.min_obdd_size_over_orders(f, cap=args.cap)
+    bprog.build_obdd(f, result.order, min_size=result.size)  # raises if the sizes differ
     _write_result(args, {"size": result.size, "order": list(result.order)},
                   f"{result.size} {' '.join(str(v) for v in result.order)}")
     return EXIT_OK

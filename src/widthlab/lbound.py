@@ -221,11 +221,7 @@ def run_lb_experiment(
     if t is None:
         t = mw_report.value
     best = min_obdd_size_over_orders(f, cap=min_size_cap)
-    z = build_obdd(f, best.order)
-    if z.size != best.size:
-        raise InvariantViolationError(
-            f"OBDD along the best order has {z.size} nodes, order minimization said {best.size}"
-        )
+    z = build_obdd(f, best.order, min_size=best.size)
     holds = verify_size_bound(best.size, t, c)
 
     sv = Ordering.make([v for v in best.order if v < g.n])

@@ -3,11 +3,13 @@ variable order, and the order tables over all variable sets that the
 minimum OBDD size is read from.
 
 `bprog` builds OBDDs and checks equivalence from the packed table, which
-needs no numpy; the order tables are one numpy level walk, and this
-module imports numpy only inside it.  Both live apart from `bprog` to
-keep it under 4096 tokens: CPython's parser grows its token array by
-doubling and allocates every new slot, so a larger module adds about
-230 KiB to the peak memory of each process that compiles it.
+needs no numpy.  The order tables are one numpy level walk, which ranks
+each chunk's keys with one value sort of int64 words that pack a key
+above its entry's position; this module imports numpy only inside it.
+Both live apart from `bprog` to keep it under 4096 tokens: CPython's
+parser grows its token array by doubling and allocates every new slot, so
+a larger module adds about 230 KiB to the peak memory of each process
+that compiles it.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ def truth_table(f: Cnf, order: Sequence[int]) -> int:
 
 
 # Entries of one level derived per vectorised step.  This bounds the int64
-# keys, gather indices and np.unique's sort to a few hundred KiB whatever
-# the level's size, so peak memory is the two adjacent levels' id tables.
+# keys, gather indices and sort words to a few hundred KiB whatever the
+# level's size, so peak memory is the two adjacent levels' id tables.
 _COMPACTION_CHUNK = 1 << 13
+# The most variables whose packed sort words fit in 63 bits (see order_tables).
+_MAX_VARS = 22
 
 
 def order_tables(f: Cnf) -> tuple:
@@ -87,13 +91,30 @@ def order_tables(f: Cnf) -> tuple:
     below, whose every S|v lies on the level before.  A level is one flat
     int32 array of C(m,k) tables of 2^k entries, and only two adjacent
     levels are alive at once: at m=16 the largest pair (k=11 and k=10)
-    holds 17.1M ids, 65 MiB.  All levels together hold 3^m entries, each
-    deduplicated by a sort over a chunk of about _COMPACTION_CHUNK entries
-    (one table, when a table is larger), so the time is O(m·3^m).
+    holds 17.1M ids, 65 MiB.  All levels together hold 3^m entries,
+    deduplicated one chunk of about _COMPACTION_CHUNK entries (one table,
+    when a table is larger) at a time, so the time is O(m·3^m).
+
+    A chunk's key is its row's index in the chunk times base², plus the
+    id pair as a base-`base` number, base being one more than the largest
+    parent id.  Each key is packed into one int64 word above the entry's
+    position in the chunk, so one in-place value sort orders the keys and
+    carries the positions along.  An entry's id is its key's rank among
+    the chunk's distinct keys, plus 2, and the constant pairs take 0 and
+    1: ids are ranks in key order.  A word needs the key bits plus the
+    position bits.  base is at most 2 plus the entries of one chunk of
+    the level above, so from m = 18 the widest word is at k = m-2, whose
+    one-table chunks of 2^k entries have base <= 2^(k+1) + 2: 2k+3 key
+    bits and k position bits, 3m-3 in all.  63 bits hold that through
+    m = _MAX_VARS = 22; a larger m raises CapacityError before anything is
+    allocated (at m = 22 the largest level pair already holds 40 GiB).
     """
+    m = f.num_vars
+    if m > _MAX_VARS:
+        raise CapacityError(f"order tables: {m} variables exceeds {_MAX_VARS}, the most "
+                            f"whose packed sort words fit in an int64")
     import numpy as np
 
-    m = f.num_vars
     size = np.zeros(1 << m, dtype=np.int8)
     for v in range(m):  # the sets holding v are those without it, plus v
         size[1 << v:2 << v] = size[:1 << v] + 1
@@ -114,6 +135,8 @@ def order_tables(f: Cnf) -> tuple:
         level = np.empty(len(level_sets) * width, dtype=np.int32)
         a = np.arange(width, dtype=np.int64)
         rows_per_chunk = max(1, _COMPACTION_CHUNK >> k)
+        positions = np.arange(rows_per_chunk * width, dtype=np.int64)
+        shift = (len(positions) - 1).bit_length()  # a packed word's position bits
         next_base = 2
         for r0 in range(0, len(level_sets), rows_per_chunk):
             s = level_sets[r0:r0 + rows_per_chunk]
@@ -127,17 +150,26 @@ def order_tables(f: Cnf) -> tuple:
             pair *= base
             at += bit
             pair += parent[at]
-            false, true = pair == 0, pair == base + 1
             # Tagging each pair with its row lets one sort dedupe every row.
             span = base * base
             pair += (np.arange(len(s), dtype=np.int64) * span)[:, None]
-            uniq, inv = np.unique(pair.ravel(), return_inverse=True)
-            ids = level[r0 * width:(r0 + len(s)) * width].reshape(len(s), width)
-            np.add(inv.reshape(len(s), width), 2, out=ids, casting="unsafe")
-            ids[false] = 0
-            ids[true] = 1
+            word = pair.ravel()
+            word <<= shift
+            word |= positions[:len(word)]
+            word.sort()
+            pos = word & (1 << shift) - 1
+            word >>= shift  # the keys, ascending
+            new = np.empty(len(word), dtype=bool)  # where a key differs from the one before
+            new[0] = True
+            np.not_equal(word[1:], word[:-1], out=new[1:])
+            uniq = word[new]
             residue = uniq % span
-            varying = uniq[(residue != 0) & (residue != base + 1)]
+            # ids[j] is the id of the j-th distinct key, counting from 1.
+            ids = np.arange(1, len(uniq) + 2, dtype=np.int32)
+            ids[1:][residue == 0] = 0
+            ids[1:][residue == base + 1] = 1
+            level[r0 * width:(r0 + len(s)) * width][pos] = ids[np.cumsum(new)]
+            varying = uniq[ids[1:] > 1]
             counts[s] = np.bincount(varying // span, minlength=len(s))
             next_base = max(next_base, len(uniq) + 2)
         parent, base = level, next_base

@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from widthlab import bprog
+from widthlab import bprog, tables
 from widthlab.errors import CapacityError, FormatError, InputError
 from widthlab.instances import (
     Cnf, cnf_of_graph, cycle_graph, grid_graph, path_graph,
@@ -428,6 +428,31 @@ class TestSubfunctionCounts:
     @given(cnfs(max_vars=8, max_clauses=6))
     def test_every_prefix_set_matches_the_oracle(self, f):
         assert order_tables(f)[0].tolist() == self.oracle_counts(f)
+
+    @settings(deadline=None, max_examples=20)
+    @given(cnfs(max_vars=8, max_clauses=6))
+    def test_every_chunk_size_matches_the_oracles(self, f):
+        """Chunks of one table, of a few tables and of many tables (at 8
+        variables the default chunk holds every level whole) give the
+        oracles' counts and below[0], and the default chunk's below."""
+        counts = self.oracle_counts(f)
+        best = brute_prefix_set_dp(counts, operator.add)[0]
+        below = order_tables(f)[1].tolist()
+        for chunk in (1, 4, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tables, "_COMPACTION_CHUNK", chunk)
+                got_counts, got_below = order_tables(f)
+            assert got_counts.tolist() == counts
+            assert got_below[0] == best
+            assert got_below.tolist() == below
+
+    def test_many_chunks_per_level_match_one_chunk(self, monkeypatch):
+        f = cnf_of_graph(cycle_graph(6))  # 12 variables
+        counts, below = order_tables(f)
+        monkeypatch.setattr(tables, "_COMPACTION_CHUNK", 16)
+        chunked_counts, chunked_below = order_tables(f)
+        assert chunked_counts.tolist() == counts.tolist()
+        assert chunked_below.tolist() == below.tolist()
 
     @pytest.mark.parametrize(
         "f",

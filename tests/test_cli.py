@@ -391,6 +391,28 @@ class TestExitCodes:
         assert captured.err.startswith("error: OBDD along the best order has ")
         assert captured.err.count("\n") == 1
 
+    def test_obdd_min_size_off_by_one_is_an_invariant_violation(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        real = bprog.order_tables
+
+        def one_too_many(f):
+            counts, below = real(f)
+            counts[0] += 1  # the root level: the size moves, the best order does not
+            return counts, below
+
+        monkeypatch.setattr(bprog, "order_tables", one_too_many)
+        cnf_file = tmp_path / "c5.cnf"
+        cnf_file.write_text(format_dimacs_cnf(cnf_of_graph(cycle_graph(5))))
+        code = main(["obdd-min", "--cnf", str(cnf_file), "--json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert re.fullmatch(r"error: OBDD along the best order has (\d+) nodes, "
+                            r"order minimization said (\d+)\n", captured.err)
+        built, said = map(int, re.findall(r"\d+", captured.err))
+        assert said == built + 1
+
     def test_own_obdd_rejecting_a_family_member_is_an_invariant_violation(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -622,12 +644,16 @@ class TestHugeDeclaredSizes:
              f"error: OBDD build: {HUGE} variables exceeds cap 24"),
             (["obdd-min", "--cnf", "{in}"], f"p cnf {HUGE} 0\n",
              f"error: order minimization: {HUGE} variables exceeds cap 16"),
+            # Within the raised cap, but the order tables' sort words hold 22.
+            (["obdd-min", "--cnf", "{in}", "--cap", "40"], "p cnf 23 1\n1 -23 0\n",
+             "error: order tables: 23 variables exceeds 22, the most whose packed sort "
+             "words fit in an int64"),
             (["gen-graph", "--kind", "path", "--n", str(HUGE)], "",
              OVER_THE_LIMIT.format(2 * HUGE - 1, "vertices plus edges")),
             (["gen-graph", "--kind", "grid", "--rows", "100000", "--cols", "100000"], "",
              OVER_THE_LIMIT.format(29999800000, "vertices plus edges")),
             (["gen-graph", "--kind", "random", "--n", "100000", "--p", ".5"], "",
-             OVER_THE_LIMIT.format(2500075000, "vertices plus expected edges")),
+             OVER_THE_LIMIT.format(5000050000, "vertices plus vertex pairs")),
             # 2^20 vertices and no expected edge, but one draw per vertex pair.
             (["gen-graph", "--kind", "random", "--n", "1048576", "--p", "0"], "",
              OVER_THE_LIMIT.format(549756338176, "vertices plus vertex pairs")),
@@ -638,8 +664,8 @@ class TestHugeDeclaredSizes:
         ],
         ids=["bp-nodes", "graph-vertices", "ctree-cnf", "ctree-decomposition", "mw-order",
              "pace-bags", "obdd-build-order", "check-cnsobdd-order", "obdd-build-cap",
-             "obdd-min-cap", "gen-graph-path", "gen-graph-grid", "gen-graph-random",
-             "gen-graph-random-pairs", "ctree-height", "gen-graph-digits"],
+             "obdd-min-cap", "obdd-min-word-width", "gen-graph-path", "gen-graph-grid",
+             "gen-graph-random", "gen-graph-random-pairs", "ctree-height", "gen-graph-digits"],
     )
     def test_out_of_memory_is_a_usage_error(self, tmp_path, argv, text, stderr):
         in_file = tmp_path / "input"
@@ -659,8 +685,8 @@ class TestHugeDeclaredSizes:
 
 class TestGeneratorLimit:
     """gen-cnf and td-ctree write an output of MAX_GENERATED_VARS variables,
-    and gen-graph one of as many vertices plus edges (expected edges, and
-    then vertex pairs, for a random graph); each rejects one of a unit more."""
+    and gen-graph one of as many vertices plus edges (vertex pairs, for a
+    random graph, whatever p is); each rejects one of a unit more."""
 
     @pytest.mark.parametrize(
         "argv, num_vars, what",
@@ -673,7 +699,7 @@ class TestGeneratorLimit:
              "vertices plus edges"),
             # 4 vertices, 6 pairs all expected to be edges
             (["gen-graph", "--kind", "random", "--n", "4", "--p", "1"], 10,
-             "vertices plus expected edges"),
+             "vertices plus vertex pairs"),
             # 4 vertices, 6 pairs of which half are expected to be edges
             (["gen-graph", "--kind", "random", "--n", "4", "--p", ".5"], 10,
              "vertices plus vertex pairs"),
