@@ -161,13 +161,9 @@ def cmd_pw(args) -> int:
 def cmd_td_ctree(args) -> int:
     _check_ctree_vars(args.r, args.k)
     result = decomposition.ctree_decomposition(args.r, args.k)
-    if args.extended:
-        d = result.extended
-        n = instances.f_rk_num_vars(args.r, args.k)
-    else:
-        d = result.base
-        n = instances.ct_graph(args.r, args.k).n
-    _write_out(decomposition.format_pace(d, n), args.out)
+    d = result.extended if args.extended else result.base
+    # Every vertex lies in a bag, so the largest bag entry is n - 1.
+    _write_out(decomposition.format_pace(d, 1 + max(map(max, d.bags))), args.out)
     return EXIT_OK
 
 

@@ -9,14 +9,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import FormatError, InputError, int_token, read_records
-from .graph import Graph, Ordering, adjacency_masks, iter_bits
+from .graph import Graph, Ordering, iter_bits
 from .instances import ct_graph, cnf_of_graph, edge_variable, primal_graph
-from .width import (
-    DEFAULT_SUBSET_DP_CAP,
-    _boundary,
-    pathwidth_exact,
-    settled_vertex_covers,
-)
+from .width import settled_vertex_covers
 
 
 @dataclass(frozen=True)
@@ -175,20 +170,6 @@ def path_decomposition_from_ordering(g: Graph, sv: Ordering) -> TreeDecompositio
     return TreeDecomposition.path(
         frozenset(iter_bits(covers[i] | covers[i + 1] | 1 << v)) for i, v in enumerate(sv.seq)
     )
-
-
-def optimal_path_decomposition(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> TreeDecomposition:
-    """A minimum-width path decomposition, built from an optimal vertex
-    separation layout: bag i holds the i-th vertex plus the earlier
-    vertices that still have a neighbor outside the first i-1."""
-    report = pathwidth_exact(g, cap=cap)
-    boundary = _boundary(adjacency_masks(g))
-    bags = []
-    prefix = 0
-    for v in report.witness_ordering.seq:
-        bags.append(frozenset(iter_bits(boundary(prefix) | 1 << v)))
-        prefix |= 1 << v
-    return TreeDecomposition.path(bags)
 
 
 # --- PACE-style decomposition text format ---

@@ -3,12 +3,14 @@
 Everything here is deliberately naive: enumeration over edge subsets,
 vertex subsets, whole permutations or all root-leaf edge sequences, a
 minimax table DP over all 2^n prefix-set costs, and OBDD levels keyed by
-whole truth-table rows.  None of it shares code with
-the library beyond the Graph, CutGraph and BranchingProgram containers and
-Cnf.evaluate, except `matching_costs`: it fills the table of all cut sizes
-by walking `width._CutMatching.move` along a Gray code, a path apart from
-the from-scratch sizing the search uses.  Paths are tuples of indices into
-a program's edge arrays, which the container keeps in canonical order, so
+whole truth-table rows.  None of it shares code with the library beyond
+the Graph, CutGraph, TreeDecomposition and BranchingProgram containers and
+Cnf.evaluate, except two functions: `matching_costs` fills the table of all
+cut sizes by walking `width._CutMatching.move` along a Gray code, a path
+apart from the from-scratch sizing the search uses, and
+`optimal_path_decomposition` takes its layout from `pathwidth_exact` but
+builds its bags by neighbour scans.  Paths are tuples of indices into a
+program's edge arrays, which the container keeps in canonical order, so
 plain tuple comparison orders them.
 """
 
@@ -19,8 +21,9 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from widthlab.bprog import BranchingProgram
+from widthlab.decomposition import TreeDecomposition
 from widthlab.graph import Graph, adjacency_masks
-from widthlab.width import _CutMatching
+from widthlab.width import _CutMatching, pathwidth_exact
 
 
 def neighbours(g: Graph, v: int) -> set[int]:
@@ -97,6 +100,18 @@ def separation_costs(g: Graph) -> list[int]:
     return [
         sum(1 for v in range(g.n) if s >> v & 1 and nbrs[v] & ~s) for s in range(1 << g.n)
     ]
+
+
+def optimal_path_decomposition(g: Graph) -> TreeDecomposition:
+    """A minimum-width path decomposition from `pathwidth_exact`'s optimal
+    vertex separation layout: bag i holds the i-th vertex plus the earlier
+    vertices with a neighbour outside the first i, found by a scan per vertex."""
+    seq = pathwidth_exact(g).witness_ordering.seq
+    bags = []
+    for i, v in enumerate(seq):
+        before = set(seq[:i])
+        bags.append(frozenset({v} | {u for u in before if neighbours(g, u) - before}))
+    return TreeDecomposition.path(bags)
 
 
 def brute_matching_width(g: Graph) -> tuple[int, tuple[int, ...]]:

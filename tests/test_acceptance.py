@@ -29,7 +29,6 @@ from widthlab.instances import (
 from widthlab.decomposition import (
     ctree_decomposition,
     ctree_primal_graph,
-    optimal_path_decomposition,
     ordering_from_path_decomposition,
     path_decomposition_from_ordering,
     validate_decomposition,
@@ -44,7 +43,12 @@ from widthlab.bprog import (
 from widthlab.lbound import assignment_family, check_distinctness, witness_cut
 from widthlab.cli import main as cli_main
 
-from oracles import brute_matching_width, clause_scan_satisfies, cut_edges
+from oracles import (
+    brute_matching_width,
+    clause_scan_satisfies,
+    cut_edges,
+    optimal_path_decomposition,
+)
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -34,10 +35,15 @@ def p10_file(tmp_path):
     return str(path)
 
 
+K2_CNF = format_dimacs_cnf(cnf_of_graph(path_graph(2)))
+# Each clause mixes a negated and a plain variable.
+SIGNS_CNF = "p cnf 3 2\n-3 1 0\n2 -1 0\n"
+
+
 @pytest.fixture
 def k2_cnf_file(tmp_path):
     path = tmp_path / "k2.cnf"
-    path.write_text(format_dimacs_cnf(cnf_of_graph(path_graph(2))))
+    path.write_text(K2_CNF)
     return str(path)
 
 
@@ -144,22 +150,50 @@ class TestDecompositionCommands:
         if (extended, r, k) == (False, 1, 2):
             assert "s td 3 4 6" in out
 
-    def test_round_trip_through_files(self, capsys, tmp_path, p10_file):
-        pd_file = str(tmp_path / "p10.td")
-        code, _ = run(capsys, "pd-from-order", "--graph", p10_file,
-                      "--order", "0 1 2 3 4 5 6 7 8 9", "--out", pd_file)
+    @pytest.mark.parametrize(
+        "kind, order, sha256",
+        [
+            (["path", "--n", "10"], range(10),
+             "6becdb7e0c0807ff3f15d3dd633aeb510d80bb5bb890cfa65a91b1403ace73ca"),
+            (["grid", "--rows", "4", "--cols", "5"], range(20),
+             "edca915758ac6b102ee85d8d55b4010740d5a62ed8a1f68cefae4b87a7a0f72d"),
+            (["random", "--n", "30", "--p", ".2", "--seed", "3"], range(29, -1, -1),
+             "4371e57d242db8fb6dc9445b5c9196ed974944e6769e582782631b350e87f83f"),
+        ],
+        ids=["p10", "grid4x5", "random30-reversed"],
+    )
+    def test_round_trip_through_files(self, capsys, tmp_path, kind, order, sha256):
+        g_file, pd_file = str(tmp_path / "g.gr"), tmp_path / "g.td"
+        assert run(capsys, "gen-graph", "--kind", *kind, "--out", g_file) == (0, "")
+        code, _ = run(capsys, "pd-from-order", "--graph", g_file,
+                      "--order", ",".join(map(str, order)), "--out", str(pd_file))
         assert code == 0
-        code, out = run(capsys, "order-from-pd", "--graph", p10_file,
-                        "--pd", pd_file, "--json")
+        assert hashlib.sha256(pd_file.read_bytes()).hexdigest() == sha256
+        code, out = run(capsys, "order-from-pd", "--graph", g_file,
+                        "--pd", str(pd_file), "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["mw_of_ordering"] <= payload["pd_width"] + 1
+        # The same tree with its edge lines in reverse order, each flipped.
+        lines = pd_file.read_text().splitlines()
+        edges = [line.split() for line in lines if line[0].isdigit()]
+        flipped = tmp_path / "flipped.td"
+        flipped.write_text("".join(f"{line}\n" for line in lines if not line[0].isdigit())
+                           + "".join(f"{b} {a}\n" for a, b in reversed(edges)))
+        ordering = run(capsys, "order-from-pd", "--graph", g_file, "--pd", str(pd_file))
+        assert ordering[0] == 0
+        assert run(capsys, "order-from-pd", "--graph", g_file, "--pd", str(flipped)) == ordering
 
 
 class TestObddCommands:
-    def test_obdd_build(self, capsys, k2_cnf_file):
-        code, out = run(capsys, "obdd-build", "--cnf", k2_cnf_file)
-        assert code == 0 and out == "5\n"
+    @pytest.mark.parametrize(
+        "cnf, flags, out",
+        [(K2_CNF, [], "5\n"), (SIGNS_CNF, ["--order", "2,1,0"], "7\n")],
+        ids=["k2", "signs"],
+    )
+    def test_obdd_build(self, capsys, tmp_path, cnf, flags, out):
+        (tmp_path / "f.cnf").write_text(cnf)
+        assert run(capsys, "obdd-build", "--cnf", str(tmp_path / "f.cnf"), *flags) == (0, out)
 
     def test_obdd_build_rejects_out_dash(self, capsys, monkeypatch, tmp_path, k2_cnf_file):
         # stdout carries the size, so "-" cannot name it; nothing is built
@@ -173,11 +207,18 @@ class TestObddCommands:
         assert captured.err == "error: obdd-build --out cannot be '-': stdout carries the size\n"
         assert not (tmp_path / "-").exists()
 
-    def test_obdd_min(self, capsys, k2_cnf_file):
-        code, out = run(capsys, "obdd-min", "--cnf", k2_cnf_file, "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["size"] <= 5
+    @pytest.mark.parametrize(
+        "cnf, flags, out",
+        [
+            (K2_CNF, ["--json"], '{\n  "command": "obdd-min",\n  "order": [\n    0,\n'
+                                 '    1,\n    2\n  ],\n  "size": 5\n}\n'),
+            (SIGNS_CNF, [], "6 0 1 2\n"),
+        ],
+        ids=["k2", "signs"],
+    )
+    def test_obdd_min(self, capsys, tmp_path, cnf, flags, out):
+        (tmp_path / "f.cnf").write_text(cnf)
+        assert run(capsys, "obdd-min", "--cnf", str(tmp_path / "f.cnf"), *flags) == (0, out)
 
     def test_check_cnsobdd_pass_and_fail(self, capsys, tmp_path, k2_cnf_file):
         bp_file = str(tmp_path / "k2.bp")
@@ -191,15 +232,15 @@ class TestObddCommands:
                         "--order", "2 1 0")
         assert code == 1 and out.startswith("fail")
 
-    def test_lb_experiment(self, capsys, tmp_path):
-        g_file = str(tmp_path / "k2.gr")
-        g_file_p = run(capsys, "gen-graph", "--kind", "path", "--n", "2",
-                       "--out", g_file)
-        assert g_file_p[0] == 0
+    @pytest.mark.parametrize("kind, n, family_size", [("path", 2, 2), ("cycle", 6, 4)],
+                             ids=["p2", "c6"])
+    def test_lb_experiment(self, capsys, tmp_path, kind, n, family_size):
+        g_file = str(tmp_path / "g.gr")
+        assert run(capsys, "gen-graph", "--kind", kind, "--n", str(n), "--out", g_file) == (0, "")
         code, out = run(capsys, "lb-experiment", "--graph", g_file, "--c", "1")
         assert code == 0
         payload = json.loads(out)
-        assert payload["pass"] and payload["family_size"] == 2
+        assert payload["pass"] and payload["family_size"] == family_size
 
 
 class TestLbExperimentBudget:
@@ -567,6 +608,26 @@ class TestC9Program:
         order = ",".join(map(str, reversed(range(18))))
         code, out = run(capsys, "check-cnsobdd", "--bp", c9_bp, "--c", "2", "--order", order)
         assert (code, out) == (1, "fail: a path needs 18 segments\n")
+
+
+class TestC6Chain:
+    """`obdd-min` on C6's CNF, then `obdd-build` along its best order and
+    `check-cnsobdd` with c = 1 along that order and its reverse."""
+
+    def test_min_build_check(self, capsys, tmp_path):
+        gr, cnf, bp = (str(tmp_path / f"c6.{ext}") for ext in ("gr", "cnf", "bp"))
+        assert run(capsys, "gen-graph", "--kind", "cycle", "--n", "6", "--out", gr) == (0, "")
+        assert run(capsys, "gen-cnf", "--graph", gr, "--out", cnf) == (0, "")
+        code, out = run(capsys, "obdd-min", "--cnf", cnf, "--json")
+        best = json.loads(out)
+        assert (code, best["size"]) == (0, 38)
+        order = ",".join(map(str, best["order"]))
+        assert run(capsys, "obdd-build", "--cnf", cnf, "--order", order, "--out", bp) == (0, "38\n")
+        assert run(capsys, "check-cnsobdd", "--bp", bp, "--c", "1", "--order", order) == (
+            0, "pass\n")
+        reverse = ",".join(map(str, reversed(best["order"])))
+        assert run(capsys, "check-cnsobdd", "--bp", bp, "--c", "1", "--order", reverse) == (
+            1, "fail: a path needs 9 segments\n")
 
 
 class TestPaceTreeEdges:

@@ -12,7 +12,6 @@ from widthlab.decomposition import (
     ctree_decomposition,
     ctree_primal_graph,
     format_pace,
-    optimal_path_decomposition,
     ordering_from_path_decomposition,
     parse_pace,
     path_decomposition_from_ordering,
@@ -20,7 +19,7 @@ from widthlab.decomposition import (
 )
 from widthlab.width import matching_width_exact, mw_of_ordering, pathwidth_exact
 
-from oracles import brute_validate_decomposition, neighbours
+from oracles import brute_validate_decomposition, neighbours, optimal_path_decomposition
 
 
 def fs(*verts):
