@@ -134,7 +134,7 @@ def cmd_gen_cnf(args) -> int:
 def cmd_mw(args) -> int:
     g = _load_graph(args.graph)
     if args.order is not None:
-        report = width.mw_of_ordering(g, graph.Ordering(_parse_order(args.order, g.n)))
+        report = width.mw_of_ordering(g, _parse_order(args.order, g.n))
         mode = "ordering"
     else:
         report = width.matching_width_exact(g, cap=args.cap)
@@ -142,7 +142,7 @@ def cmd_mw(args) -> int:
     _write_result(args, {
         "mode": mode,
         "value": report.value,
-        "witness_ordering": list(report.witness_ordering.seq),
+        "witness_ordering": list(report.witness_ordering),
         "witness_prefix": report.witness_prefix,
     }, str(report.value))
     return EXIT_OK
@@ -153,7 +153,7 @@ def cmd_pw(args) -> int:
     report = width.pathwidth_exact(g, cap=args.cap)
     _write_result(args, {
         "value": report.value,
-        "witness_ordering": list(report.witness_ordering.seq),
+        "witness_ordering": list(report.witness_ordering),
     }, str(report.value))
     return EXIT_OK
 
@@ -175,17 +175,16 @@ def cmd_order_from_pd(args) -> int:
     ordering = decomposition.ordering_from_path_decomposition(g, td)
     value = width.mw_of_ordering(g, ordering).value
     _write_result(args, {
-        "ordering": list(ordering.seq),
+        "ordering": list(ordering),
         "mw_of_ordering": value,
         "pd_width": td.width,
-    }, " ".join(str(v) for v in ordering.seq))
+    }, " ".join(str(v) for v in ordering))
     return EXIT_OK
 
 
 def cmd_pd_from_order(args) -> int:
     g = _load_graph(args.graph)
-    sv = graph.Ordering(_parse_order(args.order, g.n))
-    pd = decomposition.path_decomposition_from_ordering(g, sv)
+    pd = decomposition.path_decomposition_from_ordering(g, _parse_order(args.order, g.n))
     verdict = decomposition.validate_decomposition(g, pd)
     if not verdict.valid:
         raise InvariantViolationError(

@@ -80,7 +80,7 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationResult:
         if len(seen) != len(td.bags):
             raise InputError("decomposition tree is disconnected")
 
-    for v in g.vertices():
+    for v in range(g.n):
         if not holding[v]:
             return ValidationResult(False, "union", (v,))
     for u, v in g.edges:
@@ -93,7 +93,7 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationResult:
     for a, b in td.tree_edges:
         for v in td.bags[a] & td.bags[b]:
             inner[v] += 1
-    for v in g.vertices():
+    for v in range(g.n):
         if len(holding[v]) - inner[v] != 1:
             return ValidationResult(False, "connectedness", (v,))
     return ValidationResult(True)
@@ -157,7 +157,7 @@ def ordering_from_path_decomposition(g: Graph, td: TreeDecomposition) -> Orderin
     for i, bag in enumerate(pd.bags):
         for v in bag:
             first.setdefault(v, i)
-    return Ordering.make(sorted(g.vertices(), key=lambda v: (first[v], v)))
+    return tuple(sorted(range(g.n), key=lambda v: (first[v], v)))
 
 
 def path_decomposition_from_ordering(g: Graph, sv: Ordering) -> TreeDecomposition:
@@ -168,7 +168,7 @@ def path_decomposition_from_ordering(g: Graph, sv: Ordering) -> TreeDecompositio
     """
     covers = (0, *settled_vertex_covers(g, sv), 0)
     return TreeDecomposition.path(
-        frozenset(iter_bits(covers[i] | covers[i + 1] | 1 << v)) for i, v in enumerate(sv.seq)
+        frozenset(iter_bits(covers[i] | covers[i + 1] | 1 << v)) for i, v in enumerate(sv)
     )
 
 

@@ -2,7 +2,9 @@
 
 Vertices are dense integer ids 0..n-1.  A graph stores each edge once, as
 (u, v) with u < v, in one ascending tuple: the edge order that the DIMACS
-writer, the CNF's edge variables and the decompositions all follow.  Cut
+writer, the CNF's edge variables and the decompositions all follow.  An
+ordering is a plain tuple of vertex ids, a permutation of 0..n-1;
+`width.cut_sizes`, the walk under every ordering's cuts, checks that.  Cut
 graphs are bipartite by construction (prefix side vs. suffix side of an
 ordering) and live on bitmasks: each side is a vertex mask, and each left
 vertex with a crossing edge keeps its right neighbours' mask, read off the
@@ -60,8 +62,8 @@ class Graph:
             normed[e] = None
         return Graph(n, tuple(sorted(normed)))
 
-    def vertices(self) -> range:
-        return range(self.n)
+
+Ordering = tuple[int, ...]
 
 
 # Every CLI command works on one graph, so a few entries serve it; a bound
@@ -76,23 +78,6 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return tuple(adj)
-
-
-@dataclass(frozen=True)
-class Ordering:
-    """A permutation of a graph's vertices."""
-
-    seq: tuple[int, ...]
-
-    @staticmethod
-    def make(seq: Iterable[int]) -> "Ordering":
-        t = tuple(seq)
-        if sorted(t) != list(range(len(t))):
-            raise InputError(f"not a permutation of 0..{len(t) - 1}: {t}")
-        return Ordering(t)
-
-    def __len__(self) -> int:
-        return len(self.seq)
 
 
 @dataclass(frozen=True)
@@ -116,7 +101,7 @@ def cut_graph(g: Graph, sv: Ordering, i: int) -> CutGraph:
     if not 1 <= i <= n - 1:
         raise InputError(f"prefix length {i} outside 1..{n - 1}")
     adj = adjacency_masks(g)
-    prefix = sv.seq[:i]
+    prefix = sv[:i]
     # The left mask in binary, highest bit first, so bit u is digit ~u: one
     # parse of n digits instead of a fresh n-bit int per prefix vertex.
     digits = bytearray(b"0") * n

@@ -26,7 +26,6 @@ class WitnessCut:
     with its left end inside the prefix and its right end outside."""
 
     graph: Graph
-    ordering: Ordering
     prefix_len: int
     pairs: tuple[tuple[int, int], ...]  # (inside, outside)
 
@@ -35,17 +34,19 @@ def witness_cut(g: Graph, sv: Ordering, t: int) -> WitnessCut:
     """Smallest prefix whose cut has a matching of size >= t, with t of the
     matched pairs (deterministically the smallest by endpoint ids).
 
-    `width.cut_sizes` finds the prefix; only that prefix's cut is matched
-    afresh, by `max_bipartite_matching`, whose pairs the witness takes.
+    `width.cut_sizes` checks sv and finds the prefix; only that prefix's cut
+    is matched afresh, by `max_bipartite_matching`, whose pairs the witness
+    takes.
     """
     if t < 0:
         raise InputError(f"matching size must be non-negative, got {t}")
+    sizes = cut_sizes(g, sv)
     if t == 0:
-        return WitnessCut(g, sv, 0, ())
-    for i, size in enumerate(cut_sizes(g, sv), 1):
+        return WitnessCut(g, 0, ())
+    for i, size in enumerate(sizes, 1):
         if size >= t:
             pairs = tuple(sorted(max_bipartite_matching(cut_graph(g, sv, i))))[:t]
-            return WitnessCut(g, sv, i, pairs)
+            return WitnessCut(g, i, pairs)
     raise InputError(f"no prefix cut of the ordering has a matching of size {t}")
 
 
@@ -224,12 +225,12 @@ def run_lb_experiment(
     z = build_obdd(f, best.order, min_size=best.size)
     holds = verify_size_bound(best.size, t, c)
 
-    sv = Ordering.make([v for v in best.order if v < g.n])
+    sv = tuple(v for v in best.order if v < g.n)
     w = witness_cut(g, sv, t)
     family = assignment_family(f, w)
     member_sat = [f.evaluate(s) for s in family]
-    svp_vars = frozenset(sv.seq[: w.prefix_len])
-    suffix_vars = frozenset(sv.seq[w.prefix_len :])
+    svp_vars = frozenset(sv[: w.prefix_len])
+    suffix_vars = frozenset(sv[w.prefix_len :])
     try:
         distinct = check_distinctness(z, family, best.order, svp_vars, c, suffix_vars)
     except InputError as exc:  # every argument was built here, from our own OBDD

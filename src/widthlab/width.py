@@ -14,10 +14,11 @@ shared 2-vCPU Xeon VM).
 Cut matchings live on bitmasks in one class, `_CutMatching`.  It keeps one
 maximum matching while vertices cross the cut one at a time, repairing it
 after each move with at most two iterative alternating searches, so its size
-moves by at most 1 per step; `cut_sizes` moves an ordering's vertices in
-turn for `mw_of_ordering`, `lbound.witness_cut` and `settled_vertex_covers`,
-which checks each cover against its cut's size τ.  It also sizes a given
-cut from scratch, which is how `matching_width_exact` reads its costs.
+moves by at most 1 per step; `cut_sizes` checks that an ordering, a tuple of
+vertex ids, is a permutation and moves its vertices in turn for
+`mw_of_ordering`, `lbound.witness_cut` and `settled_vertex_covers`, which
+checks each cover against its cut's size τ.  It also sizes a given cut from
+scratch, which is how `matching_width_exact` reads its costs.
 
 A settled cover is a vertex bitmask: the carried-over vertices plus the
 König cover of the rest of the cut, whose `graph.CutGraph` is built afresh
@@ -46,8 +47,8 @@ DEFAULT_SUBSET_DP_CAP = 20
 @dataclass(frozen=True)
 class WidthReport:
     value: int
-    witness_ordering: Ordering | None = None
-    witness_prefix: int | None = None
+    witness_ordering: Ordering
+    witness_prefix: int | None
 
 
 class _CutMatching:
@@ -144,11 +145,14 @@ class _CutMatching:
 
 
 def cut_sizes(g: Graph, sv: Ordering) -> tuple[int, ...]:
-    """The matching sizes of sv's prefix cuts 1..n-1, from one `_CutMatching`."""
+    """The matching sizes of sv's prefix cuts 1..n-1, from one `_CutMatching`;
+    sv must be a permutation of g's vertices."""
     if len(sv) != g.n:
         raise InputError("ordering length does not match graph")
+    if sorted(sv) != list(range(g.n)):
+        raise InputError(f"ordering is not a permutation of 0..{g.n - 1}")
     cut = _CutMatching(adjacency_masks(g))
-    return tuple(cut.move(v) for v in sv.seq[: g.n - 1])
+    return tuple(cut.move(v) for v in sv[: g.n - 1])
 
 
 def mw_of_ordering(g: Graph, sv: Ordering) -> WidthReport:
@@ -259,7 +263,7 @@ def _minimax_search(
         untried.append(full ^ t)
     seq = tuple((t ^ s).bit_length() - 1 for s, t in zip(path, path[1:]))
     prefix = next((i for i in range(1, n) if costed[path[i]] == k + 1), None)
-    return WidthReport(value=k, witness_ordering=Ordering(seq), witness_prefix=prefix)
+    return WidthReport(value=k, witness_ordering=seq, witness_prefix=prefix)
 
 
 def matching_width_exact(g: Graph, cap: int = DEFAULT_SUBSET_DP_CAP) -> WidthReport:

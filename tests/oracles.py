@@ -106,7 +106,7 @@ def optimal_path_decomposition(g: Graph) -> TreeDecomposition:
     """A minimum-width path decomposition from `pathwidth_exact`'s optimal
     vertex separation layout: bag i holds the i-th vertex plus the earlier
     vertices with a neighbour outside the first i, found by a scan per vertex."""
-    seq = pathwidth_exact(g).witness_ordering.seq
+    seq = pathwidth_exact(g).witness_ordering
     bags = []
     for i, v in enumerate(seq):
         before = set(seq[:i])
@@ -154,25 +154,6 @@ def brute_pathwidth(g: Graph) -> tuple[int, tuple[int, ...]]:
             best = (worst, perm)
     # Boundary of the full set is 0 but every bag also holds the new vertex,
     # so pathwidth is the max boundary taken just before each placement.
-    return best
-
-
-def brute_pathwidth_bags(g: Graph) -> int:
-    """Pathwidth as min over layouts of max |boundary before v| over placements."""
-    n = g.n
-    if n == 0:
-        return -1
-    best = None
-    for perm in permutations(range(n)):
-        worst = 0
-        for i in range(n):
-            prefix = set(perm[:i])
-            boundary = {
-                u for u in prefix if any(w not in prefix for w in neighbours(g, u))
-            }
-            worst = max(worst, len(boundary | {perm[i]}) - 1)
-        if best is None or worst < best:
-            best = worst
     return best
 
 
@@ -336,7 +317,7 @@ def per_prefix_witness(g: Graph, sv, t: int):
     if t == 0:
         return 0, ()
     for i in range(1, g.n):
-        left = set(sv.seq[:i])
+        left = set(sv[:i])
         pairs = recursive_kuhn_pairs(
             [(u, v) if u in left else (v, u) for u, v in crossing_edges(g, left)])
         if len(pairs) >= t:
@@ -377,9 +358,9 @@ def frozenset_settled_covers(g: Graph, sv) -> list[frozenset]:
     minimum against a second matching of the whole cut."""
     covers: list[frozenset] = []
     for i in range(1, g.n):
-        left = set(sv.seq[:i])
+        left = set(sv[:i])
         cut = [(u, v) if u in left else (v, u) for u, v in crossing_edges(g, left)]
-        carry = covers[-1] & frozenset(sv.seq[i:]) if covers else frozenset()
+        carry = covers[-1] & frozenset(sv[i:]) if covers else frozenset()
         cover = carry | konig_cover(
             [(u, v) for u, v in cut if u not in carry and v not in carry]
         )
@@ -397,13 +378,13 @@ def brute_validate_decomposition(g: Graph, bags, tree_edges) -> tuple:
         nbrs[a].append(b)
         nbrs[b].append(a)
     covered = set().union(*bags) if bags else set()
-    for v in g.vertices():
+    for v in range(g.n):
         if v not in covered:
             return (False, "union", (v,))
     for u, v in g.edges:
         if not any(u in bag and v in bag for bag in bags):
             return (False, "containment", (u, v))
-    for v in g.vertices():
+    for v in range(g.n):
         holding = [i for i, bag in enumerate(bags) if v in bag]
         seen = {holding[0]}
         stack = [holding[0]]

@@ -13,7 +13,6 @@ import pytest
 
 from widthlab.graph import (
     Graph,
-    Ordering,
     cut_graph,
     format_dimacs_graph,
     max_bipartite_matching,
@@ -88,9 +87,9 @@ def bound_setups(corpus):
 
 def test_criterion_01_path_ordering_examples():
     g = path_graph(10)
-    natural = mw_of_ordering(g, Ordering.make(range(10))).value
+    natural = mw_of_ordering(g, tuple(range(10))).value
     interleaved = mw_of_ordering(
-        g, Ordering.make([0, 2, 4, 6, 8, 1, 3, 5, 7, 9])
+        g, (0, 2, 4, 6, 8, 1, 3, 5, 7, 9)
     ).value
     exact = matching_width_exact(g).value
     ok = (natural, interleaved, exact) == (1, 5, 1)
@@ -101,12 +100,9 @@ def test_criterion_01_path_ordering_examples():
 def test_criterion_02_matching_equals_cover_on_every_prefix(corpus):
     checked = 0
     for seed, g in corpus:
-        orderings = [list(range(g.n)), list(range(g.n - 1, -1, -1))]
         shuffled = list(range(g.n))
         random.Random(seed).shuffle(shuffled)
-        orderings.append(shuffled)
-        for seq in orderings:
-            sv = Ordering.make(seq)
+        for sv in (tuple(range(g.n)), tuple(range(g.n - 1, -1, -1)), tuple(shuffled)):
             for i in range(1, g.n):
                 c = cut_graph(g, sv, i)
                 m = max_bipartite_matching(c)
@@ -127,7 +123,7 @@ def test_criterion_03_subset_dp_equals_permutation_enumeration(corpus):
         if g.n > 7:
             continue
         report = matching_width_exact(g)
-        if (report.value, report.witness_ordering.seq) != brute_matching_width(g):
+        if (report.value, report.witness_ordering) != brute_matching_width(g):
             mismatches.append(seed)
         checked += 1
     verdict(3, not mismatches,
@@ -228,7 +224,7 @@ def test_criterion_10_separation_vectors_are_distinct(bound_setups):
     collisions = []
     checks = 0
     for g, f, mw, best, z in bound_setups:
-        sv = Ordering.make([v for v in best.order if v < g.n])
+        sv = tuple(v for v in best.order if v < g.n)
         top = min(3, mw_of_ordering(g, sv).value)
         for t in range(1, top + 1):
             w = witness_cut(g, sv, t)
@@ -237,9 +233,9 @@ def test_criterion_10_separation_vectors_are_distinct(bound_setups):
                 z,
                 family,
                 best.order,
-                frozenset(sv.seq[: w.prefix_len]),
+                frozenset(sv[: w.prefix_len]),
                 c=1,
-                suffix_vars=frozenset(sv.seq[w.prefix_len :]),
+                suffix_vars=frozenset(sv[w.prefix_len :]),
             )
             if not report.distinct:
                 collisions.append((g.n, sorted(g.edges), t))

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import widthlab
 from widthlab import bprog, cli, decomposition, lbound, width
 from widthlab.cli import build_parser, main
-from widthlab.graph import Ordering, format_dimacs_graph
+from widthlab.graph import format_dimacs_graph
 from widthlab.instances import (
     cnf_of_graph,
     ct_graph,
@@ -934,7 +934,7 @@ class TestDeclaredCounts:
 _FUZZ_GRAPH = format_dimacs_graph(cycle_graph(4))
 _FUZZ_CNF = format_dimacs_cnf(cnf_of_graph(path_graph(2)))
 _FUZZ_PACE = decomposition.format_pace(
-    decomposition.path_decomposition_from_ordering(cycle_graph(4), Ordering.make(range(4))), 4)
+    decomposition.path_decomposition_from_ordering(cycle_graph(4), tuple(range(4))), 4)
 _FUZZ_BP = bprog.format_bp(bprog.build_obdd(cnf_of_graph(path_graph(2)), (0, 1, 2)))
 _FUZZ_TOKENS = ["-1", "0", "1", "2", "3", "4", "5", "8", "x", "1.5", "", "p", "e", "b",
                 "s", "td", "edge", "cnf", "bp"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from widthlab.errors import FormatError, InputError
-from widthlab.graph import Graph, Ordering
+from widthlab.graph import Graph
 from widthlab.instances import ct_graph, cycle_graph, path_graph
 from widthlab.decomposition import (
     TreeDecomposition,
@@ -20,21 +20,11 @@ from widthlab.decomposition import (
 from widthlab.width import matching_width_exact, mw_of_ordering, pathwidth_exact
 
 from oracles import brute_validate_decomposition, neighbours, optimal_path_decomposition
+from strategies import graphs
 
 
 def fs(*verts):
     return frozenset(verts)
-
-
-@st.composite
-def graphs(draw, max_n=7):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if pairs:
-        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    else:
-        edges = []
-    return Graph.make(n, edges)
 
 
 def layout_bags(g, order):
@@ -73,7 +63,7 @@ def decompositions(draw):
     valid or broken one of three ways: a vertex dropped from every bag, an
     edge left uncovered, or a vertex's occurrences split in two by a new
     leaf bag holding it."""
-    g = draw(graphs())
+    g = draw(graphs(1, 7))
     order = draw(st.permutations(range(g.n)))
     path_shaped = draw(st.booleans())
     if path_shaped:
@@ -185,7 +175,7 @@ class TestOrderingFromPd:
     def test_first_bag_order(self):
         g = path_graph(4)
         pd = TreeDecomposition.path((fs(0, 1), fs(1, 2), fs(2, 3)))
-        assert ordering_from_path_decomposition(g, pd).seq == (0, 1, 2, 3)
+        assert ordering_from_path_decomposition(g, pd) == (0, 1, 2, 3)
 
     def test_rejects_invalid_decomposition(self):
         g = path_graph(3)
@@ -193,7 +183,7 @@ class TestOrderingFromPd:
             ordering_from_path_decomposition(g, TreeDecomposition.path((fs(0, 1),)))
 
     @settings(deadline=None, max_examples=40)
-    @given(graphs(max_n=6))
+    @given(graphs(1, 6))
     def test_mw_at_most_width_plus_one(self, g):
         pd = optimal_path_decomposition(g)
         sv = ordering_from_path_decomposition(g, pd)
@@ -203,18 +193,18 @@ class TestOrderingFromPd:
 class TestPdFromOrdering:
     def test_path_natural_order(self):
         g = path_graph(4)
-        pd = path_decomposition_from_ordering(g, Ordering.make(range(4)))
+        pd = path_decomposition_from_ordering(g, tuple(range(4)))
         assert validate_decomposition(g, pd).valid
         assert pd.width <= 2  # 2 * mw of the natural order
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_singleton_graph(self, n):
         g = Graph.make(n, [])
-        pd = path_decomposition_from_ordering(g, Ordering.make(range(n)))
+        pd = path_decomposition_from_ordering(g, tuple(range(n)))
         assert pd.bags == tuple(fs(v) for v in range(n))
 
     @settings(deadline=None, max_examples=40)
-    @given(graphs(max_n=6))
+    @given(graphs(1, 6))
     def test_valid_and_width_bounded(self, g):
         report = matching_width_exact(g)
         pd = path_decomposition_from_ordering(g, report.witness_ordering)
@@ -224,7 +214,7 @@ class TestPdFromOrdering:
 
 class TestOptimalPd:
     @settings(deadline=None, max_examples=40)
-    @given(graphs(max_n=6))
+    @given(graphs(1, 6))
     def test_width_equals_pathwidth(self, g):
         pd = optimal_path_decomposition(g)
         assert validate_decomposition(g, pd).valid
@@ -298,7 +288,7 @@ class TestOrderingFromPathShapedTree:
         g = path_graph(4)
         sv = ordering_from_path_decomposition(g, OUT_OF_ORDER)
         assert sv == ordering_from_path_decomposition(g, as_path_decomposition(OUT_OF_ORDER))
-        assert sv.seq == (0, 1, 2, 3)
+        assert sv == (0, 1, 2, 3)
 
     def test_star_is_an_input_error(self):
         with pytest.raises(InputError, match="not a path"):

@@ -5,7 +5,6 @@ from widthlab.errors import FormatError, InputError
 from widthlab.graph import (
     CutGraph,
     Graph,
-    Ordering,
     adjacency_masks,
     cut_graph,
     format_dimacs_graph,
@@ -25,24 +24,7 @@ from oracles import (
     recursive_kuhn_pairs,
     table_minimax,
 )
-
-
-@st.composite
-def graphs(draw, max_n=7):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if pairs:
-        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    else:
-        edges = []
-    return Graph.make(n, edges)
-
-
-@st.composite
-def graphs_with_ordering(draw, max_n=7):
-    g = draw(graphs(max_n=max_n))
-    seq = draw(st.permutations(list(range(g.n))))
-    return g, Ordering.make(seq)
+from strategies import graphs, graphs_with_ordering
 
 
 class TestGraphMake:
@@ -82,37 +64,29 @@ class TestGraphHash:
         assert hash(Graph.make(3, [(0, 1), (1, 2)])) != h
 
 
-class TestOrdering:
-    def test_rejects_non_permutation(self):
-        with pytest.raises(InputError):
-            Ordering.make([0, 0, 1])
-        with pytest.raises(InputError):
-            Ordering.make([1, 2, 3])
-
-
 class TestCutGraph:
     def test_p4_middle_cut(self):
         # P_4 split as {0,1} vs {2,3}: the one crossing edge is 1-2.
         g = Graph.make(4, [(0, 1), (1, 2), (2, 3)])
-        c = cut_graph(g, Ordering.make([0, 1, 2, 3]), 2)
+        c = cut_graph(g, (0, 1, 2, 3), 2)
         assert c.left == 0b0011
         assert c.right == 0b1100
         assert c.nbrs == {1: 1 << 2}
 
     def test_orientation_follows_prefix(self):
         g = Graph.make(3, [(0, 2)])
-        c = cut_graph(g, Ordering.make([2, 1, 0]), 1)
+        c = cut_graph(g, (2, 1, 0), 1)
         assert c.nbrs == {2: 1 << 0}
 
     @settings(deadline=None)
-    @given(graphs_with_ordering())
+    @given(graphs_with_ordering(7))
     def test_matches_the_edge_scan(self, gsv):
         g, sv = gsv
         for i in range(1, g.n):
             c = cut_graph(g, sv, i)
-            left = set(sv.seq[:i])
+            left = set(sv[:i])
             assert c.left == sum(1 << v for v in left)
-            assert c.right == sum(1 << v for v in sv.seq[i:])
+            assert c.right == sum(1 << v for v in sv[i:])
             assert cut_edges(c) == {
                 (u, v) if u in left else (v, u) for u, v in crossing_edges(g, left)
             }
@@ -120,7 +94,7 @@ class TestCutGraph:
 
     def test_rejects_bad_prefix_length(self):
         g = Graph.make(3, [(0, 1)])
-        sv = Ordering.make([0, 1, 2])
+        sv = (0, 1, 2)
         for i in (0, 3, -1):
             with pytest.raises(InputError):
                 cut_graph(g, sv, i)
@@ -128,7 +102,7 @@ class TestCutGraph:
     def test_rejects_mismatched_ordering(self):
         g = Graph.make(3, [(0, 1)])
         with pytest.raises(InputError):
-            cut_graph(g, Ordering.make([0, 1]), 1)
+            cut_graph(g, (0, 1), 1)
 
 
 def bits(vertices) -> int:
@@ -161,7 +135,7 @@ class TestMatchingAndCover:
     def test_left_vertex_without_crossing_edge(self):
         # P_4 cut after 0, 1, 3: vertex 0 crosses nothing; 1-2 and 3-2 cross.
         g = Graph.make(4, [(0, 1), (1, 2), (2, 3)])
-        c = cut_graph(g, Ordering.make([0, 1, 3, 2]), 3)
+        c = cut_graph(g, (0, 1, 3, 2), 3)
         assert cut_edges(c) == {(1, 2), (3, 2)}
         m = max_bipartite_matching(c)
         assert m == {(1, 2)}
@@ -181,7 +155,7 @@ class TestMatchingAndCover:
         assert m == frozenset((j, 2 * k - j) for j in range(k))
 
     @settings(deadline=None)
-    @given(graphs_with_ordering())
+    @given(graphs_with_ordering(7))
     def test_matching_matches_brute_force(self, gsv):
         g, sv = gsv
         for i in range(1, g.n):
@@ -196,7 +170,7 @@ class TestMatchingAndCover:
                 used.update((u, v))
 
     @settings(deadline=None, max_examples=200)
-    @given(graphs_with_ordering(max_n=10))
+    @given(graphs_with_ordering(10))
     def test_pairs_match_the_recursive_search(self, gsv):
         g, sv = gsv
         for i in range(1, g.n):
@@ -204,7 +178,7 @@ class TestMatchingAndCover:
             assert max_bipartite_matching(c) == recursive_kuhn_pairs(cut_edges(c))
 
     @settings(deadline=None)
-    @given(graphs_with_ordering())
+    @given(graphs_with_ordering(7))
     def test_cover_is_minimum_and_covers(self, gsv):
         g, sv = gsv
         for i in range(1, g.n):
@@ -226,11 +200,11 @@ class TestDimacs:
             "e 1 3\n"
         )
 
-    @given(graphs())
+    @given(graphs(0, 7))
     def test_round_trip(self, g):
         assert parse_dimacs_graph(format_dimacs_graph(g)) == g
 
-    @given(graphs(), st.randoms(use_true_random=False))
+    @given(graphs(0, 7), st.randoms(use_true_random=False))
     def test_shuffled_flipped_records_parse_as_make_builds(self, g, rnd):
         pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges]
         rnd.shuffle(pairs)

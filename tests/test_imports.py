@@ -1,9 +1,10 @@
 """Imports of the library modules.
 
-Every name a library module imports is used in that module.  A name counts
-as used when the module's code loads it, including inside annotations,
-whether written as expressions or as strings.  A name imported under
-`if TYPE_CHECKING:` counts as used only where an annotation names it.
+Every name a library module, a test module or a script imports is used in
+that module.  A name counts as used when the module's code loads it,
+including inside annotations, whether written as expressions or as strings.
+A name imported under `if TYPE_CHECKING:` counts as used only where an
+annotation names it.
 
 numpy is imported in one function, `tables.order_tables`, the level walk
 of the minimum OBDD, so the commands that do not run it never load it:
@@ -21,9 +22,10 @@ import pytest
 
 import widthlab
 
-MODULES = sorted(
-    p for p in Path(widthlab.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = Path(widthlab.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+CHECKED = MODULES + sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "scripts").glob("*.py"))
 
 
 def imported_names(nodes) -> set[str]:
@@ -83,7 +85,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
     )
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", CHECKED, ids=[p.stem for p in CHECKED])
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
@@ -110,7 +112,7 @@ def numpy_holders(tree: ast.Module) -> list[str | None]:
 
 
 def test_numpy_is_imported_in_one_function():
-    package = sorted(Path(widthlab.__file__).parent.glob("*.py"))
+    package = sorted(PACKAGE.glob("*.py"))
     found = {p.stem: numpy_holders(ast.parse(p.read_text())) for p in package}
     assert {stem: fns for stem, fns in found.items() if fns} == {"tables": ["order_tables"]}
 

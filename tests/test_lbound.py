@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from widthlab import lbound
 from widthlab.errors import InputError
-from widthlab.graph import Graph, Ordering
+from widthlab.graph import Graph
 from widthlab.instances import cnf_of_graph, cycle_graph, grid_graph, path_graph
 from widthlab.bprog import (
     BranchingProgram,
@@ -21,31 +21,24 @@ from widthlab.lbound import (
 from widthlab.width import mw_of_ordering
 
 from oracles import clause_scan_satisfies, per_prefix_witness
-
-
-@st.composite
-def graphs_with_ordering(draw, max_n=10):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph.make(n, edges), Ordering.make(draw(st.permutations(range(n))))
+from strategies import graphs_with_ordering
 
 
 class TestWitnessCut:
     def test_smallest_qualifying_prefix(self):
         g = path_graph(4)
-        sv = Ordering.make([0, 2, 1, 3])
+        sv = (0, 2, 1, 3)
         w = witness_cut(g, sv, 2)
         assert w.prefix_len == 2
         assert len(w.pairs) == 2
         # every earlier prefix has a smaller cut matching
-        assert mw_of_ordering(g, Ordering.make([0, 1, 2, 3])).value == 1
+        assert mw_of_ordering(g, (0, 1, 2, 3)).value == 1
 
     def test_pairs_are_oriented_and_disjoint(self):
         g = path_graph(6)
-        sv = Ordering.make([0, 2, 4, 1, 3, 5])
+        sv = (0, 2, 4, 1, 3, 5)
         w = witness_cut(g, sv, 3)
-        prefix = set(sv.seq[: w.prefix_len])
+        prefix = set(sv[: w.prefix_len])
         used = set()
         for inside, outside in w.pairs:
             assert inside in prefix and outside not in prefix
@@ -54,22 +47,22 @@ class TestWitnessCut:
 
     def test_t_zero(self):
         g = path_graph(3)
-        w = witness_cut(g, Ordering.make(range(3)), 0)
+        w = witness_cut(g, tuple(range(3)), 0)
         assert w.prefix_len == 0 and w.pairs == ()
 
     def test_unreachable_t(self):
         g = Graph.make(3, [])
         message = "^no prefix cut of the ordering has a matching of size 1$"
         with pytest.raises(InputError, match=message):
-            witness_cut(g, Ordering.make(range(3)), 1)
+            witness_cut(g, tuple(range(3)), 1)
 
     def test_negative_t(self):
         with pytest.raises(InputError):
-            witness_cut(path_graph(3), Ordering.make(range(3)), -1)
+            witness_cut(path_graph(3), tuple(range(3)), -1)
 
     @settings(deadline=None, max_examples=150)
-    @given(graphs_with_ordering())
-    @example((Graph.make(4, [(0, 1)]), Ordering.make(range(4))))  # t = 2 has no prefix cut
+    @given(graphs_with_ordering(10))
+    @example((Graph.make(4, [(0, 1)]), tuple(range(4))))  # t = 2 has no prefix cut
     def test_equals_the_per_prefix_oracle(self, case):
         g, sv = case
         for t in range(g.n // 2 + 1):
@@ -87,7 +80,7 @@ class TestAssignmentFamily:
     def test_k2_family(self):
         g = path_graph(2)
         f = cnf_of_graph(g)
-        w = witness_cut(g, Ordering.make([0, 1]), 1)
+        w = witness_cut(g, (0, 1), 1)
         family = assignment_family(f, w)
         # vars: X_0, X_1, X_{0,1}; matched edge negative, ends opposite
         assert family == (
@@ -98,7 +91,7 @@ class TestAssignmentFamily:
     def test_family_members_satisfy_by_clause_scan(self, corpus):
         for seed, g in corpus[:60]:
             f = cnf_of_graph(g)
-            sv = Ordering.make(range(g.n))
+            sv = tuple(range(g.n))
             t = mw_of_ordering(g, sv).value
             if t == 0:
                 continue
@@ -111,7 +104,7 @@ class TestAssignmentFamily:
     def test_unmatched_variables_stay_positive(self):
         g = path_graph(4)
         f = cnf_of_graph(g)
-        w = witness_cut(g, Ordering.make(range(4)), 1)
+        w = witness_cut(g, tuple(range(4)), 1)
         matched = {w.pairs[0][0], w.pairs[0][1]}
         for s in assignment_family(f, w):
             for u in range(4):
@@ -120,7 +113,7 @@ class TestAssignmentFamily:
 
     def test_rejects_foreign_cnf(self):
         g = path_graph(3)
-        w = witness_cut(g, Ordering.make(range(3)), 1)
+        w = witness_cut(g, tuple(range(3)), 1)
         with pytest.raises(InputError):
             assignment_family(cnf_of_graph(path_graph(2)), w)
 
@@ -210,7 +203,7 @@ class TestCheckDistinctness:
         f = cnf_of_graph(g)
         order = (0, 1, 2)
         z = build_obdd(f, order)
-        w = witness_cut(g, Ordering.make([0, 1]), 1)
+        w = witness_cut(g, (0, 1), 1)
         family = assignment_family(f, w)
         report = check_distinctness(
             z, family, order, frozenset({0}), 1, frozenset({1})
@@ -266,11 +259,12 @@ class TestCheckDistinctness:
             check_distinctness(z, [(True,)], (0, 1), frozenset({0}), 1, frozenset({1}))
 
     @pytest.mark.parametrize(
-        "g,seq",
-        [(path_graph(4), [0, 2, 1, 3]), (cycle_graph(4), range(4)), (grid_graph(2, 3), range(6))],
+        "g,sv",
+        [(path_graph(4), (0, 2, 1, 3)), (cycle_graph(4), tuple(range(4))),
+         (grid_graph(2, 3), tuple(range(6)))],
         ids=["path4", "cycle4", "grid2x3"],
     )
-    def test_draws_one_path_per_member(self, g, seq, monkeypatch):
+    def test_draws_one_path_per_member(self, g, sv, monkeypatch):
         drawn = []
 
         def counting(*args, **kwargs):
@@ -282,11 +276,10 @@ class TestCheckDistinctness:
         f = cnf_of_graph(g)
         order = tuple(range(f.num_vars))
         z = build_obdd(f, order)
-        sv = Ordering.make(seq)
         w = witness_cut(g, sv, 2)
         family = assignment_family(f, w)
-        svp_vars = frozenset(sv.seq[:w.prefix_len])
-        report = check_distinctness(z, family, order, svp_vars, 1, frozenset(sv.seq[w.prefix_len:]))
+        svp_vars = frozenset(sv[:w.prefix_len])
+        report = check_distinctness(z, family, order, svp_vars, 1, frozenset(sv[w.prefix_len:]))
         assert len(drawn) == len(family) == len(report.vectors) == 4
 
 

@@ -1,19 +1,20 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from widthlab import width
 from widthlab.errors import CapacityError, InputError
 from widthlab.graph import (
     Graph,
-    Ordering,
     adjacency_masks,
     cut_graph,
     iter_bits,
     max_bipartite_matching,
 )
+from widthlab.decomposition import path_decomposition_from_ordering
 from widthlab.instances import ct_graph, cycle_graph, grid_graph, path_graph, random_graph
+from widthlab.lbound import witness_cut
 from widthlab.width import (
     _CutMatching,
     _boundary,
@@ -36,27 +37,11 @@ from oracles import (
     separation_costs,
     table_minimax,
 )
+from strategies import graphs, graphs_with_ordering
 
 
 def complete_graph(n):
     return Graph.make(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-@st.composite
-def graphs(draw, max_n=6):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if pairs:
-        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    else:
-        edges = []
-    return Graph.make(n, edges)
-
-
-@st.composite
-def graphs_with_ordering(draw, max_n=6):
-    g = draw(graphs(max_n=max_n))
-    return g, Ordering.make(draw(st.permutations(list(range(g.n)))))
 
 
 def brute_cut_sizes(g):
@@ -85,7 +70,7 @@ def table_dp_report(cost):
 
 
 def report_tuple(report):
-    return report.value, report.witness_ordering.seq, report.witness_prefix
+    return report.value, report.witness_ordering, report.witness_prefix
 
 
 LARGER_GRAPHS = pytest.mark.parametrize(
@@ -107,57 +92,82 @@ LARGER_GRAPHS = pytest.mark.parametrize(
 
 class TestCutMatchingCosts:
     @settings(deadline=None, max_examples=40)
-    @given(graphs(max_n=9))
+    @given(graphs(0, 9))
     def test_gray_walk_equals_brute_force_on_every_mask(self, g):
         assert matching_costs(g) == brute_cut_sizes(g)
 
     @settings(deadline=None, max_examples=40)
-    @given(graphs(max_n=9))
+    @given(graphs(0, 9))
     def test_size_of_equals_brute_force_on_every_mask(self, g):
         cut = _CutMatching(adjacency_masks(g))
         assert [cut.size_of(mask) for mask in range(1 << g.n)] == brute_cut_sizes(g)
 
     @settings(deadline=None, max_examples=40)
-    @given(graphs_with_ordering(max_n=9))
+    @given(graphs_with_ordering(9))
     def test_cut_sizes_equal_brute_force_on_every_prefix(self, gs):
         g, sv = gs
         sizes = brute_cut_sizes(g)
-        masks = [sum(1 << v for v in sv.seq[:i]) for i in range(1, g.n)]
+        masks = [sum(1 << v for v in sv[:i]) for i in range(1, g.n)]
         assert width.cut_sizes(g, sv) == tuple(sizes[m] for m in masks)
 
     def test_cut_sizes_reject_a_short_ordering(self):
         with pytest.raises(InputError, match="ordering length"):
-            width.cut_sizes(path_graph(3), Ordering.make(range(2)))
+            width.cut_sizes(path_graph(3), tuple(range(2)))
+
+
+class TestNonPermutation:
+    """Every consumer of an ordering walks its cuts with `width.cut_sizes`,
+    which rejects a tuple that is not a permutation of the vertices, and
+    `witness_cut` does so before its t = 0 shortcut."""
+
+    @pytest.mark.parametrize(
+        "consume",
+        [
+            mw_of_ordering,
+            path_decomposition_from_ordering,
+            lambda g, sv: witness_cut(g, sv, 0),
+            lambda g, sv: witness_cut(g, sv, 1),
+        ],
+        ids=["mw_of_ordering", "path_decomposition_from_ordering", "witness_cut-t0",
+             "witness_cut-t1"],
+    )
+    @pytest.mark.parametrize(
+        "sv", [(0, 0, 1), (0, -1, 1), (1, 2, 3), (2, 2, 2)],
+        ids=["repeated", "negative", "shifted", "constant"],
+    )
+    def test_is_an_input_error(self, consume, sv):
+        with pytest.raises(InputError, match=r"^ordering is not a permutation of 0\.\.2$"):
+            consume(path_graph(3), sv)
 
 
 class TestMwOfOrdering:
     def test_path_natural_order(self):
         g = path_graph(10)
-        assert mw_of_ordering(g, Ordering.make(range(10))).value == 1
+        assert mw_of_ordering(g, tuple(range(10))).value == 1
 
     def test_path_interleaved_order(self):
         # evens then odds: the middle cut matches every edge endpoint pair
         g = path_graph(10)
-        interleaved = Ordering.make([0, 2, 4, 6, 8, 1, 3, 5, 7, 9])
+        interleaved = (0, 2, 4, 6, 8, 1, 3, 5, 7, 9)
         assert mw_of_ordering(g, interleaved).value == 5
 
     def test_witness_prefix_attains_value(self):
         g = cycle_graph(6)
-        sv = Ordering.make([0, 3, 1, 4, 2, 5])
+        sv = (0, 3, 1, 4, 2, 5)
         report = mw_of_ordering(g, sv)
         c = cut_graph(g, sv, report.witness_prefix)
         assert len(max_bipartite_matching(c)) == report.value
 
     def test_rejects_wrong_length(self):
         with pytest.raises(InputError):
-            mw_of_ordering(path_graph(3), Ordering.make([0, 1]))
+            mw_of_ordering(path_graph(3), (0, 1))
 
     @settings(deadline=None)
-    @given(graphs_with_ordering())
+    @given(graphs_with_ordering(6))
     def test_matches_per_prefix_brute_force(self, gsv):
         g, sv = gsv
         sizes = [
-            brute_max_matching(crossing_edges(g, set(sv.seq[:i]))) for i in range(1, g.n)
+            brute_max_matching(crossing_edges(g, set(sv[:i]))) for i in range(1, g.n)
         ]
         report = mw_of_ordering(g, sv)
         assert report.value == max(sizes, default=0)
@@ -186,22 +196,22 @@ class TestMatchingWidthExact:
         optimal = [
             perm
             for perm in permutations(range(5))
-            if mw_of_ordering(g, Ordering.make(perm)).value == report.value
+            if mw_of_ordering(g, perm).value == report.value
         ]
-        assert report.witness_ordering.seq == min(optimal)
+        assert report.witness_ordering == min(optimal)
 
     def test_cap(self):
         with pytest.raises(CapacityError):
             matching_width_exact(path_graph(8), cap=7)
 
     @settings(deadline=None, max_examples=40)
-    @given(graphs(max_n=5))
+    @given(graphs(0, 5))
     def test_matches_permutation_enumeration(self, g):
         report = matching_width_exact(g)
-        assert (report.value, report.witness_ordering.seq) == brute_matching_width(g)
+        assert (report.value, report.witness_ordering) == brute_matching_width(g)
 
     @settings(deadline=None, max_examples=60)
-    @given(graphs(max_n=9))
+    @given(graphs(0, 9))
     @example(Graph.make(0, []))
     @example(Graph.make(1, []))
     def test_matches_table_dp(self, g):
@@ -229,13 +239,13 @@ class TestPathwidthExact:
             pathwidth_exact(path_graph(8), cap=7)
 
     @settings(deadline=None, max_examples=40)
-    @given(graphs(max_n=5))
+    @given(graphs(0, 5))
     def test_matches_permutation_enumeration(self, g):
         report = pathwidth_exact(g)
-        assert (report.value, report.witness_ordering.seq) == brute_pathwidth(g)
+        assert (report.value, report.witness_ordering) == brute_pathwidth(g)
 
     @settings(deadline=None, max_examples=60)
-    @given(graphs(max_n=10))
+    @given(graphs(0, 10))
     @example(Graph.make(0, []))
     @example(Graph.make(1, []))
     def test_matches_table_dp(self, g):
@@ -270,7 +280,7 @@ class TestPathwidthExact:
         assert calls[0] <= 10_000
         boundary = _boundary(adjacency_masks(g))
         prefix, separation = 0, 0
-        for v in report.witness_ordering.seq:
+        for v in report.witness_ordering:
             prefix |= 1 << v
             separation = max(separation, boundary(prefix).bit_count())
         assert report.value == separation == 13
@@ -288,7 +298,7 @@ def test_boundary_equals_per_vertex_scan(n):
 
 class TestSandwich:
     @settings(deadline=None, max_examples=40)
-    @given(graphs(max_n=6))
+    @given(graphs(0, 6))
     def test_pathwidth_bounds_matching_width(self, g):
         mw = matching_width_exact(g).value
         pw = pathwidth_exact(g).value
@@ -299,12 +309,12 @@ class TestSandwich:
 class TestSettledCovers:
     def test_chain_length(self):
         g = path_graph(5)
-        chain = settled_vertex_covers(g, Ordering.make(range(5)))
+        chain = settled_vertex_covers(g, tuple(range(5)))
         assert len(chain) == 4
 
     def test_covers_are_minimum(self, corpus):
         for seed, g in corpus[:60]:
-            sv = Ordering.make(range(g.n))
+            sv = tuple(range(g.n))
             chain = settled_vertex_covers(g, sv)
             for i, vc in enumerate(chain, start=1):
                 c = cut_graph(g, sv, i)
@@ -313,14 +323,14 @@ class TestSettledCovers:
 
     def test_suffix_side_carries_over(self, corpus):
         for seed, g in corpus[:60]:
-            sv = Ordering.make(range(g.n))
+            sv = tuple(range(g.n))
             chain = settled_vertex_covers(g, sv)
             for i in range(1, len(chain)):
-                carried = chain[i - 1] & sum(1 << v for v in sv.seq[i + 1 :])
+                carried = chain[i - 1] & sum(1 << v for v in sv[i + 1 :])
                 assert carried & ~chain[i] == 0
 
     @settings(deadline=None, max_examples=200)
-    @given(graphs_with_ordering(max_n=12))
+    @given(graphs_with_ordering(12))
     def test_covers_match_the_frozenset_chain(self, gsv):
         g, sv = gsv
         chain = settled_vertex_covers(g, sv)
@@ -331,21 +341,21 @@ class TestSettledCovers:
         real = width.max_bipartite_matching
         monkeypatch.setattr(width, "max_bipartite_matching", lambda c: calls.append(c) or real(c))
         g = grid_graph(4, 5)
-        settled_vertex_covers(g, Ordering.make(range(g.n)))
+        settled_vertex_covers(g, tuple(range(g.n)))
         assert len(calls) == g.n - 1
 
     def test_carry_that_covers_the_whole_cut(self):
         # Star centred at 0, placed fourth: the cover of cut 2 is {0}, and 0
         # meets every edge of cut 3, so carrying it leaves an empty residual.
         g = Graph.make(5, [(0, v) for v in range(1, 5)])
-        sv = Ordering.make([1, 2, 3, 0, 4])
+        sv = (1, 2, 3, 0, 4)
         chain = settled_vertex_covers(g, sv)
         assert [set(iter_bits(vc)) for vc in chain] == [{1}, {0}, {0}, {0}]
         assert min_vc_containing(cut_graph(g, sv, 3), 1 << 0) == 1 << 0
 
     def test_min_vc_containing_reports_minimality(self):
         g = path_graph(4)
-        c = cut_graph(g, Ordering.make(range(4)), 2)
+        c = cut_graph(g, tuple(range(4)), 2)
         cover = min_vc_containing(c, 0)
         assert cover.bit_count() == 1 == len(max_bipartite_matching(c))
         # forcing both cut endpoints into the cover makes it non-minimum
@@ -356,12 +366,12 @@ class TestSettledCovers:
         # Left {0, 1}, right {2}: with 0 required, 1-2 is the rest of the
         # cut, and 0's own edge must not put 2 in the cover instead of 1.
         g = Graph.make(3, [(0, 2), (1, 2)])
-        c = cut_graph(g, Ordering.make(range(3)), 2)
+        c = cut_graph(g, tuple(range(3)), 2)
         assert min_vc_containing(c, 1 << 0) == 1 << 0 | 1 << 1
 
     def test_min_vc_containing_rejects_foreign_vertices(self):
         g = path_graph(4)
-        c = cut_graph(g, Ordering.make(range(4)), 2)
+        c = cut_graph(g, tuple(range(4)), 2)
         with pytest.raises(InputError):
             min_vc_containing(c, 1 << 9)
 
